@@ -8,7 +8,8 @@ simulates that tier.  :class:`ClusterEngine` drives N replica
 requests are dispatched in arrival order, every replica is advanced to the
 arrival instant first, and the pluggable :class:`Router` then picks a
 replica using the queue state *at that moment* — exactly the information a
-real load balancer has.
+real load balancer has.  Disaggregated, autoscaled and multiplexed fleets
+(below) run on that same event loop and compose where their meanings do.
 
 Routers shipped by default:
 
@@ -71,8 +72,9 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.gpu.specs import GPUSpec, InterconnectSpec, NVLINK
 from repro.model.config import ModelConfig
@@ -93,7 +95,7 @@ from repro.serving.multiplex import (
 from repro.serving.parallel import ParallelConfig
 from repro.serving.policies import SchedulingConfig
 from repro.serving.precision import SystemConfig, get_system
-from repro.serving.request import Request, RequestState, Workload
+from repro.serving.request import Request, Workload
 from repro.serving.speculative import SpeculativeConfig
 from repro.serving.telemetry import (
     CounterRegistry,
@@ -199,7 +201,10 @@ class PrefixAffinityRouter(Router):
     that hit nowhere (first turns, caching disabled) are routed
     least-outstanding but *stick* by session key — the first two prompt
     segments, i.e. (system prompt, first user message) — so a session's
-    later turns find their history where the first turn built it.
+    later turns find their history where the first turn built it.  The
+    sticky target is the replica itself, not its position in the view: on
+    an autoscaled fleet the view shrinks and reorders as slots stop, and a
+    session whose replica left the view falls back to least-outstanding.
     """
 
     name = "prefix-affinity"
@@ -208,7 +213,7 @@ class PrefixAffinityRouter(Router):
         if load_penalty_tokens < 0:
             raise ValueError("load_penalty_tokens must be non-negative")
         self.load_penalty_tokens = load_penalty_tokens
-        self._sticky: Dict[tuple, int] = {}
+        self._sticky: Dict[tuple, EngineStepper] = {}
 
     @staticmethod
     def _session_key(request: Request) -> Optional[tuple]:
@@ -219,39 +224,38 @@ class PrefixAffinityRouter(Router):
     def route(self, request: Request, replicas: Sequence[EngineStepper]) -> int:
         probes = [replica.cached_prefix_tokens(request) for replica in replicas]
         key = self._session_key(request)
+        index = None
         if max(probes) > 0:
             index = min(range(len(replicas)),
                         key=lambda i: (-(probes[i] - self.load_penalty_tokens
                                          * replicas[i].outstanding_requests), i))
-        elif key is not None and key in self._sticky:
-            index = self._sticky[key]
-        else:
+        elif key in self._sticky:
+            sticky = self._sticky[key]
+            index = next((i for i, replica in enumerate(replicas)
+                          if replica is sticky), None)
+        if index is None:
             index = min(range(len(replicas)),
                         key=lambda i: (replicas[i].outstanding_requests, i))
         if key is not None:
-            self._sticky[key] = index
+            self._sticky[key] = replicas[index]
         return index
 
 
-class DisaggregatedRouter(Router):
+class DisaggregatedRouter(ShortestQueueRouter):
     """Router for prefill/decode-split clusters.
 
     ``route`` places *arrivals*: it sees only the prefill-capable replicas
     (roles ``prefill`` and ``mixed``) and picks the one owing the fewest
-    pending prefill tokens — prompt work is what a prefill tier queues on.
-    ``route_decode`` places *migrations*: among the decode-role replicas it
-    picks the least-loaded one (fewest outstanding requests, pending-token
-    tiebreak), counting in-flight transfers already bound for a replica so a
-    burst of simultaneous prefill completions cannot dogpile one target.
-    Outside a disaggregated cluster it degrades to shortest-queue routing.
+    pending prefill tokens — prompt work is what a prefill tier queues on —
+    exactly the inherited shortest-queue rule.  ``route_decode`` places
+    *migrations*: among the decode-role replicas it picks the least-loaded
+    one (fewest outstanding requests, pending-token tiebreak), counting
+    in-flight transfers already bound for a replica so a burst of
+    simultaneous prefill completions cannot dogpile one target.  Outside a
+    disaggregated cluster it is shortest-queue routing.
     """
 
     name = "disaggregated"
-
-    def route(self, request: Request, replicas: Sequence[EngineStepper]) -> int:
-        return min(range(len(replicas)),
-                   key=lambda i: (replicas[i].pending_prefill_tokens,
-                                  replicas[i].outstanding_requests, i))
 
     def route_decode(self, request: Request,
                      replicas: Sequence[EngineStepper]) -> int:
@@ -592,7 +596,8 @@ class _MultiplexReplica:
     at any instant at most one model's iteration (or weight swap-in)
     occupies the GPU — while each stepper keeps its own scheduler, KV pool
     and model-namespaced prefix cache, all carved statically by the
-    residency manager.
+    residency manager.  It offers the cluster loop the same host interface
+    as a plain :class:`EngineStepper`.
     """
 
     def __init__(self, config: MultiplexConfig,
@@ -620,8 +625,7 @@ class _MultiplexReplica:
         return sum(s.pending_prefill_tokens for s in self.steppers)
 
     def cached_prefix_tokens(self, request: Request) -> int:
-        return self.by_model[self.resolve_model(request)] \
-            .cached_prefix_tokens(request)
+        return self.stepper_for(request).cached_prefix_tokens(request)
 
     @property
     def queue_cost_s(self) -> float:
@@ -641,25 +645,39 @@ class _MultiplexReplica:
     def swap_cost_s(self, model: str) -> float:
         return self.residency.swap_cost_s(model)
 
-    # -- serving --------------------------------------------------------
-    def submit(self, request: Request) -> EngineStepper:
+    # -- host interface -------------------------------------------------
+    @property
+    def done(self) -> bool:
+        return all(s.done for s in self.steppers)
+
+    def stepper_for(self, request: Request) -> EngineStepper:
+        """The stepper serving ``request``'s model on this replica."""
+        return self.by_model[self.resolve_model(request)]
+
+    def sync_clock(self, t: float) -> None:
+        """Hold the whole replica idle until ``t`` (never backwards)."""
+        self.clock = max(self.clock, t)
+        for stepper in self.steppers:
+            stepper.sync_clock(t)
+
+    def submit(self, request: Request) -> None:
         """Queue ``request`` on its model's stepper, swapping in if cold.
 
         A cold model pays its weight transfer as a replica-busy window on
         the shared clock — priced exactly like an autoscaler cold start —
-        before the stepper may run an iteration for it.
+        before the stepper may run an iteration for it.  The window opens
+        no earlier than the request is available (a migrated request's KV
+        transfer lands first).
         """
-        model = self.resolve_model(request)
-        stepper = self.by_model[model]
-        cost = self.residency.ensure_resident(model)
+        stepper = self.stepper_for(request)
+        cost = self.residency.ensure_resident(stepper.model_name)
         if cost > 0.0:
-            stepper.sync_clock(max(self.clock, request.arrival_time))
+            stepper.sync_clock(max(self.clock, request.available_time))
             t0 = stepper.charge_busy(cost)
             self.clock = stepper.now
             if stepper.tracer is not None:
-                stepper.tracer.model_swap(model, t0, stepper.now)
+                stepper.tracer.model_swap(stepper.model_name, t0, stepper.now)
         stepper.submit(request)
-        return stepper
 
     def run_until(self, t: Optional[float] = None) -> None:
         """Advance the serialized timeline until no stepper can start < ``t``.
@@ -699,18 +717,36 @@ class _MultiplexReplica:
         self.run_until(None)
 
 
+#: What the cluster loop drives in one replica slot.
+_Host = Union[EngineStepper, _MultiplexReplica]
+
+
+def _telemetry_config(telemetry: Union[None, bool, TelemetryConfig]
+                      ) -> Optional[TelemetryConfig]:
+    """The per-replica tracer config of a cluster run (``None``: untraced)."""
+    if telemetry is None or telemetry is False:
+        return None
+    if telemetry is True:
+        return TelemetryConfig()
+    if isinstance(telemetry, TelemetryConfig):
+        return telemetry
+    raise TypeError(
+        f"cluster telemetry must be None, bool or TelemetryConfig, "
+        f"got {type(telemetry).__name__}")
+
+
 # ----------------------------------------------------------------------
 # Cluster engine
 # ----------------------------------------------------------------------
 class ClusterEngine:
-    """N replica engines behind a pluggable router.
+    """N replica engines behind a pluggable router, on one event loop.
 
     By default every replica shares the same (model, GPU, system, parallel)
     engine — the cost model is stateless — but owns its scheduler, KV cache
     and clock.  Replicas are independent once requests are assigned, so the
-    shared-clock simulation only has to synchronise at routing decisions:
-    before each dispatch all replicas advance to the request's arrival time,
-    giving the router an honest view of queue depths at that instant.
+    shared-clock simulation only has to synchronise at events: before each
+    routing, migration or scaling decision all live replicas advance to the
+    event instant, giving the decision an honest view of queue depths then.
 
     ``systems`` makes the fleet *heterogeneous*: one system preset (name or
     :class:`~repro.serving.precision.SystemConfig`) per replica, so an FP16
@@ -818,31 +854,6 @@ class ClusterEngine:
         """GPUs across the whole cluster (replicas x TP degree)."""
         return self.num_replicas * self.engine.tp_degree
 
-    def _replica_tracers(self, telemetry: Union[None, bool, TelemetryConfig]
-                         ) -> List[Optional[Tracer]]:
-        """One tracer per replica (or all ``None`` with telemetry off).
-
-        Replica index becomes the trace's process id; role-specialised
-        replicas carry their role in the process name so the Perfetto view
-        reads as the deployment does.
-        """
-        if telemetry is None or telemetry is False:
-            return [None] * self.num_replicas
-        if telemetry is True:
-            config = TelemetryConfig()
-        elif isinstance(telemetry, TelemetryConfig):
-            config = telemetry
-        else:
-            raise TypeError(
-                f"cluster telemetry must be None, bool or TelemetryConfig, "
-                f"got {type(telemetry).__name__}")
-        tracers: List[Optional[Tracer]] = []
-        for i, role in enumerate(self.roles):
-            suffix = "" if role == "mixed" else f" ({role})"
-            tracers.append(Tracer(config, replica_index=i,
-                                  replica_name=f"replica{i}{suffix}"))
-        return tracers
-
     def serve(self, workload: Workload,
               router: Union[str, Router] = "least-outstanding",
               max_num_seqs: Optional[int] = None,
@@ -872,10 +883,15 @@ class ClusterEngine:
         ``num_replicas`` becomes the replica *pool* and the
         :class:`~repro.serving.autoscaler.AutoscalerConfig` decides, every
         ``interval_s`` on the shared clock, how many of its slots are
-        provisioned.  Scale-ups pay a priced cold start before serving;
-        scale-downs drain through the migration machinery (decoding
-        requests move with their KV state, prefilling ones are recomputed
-        elsewhere).  Incompatible with role-specialised replicas.
+        provisioned.  A scale-up at ``t`` provisions the lowest stopped
+        slot, which serves from ``t + cold_start_s`` — its window (and GPU
+        bill) starts at ``t``, when the GPU is held to load weights.  A
+        scale-down drains the least-loaded serving replica: decoding
+        requests move to the remaining replicas with their KV state priced
+        on the wire (exactly a prefill→decode handoff), prefilling ones are
+        recomputed elsewhere, and the waiting queue is rerouted.  Ticks
+        continue after the last arrival so the fleet also scales down
+        through the drain tail.
 
         ``multiplex`` turns every replica into a multi-model host: a
         :class:`~repro.serving.multiplex.MultiplexConfig` names the model
@@ -884,141 +900,324 @@ class ClusterEngine:
         one GPU timeline; routing sees whole replicas (pass
         ``router="model-aware"`` for warm-first placement) and the result
         carries one slice per (replica, model) plus a
-        :class:`~repro.serving.multiplex.MultiplexReport`.  Incompatible
-        with roles, heterogeneous ``systems`` and autoscaling.
+        :class:`~repro.serving.multiplex.MultiplexReport`.  Multiplexing
+        composes with autoscaling; role-specialised replicas combine with
+        neither, and multiplexing excludes heterogeneous ``systems``.
+
+        All of these run on one event loop over per-slot replica hosts
+        (an :class:`EngineStepper`, or a multiplexed replica serializing
+        one stepper per model).  Each slot is ``stopped``, ``starting`` or
+        ``active``; without an autoscaler every slot is active from t=0.
+        Three event kinds interleave in time order, ties resolved
+        handoff < arrival < tick: prefill completions waiting to migrate,
+        workload arrivals (routed among the active prefill-capable slots)
+        and autoscaler ticks.
         """
         if isinstance(router, str):
             router = get_router(router)
-        if multiplex is not None:
-            if autoscaler is not None:
-                raise ValueError(
-                    "multiplexing and autoscaling are mutually exclusive")
-            if self.disaggregated:
-                raise ValueError(
-                    "multiplexing and role-specialised replicas are "
-                    "mutually exclusive; use mixed roles")
-            if self.heterogeneous:
-                raise ValueError(
-                    "multiplexing and per-replica systems are mutually "
-                    "exclusive")
-            return self._serve_multiplexed(workload, router, max_num_seqs,
-                                           scheduling, speculative,
-                                           telemetry, multiplex)
+        if self.disaggregated and autoscaler is not None:
+            raise ValueError(
+                "autoscaling and role-specialised replicas are mutually "
+                "exclusive; use mixed roles")
+        if self.disaggregated and multiplex is not None:
+            raise ValueError(
+                "multiplexing and role-specialised replicas are "
+                "mutually exclusive; use mixed roles")
+        if self.heterogeneous and multiplex is not None:
+            raise ValueError(
+                "multiplexing and per-replica systems are mutually "
+                "exclusive")
+        pool = self.num_replicas
+        scaler = None
         if autoscaler is not None:
-            if self.disaggregated:
+            max_replicas = (pool if autoscaler.max_replicas is None
+                            else autoscaler.max_replicas)
+            if max_replicas > pool:
                 raise ValueError(
-                    "autoscaling and role-specialised replicas are mutually "
-                    "exclusive; use mixed roles")
-            return self._serve_autoscaled(workload, router, max_num_seqs,
-                                          scheduling, speculative,
-                                          telemetry, autoscaler)
-        if self.disaggregated:
-            return self._serve_disaggregated(workload, router, max_num_seqs,
-                                             scheduling, speculative,
-                                             telemetry=telemetry)
-        tracers = self._replica_tracers(telemetry)
-        replicas = [EngineStepper(engine, scheduling=scheduling,
-                                  max_num_seqs=max_num_seqs,
-                                  speculative=speculative,
-                                  telemetry=tracer)
-                    for engine, tracer in zip(self.engines, tracers)]
-        assignments: List[List[Request]] = [[] for _ in replicas]
+                    f"max_replicas={max_replicas} exceeds the replica pool "
+                    f"(num_replicas={pool})")
+            scaler = ReactiveAutoscaler(autoscaler, max_replicas)
+        build = self._host_builder(scheduling, max_num_seqs, speculative,
+                                   _telemetry_config(telemetry), multiplex)
 
-        for request in sorted(workload.requests,
-                              key=lambda r: (r.arrival_time, r.request_id)):
-            for replica in replicas:
-                replica.run_until(request.arrival_time)
-            index = router.route(request, replicas)
-            replicas[index].submit(request)
-            assignments[index].append(request)
-        for replica in replicas:
-            replica.run()
+        hosts: List[Optional[_Host]] = [None] * pool
+        #: "stopped" | "starting" | "active" per slot.
+        state = ["stopped"] * pool
+        ready_at = [0.0] * pool
+        windows: List[List[List[float]]] = [[] for _ in range(pool)]
+        #: Arrivals routed to, and migrations received by, each stepper.
+        assigned: Dict[EngineStepper, List[Request]] = defaultdict(list)
+        migrations_in: Dict[EngineStepper, int] = defaultdict(int)
+        seen_finished: Dict[EngineStepper, int] = defaultdict(int)
+        decode_router = (router if isinstance(router, DisaggregatedRouter)
+                         else DisaggregatedRouter())
 
-        return self._assemble(replicas, assignments,
-                              [0] * self.num_replicas)
+        def slots(status: str, roles: Tuple[str, ...] = REPLICA_ROLES
+                  ) -> List[int]:
+            return [s for s in range(pool)
+                    if state[s] == status and self.roles[s] in roles]
 
-    def _assemble(self, replicas: List[EngineStepper],
-                  assignments: List[List[Request]],
-                  migrations_in: List[int],
-                  engines: Optional[List[ServingEngine]] = None,
-                  roles: Optional[List[str]] = None,
-                  autoscale: Optional[AutoscaleReport] = None
-                  ) -> ClusterResult:
-        results = [replica.result(Workload(requests=assigned))
-                   for replica, assigned in zip(replicas, assignments)]
-        merged = ServingMetrics(
-            requests=[m for r in results if r.metrics is not None
-                      for m in r.metrics.requests])
-        engines = self.engines if engines is None else engines
-        roles = self.roles if roles is None else roles
-        return ClusterResult(
+        def live() -> List[_Host]:
+            return [hosts[s] for s in range(pool) if state[s] != "stopped"]
+
+        def provision(slot: int, start: float, ready: float) -> None:
+            if hosts[slot] is None:
+                hosts[slot] = build(slot)
+            # A replica cannot run before its weights land; a reactivated
+            # slot also never rewinds its own clock.
+            hosts[slot].sync_clock(ready)
+            ready_at[slot] = ready
+            windows[slot].append([start, None])
+            state[slot] = "active" if ready <= start else "starting"
+
+        def advance(t: float) -> None:
+            for host in live():
+                host.run_until(t)
+            for s in range(pool):
+                if state[s] == "starting" and ready_at[s] <= t:
+                    state[s] = "active"
+
+        def least_loaded(targets: List[int]) -> int:
+            return min(targets,
+                       key=lambda s: (hosts[s].outstanding_requests, s))
+
+        def drain(slot: int, now: float, targets: List[int]) -> None:
+            for stepper in hosts[slot].steppers:
+                exported, waiting = stepper.evacuate(now)
+                for request in exported:
+                    target = hosts[least_loaded(targets)]
+                    migrations_in[self._migrate(request, stepper, target,
+                                                now)] += 1
+                for request in waiting:
+                    hosts[least_loaded(targets)].submit(request)
+
+        def tick(now: float) -> None:
+            active = slots("active")
+            recent_finished = recent_ok = 0
+            for stepper in (st for s in active for st in hosts[s].steppers):
+                finished = stepper.scheduler.finished
+                for request in finished[seen_finished[stepper]:]:
+                    recent_finished += 1
+                    if (autoscaler.ttft_slo_s is None
+                            or request.first_token_time - request.arrival_time
+                            <= autoscaler.ttft_slo_s):
+                        recent_ok += 1
+                seen_finished[stepper] = len(finished)
+            decision = scaler.decide(FleetSnapshot(
+                now=now,
+                num_active=len(active),
+                num_starting=state.count("starting"),
+                queue_depth=sum(len(st.scheduler.waiting)
+                                for s in active for st in hosts[s].steppers),
+                outstanding=sum(hosts[s].outstanding_requests
+                                for s in active),
+                recent_finished=recent_finished,
+                recent_slo_ok=recent_ok,
+            ))
+            if decision is None:
+                return
+            action, reason = decision
+            if action == "up":
+                slot = state.index("stopped")
+                provision(slot, now, now + autoscaler.cold_start_s(
+                    self.engines[slot].weight_bytes()))
+            else:
+                slot = min(active, key=lambda s:
+                           (hosts[s].outstanding_requests, -s))
+                drain(slot, now, [s for s in active if s != slot])
+                state[slot] = "stopped"
+                windows[slot][-1][1] = now
+            scaler.commit(ScalingEvent(now, action, slot,
+                                       len(slots("active")), reason))
+
+        for slot in range(pool if scaler is None else autoscaler.min_replicas):
+            provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
+        #: Prefill-role replicas park finished prefills in their outbox.
+        exporters = [hosts[s] for s in range(pool)
+                     if self.roles[s] == "prefill"]
+        #: (prefill completion time, tiebreak, source stepper, request) —
+        #: min-heap of finished prefills awaiting migration routing.  The
+        #: source prices the transfer payload at the exporter's KV
+        #: precision in a heterogeneous fleet.
+        handoffs: List[Tuple[float, int, EngineStepper, Request]] = []
+        tiebreak = itertools.count()
+
+        def collect_handoffs() -> None:
+            for stepper in exporters:
+                while stepper.outbox:
+                    request = stepper.outbox.pop(0)
+                    heapq.heappush(handoffs, (request.prefill_done_time,
+                                              next(tiebreak), stepper, request))
+
+        arrivals = sorted(workload.requests,
+                          key=lambda r: (r.arrival_time, r.request_id))
+        pos = 0
+        next_tick = None if scaler is None else autoscaler.interval_s
+        stalled = 0
+        while True:
+            collect_handoffs()
+            next_arrival = (arrivals[pos].arrival_time
+                            if pos < len(arrivals) else None)
+            next_handoff = handoffs[0][0] if handoffs else None
+            if next_handoff is not None \
+                    and (next_arrival is None or next_handoff <= next_arrival) \
+                    and (next_tick is None or next_handoff <= next_tick):
+                done_time, order, source, request = heapq.heappop(handoffs)
+                advance(done_time)
+                collect_handoffs()
+                if handoffs and handoffs[0][0] < done_time:
+                    # Advancing uncovered an earlier completion; keep the
+                    # event order honest and route that one first.
+                    heapq.heappush(handoffs, (done_time, order, source,
+                                              request))
+                    continue
+                targets = slots("active", ("decode",))
+                target = targets[decode_router.route_decode(
+                    request, [hosts[s] for s in targets])]
+                migrations_in[self._migrate(request, source, hosts[target],
+                                            done_time)] += 1
+            elif next_arrival is not None \
+                    and (next_tick is None or next_arrival <= next_tick):
+                request = arrivals[pos]
+                advance(next_arrival)
+                collect_handoffs()
+                if handoffs and handoffs[0][0] <= next_arrival:
+                    continue  # advancing uncovered an earlier completion
+                pos += 1
+                targets = slots("active", ("prefill", "mixed"))
+                host = hosts[targets[router.route(
+                    request, [hosts[s] for s in targets])]]
+                assigned[host.stepper_for(request)].append(request)
+                host.submit(request)
+            elif next_tick is not None:
+                starting = "starting" in state
+                if next_arrival is None and not starting and all(
+                        hosts[s].done for s in slots("active")):
+                    break
+                signature = tuple((st.now, st.iterations)
+                                  for host in live() for st in host.steppers)
+                advance(next_tick)
+                now, next_tick = next_tick, next_tick + autoscaler.interval_s
+                if next_arrival is None and not starting:
+                    # Post-arrival drain tail: if no live replica progressed
+                    # over two full ticks, only never-admittable requests
+                    # remain — stop instead of ticking forever.
+                    progressed = signature != tuple(
+                        (st.now, st.iterations)
+                        for host in live() for st in host.steppers)
+                    stalled = 0 if progressed else stalled + 1
+                    if stalled >= 2:
+                        break
+                tick(now)
+            elif not exporters:
+                # No more events and no replica that could raise one:
+                # every host drains on its own.
+                for host in live():
+                    host.run()
+                break
+            else:
+                # Step the busy replicas to surface the remaining prefill
+                # completions, or finish.  Replicas with running work go
+                # first — they are the only possible source of new events —
+                # so an idle replica does not leap to its own next
+                # availability past a completion still being computed
+                # elsewhere.
+                busy = [host for host in live() if not host.done]
+                if not busy:
+                    break
+                running = [host for host in busy if host.scheduler.running]
+                progressed = False
+                for host in (running or busy):
+                    progressed = host.step() or progressed
+                if not progressed and running and len(running) < len(busy):
+                    # The running set stalled; let the idle replicas advance
+                    # to their own next availability.
+                    for host in busy:
+                        progressed = host.step() or progressed
+                if not progressed:
+                    collect_handoffs()
+                    if not handoffs:
+                        break  # only never-admittable requests remain
+
+        used = [s for s in range(pool) if hosts[s] is not None]
+        steppers = [st for s in used for st in hosts[s].steppers]
+        report = None
+        if scaler is not None:
+            makespan = max(st.now for st in steppers)
+            for s in used:
+                if windows[s][-1][1] is None:
+                    windows[s][-1][1] = max(windows[s][-1][0], makespan)
+            report = AutoscaleReport(
+                events=scaler.events,
+                windows=[[tuple(w) for w in windows[s]] for s in used],
+                cold_start_s=autoscaler.cold_start_s(
+                    self.engine.weight_bytes()),
+                gpus_per_replica=self.engine.tp_degree,
+                makespan_s=makespan,
+            )
+        results = [st.result(Workload(requests=assigned[st]))
+                   for st in steppers]
+        result = ClusterResult(
             replica_results=results,
-            requests_per_replica=[len(a) for a in assignments],
-            metrics=merged,
-            replica_roles=list(roles),
-            migrations_per_replica=list(migrations_in),
-            replica_systems=[engine.system.name for engine in engines],
-            autoscale=autoscale,
+            requests_per_replica=[len(assigned[st]) for st in steppers],
+            metrics=ServingMetrics(
+                requests=[m for r in results if r.metrics is not None
+                          for m in r.metrics.requests]),
+            replica_roles=[self.roles[s] for s in used
+                           for _ in hosts[s].steppers],
+            migrations_per_replica=[migrations_in[st] for st in steppers],
+            replica_systems=[st.engine.system.name for st in steppers],
+            autoscale=report,
             gpus_per_replica=self.engine.tp_degree,
         )
+        if multiplex is not None:
+            result.multiplex = MultiplexReport(
+                replicas=[hosts[s].residency.snapshot() for s in used],
+                requests_by_model={
+                    m.name: sum(len(assigned[hosts[s].by_model[m.name]])
+                                for s in used)
+                    for m in multiplex.models})
+            result.physical_replicas = len(used)
+        return result
 
-    # ------------------------------------------------------------------
-    # Multiplexed serving
-    # ------------------------------------------------------------------
-    def _multiplex_tracers(self, telemetry: Union[None, bool, TelemetryConfig],
-                           config: MultiplexConfig
-                           ) -> List[Optional[Tracer]]:
-        """One tracer per (replica, model) stepper, flat in replica order.
+    def _host_builder(self, scheduling: Optional[SchedulingConfig],
+                      max_num_seqs: Optional[int],
+                      speculative: Optional[SpeculativeConfig],
+                      tracing: Optional[TelemetryConfig],
+                      multiplex: Optional[MultiplexConfig]
+                      ) -> Callable[[int], _Host]:
+        """Factory of one serve() run's replica host for a slot index.
 
-        Each stepper gets its own trace process named
-        ``replica<i>/<model>`` so a multiplexed Perfetto view separates
-        the co-resident models' iterations and swap windows.
+        Traced runs give every stepper its own trace process: replica index
+        and role for a plain replica, ``replica<i>/<model>`` for each model
+        of a multiplexed one.  Multiplexed replicas share one engine per
+        model (the cost model is stateless); each owns a
+        :class:`~repro.serving.multiplex.ModelResidency` whose static carve
+        sizes its per-model KV pools.
         """
-        names = [model.name for model in config.models]
-        flat = self.num_replicas * len(names)
-        if telemetry is None or telemetry is False:
-            return [None] * flat
-        if telemetry is True:
-            tconfig = TelemetryConfig()
-        elif isinstance(telemetry, TelemetryConfig):
-            tconfig = telemetry
-        else:
-            raise TypeError(
-                f"cluster telemetry must be None, bool or TelemetryConfig, "
-                f"got {type(telemetry).__name__}")
-        tracers: List[Optional[Tracer]] = []
-        for i in range(self.num_replicas):
-            for name in names:
-                tracers.append(Tracer(tconfig, replica_index=len(tracers),
-                                      replica_name=f"replica{i}/{name}"))
-        return tracers
+        def tracer(index: int, name: str) -> Optional[Tracer]:
+            return None if tracing is None else Tracer(
+                tracing, replica_index=index, replica_name=name)
 
-    def _serve_multiplexed(self, workload: Workload, router: Router,
-                           max_num_seqs: Optional[int],
-                           scheduling: Optional[SchedulingConfig],
-                           speculative: Optional[SpeculativeConfig],
-                           telemetry: Union[None, bool, TelemetryConfig],
-                           config: MultiplexConfig) -> ClusterResult:
-        """Serve a multi-model workload on replicas that multiplex weights.
+        if multiplex is None:
+            def build(slot: int) -> _Host:
+                role = self.roles[slot]
+                suffix = "" if role == "mixed" else f" ({role})"
+                return EngineStepper(
+                    self.engines[slot], scheduling=scheduling,
+                    max_num_seqs=max_num_seqs,
+                    migrate_out=(role == "prefill"),
+                    speculative=None if role == "prefill" else speculative,
+                    telemetry=tracer(slot, f"replica{slot}{suffix}"))
+            return build
 
-        Every replica hosts one stepper per model in ``config.models``
-        (engines are shared across replicas per model — the cost model is
-        stateless) plus a :class:`~repro.serving.multiplex.ModelResidency`
-        that accounts weight memory against HBM and prices LRU swap-ins on
-        the shared clock.  The event loop mirrors static serving: advance
-        all replicas to each arrival, route against whole replicas, then
-        drain.  The result lists one slice per (replica, model);
-        ``physical_replicas`` keeps GPU-seconds priced by hardware.
-        """
         base = self.engine
-        engines: Dict[str, ServingEngine] = {}
-        for model in config.models:
-            if model.name == base.model.name:
-                engines[model.name] = base
-            else:
-                engines[model.name] = ServingEngine(
-                    model, base.gpu, base.system,
-                    max_seq_len=base.max_seq_len, parallel=base.parallel)
+        engines = {
+            model.name: base if model.name == base.model.name
+            else ServingEngine(model, base.gpu, base.system,
+                               max_seq_len=base.max_seq_len,
+                               parallel=base.parallel)
+            for model in multiplex.models}
         weight = {name: engine.weight_bytes()
                   for name, engine in engines.items()}
         workspace = {
@@ -1027,54 +1226,22 @@ class ClusterEngine:
                    + 1.0 * (1 << 30)) * engine.tp_degree
             for name, engine in engines.items()}
 
-        tracers = self._multiplex_tracers(telemetry, config)
-        replicas: List[_MultiplexReplica] = []
-        steppers_flat: List[EngineStepper] = []
-        engines_flat: List[ServingEngine] = []
-        for i in range(self.num_replicas):
-            residency = ModelResidency(config, base.gpu, weight, workspace,
+        def build(slot: int) -> _Host:
+            residency = ModelResidency(multiplex, base.gpu, weight, workspace,
                                        tp_degree=base.tp_degree)
-            steppers = []
-            for j, model in enumerate(config.models):
-                stepper = EngineStepper(
+            return _MultiplexReplica(multiplex, [
+                EngineStepper(
                     engines[model.name], scheduling=scheduling,
                     max_num_seqs=max_num_seqs, speculative=speculative,
-                    telemetry=tracers[i * len(config.models) + j],
+                    telemetry=tracer(slot * len(multiplex.models) + j,
+                                     f"replica{slot}/{model.name}"),
                     model_name=model.name,
                     kv_capacity_bytes=residency.kv_pool_bytes())
-                steppers.append(stepper)
-                steppers_flat.append(stepper)
-                engines_flat.append(engines[model.name])
-            replicas.append(_MultiplexReplica(config, steppers, residency))
-
-        assignments: List[List[Request]] = [[] for _ in steppers_flat]
-        requests_by_model: Dict[str, int] = {
-            model.name: 0 for model in config.models}
-        slot = {id(stepper): k for k, stepper in enumerate(steppers_flat)}
-
-        for request in sorted(workload.requests,
-                              key=lambda r: (r.arrival_time, r.request_id)):
-            for replica in replicas:
-                replica.run_until(request.arrival_time)
-            target = router.route(request, replicas)
-            stepper = replicas[target].submit(request)
-            assignments[slot[id(stepper)]].append(request)
-            requests_by_model[replicas[target].resolve_model(request)] += 1
-        for replica in replicas:
-            replica.run()
-
-        result = self._assemble(steppers_flat, assignments,
-                                [0] * len(steppers_flat),
-                                engines=engines_flat,
-                                roles=["mixed"] * len(steppers_flat))
-        result.multiplex = MultiplexReport(
-            replicas=[replica.residency.snapshot() for replica in replicas],
-            requests_by_model=requests_by_model)
-        result.physical_replicas = self.num_replicas
-        return result
+                for j, model in enumerate(multiplex.models)], residency)
+        return build
 
     # ------------------------------------------------------------------
-    # Disaggregated serving
+    # KV migration
     # ------------------------------------------------------------------
     def transfer_delay(self, request: Request, cached_tokens: int = 0,
                        source: Optional[ServingEngine] = None,
@@ -1109,355 +1276,36 @@ class ClusterEngine:
         overlap = dst.decode_step(1, request.context_len).total
         return max(self.transfer_link.latency_s, raw - overlap)
 
-    def _serve_disaggregated(self, workload: Workload, router: Router,
-                             max_num_seqs: Optional[int],
-                             scheduling: Optional[SchedulingConfig],
-                             speculative: Optional[SpeculativeConfig] = None,
-                             telemetry: Union[None, bool,
-                                              TelemetryConfig] = None
-                             ) -> ClusterResult:
-        """Event-driven serving loop with prefill→decode migrations.
+    def _migrate(self, request: Request, source: EngineStepper,
+                 target: _Host, now: float) -> EngineStepper:
+        """Move an exported request's KV state from ``source`` to ``target``.
 
-        Two event streams interleave in time order: workload arrivals (routed
-        among the prefill-capable replicas) and prefill completions (each
-        migrating its request to a decode replica).  Before every routing
-        decision all replicas advance to the event instant, so both the
-        arrival router and the migration target choice observe live queue
-        state.  The migrated request is submitted with its
-        ``migration_ready_time`` set to completion + exposed transfer delay;
-        the target's scheduler admits it no earlier (the transfer occupies
-        the interconnect, not the GPU, so other decodes proceed meanwhile).
+        Shared by prefill→decode handoffs and autoscaler drains.  The
+        request is submitted with ``migration_ready_time`` set to ``now``
+        plus the exposed transfer delay, so the target admits it no earlier
+        (the transfer occupies the interconnect, not the GPU, so other
+        work proceeds meanwhile).  Returns the receiving stepper.
         """
-        tracers = self._replica_tracers(telemetry)
-        replicas = [EngineStepper(engine, scheduling=scheduling,
-                                  max_num_seqs=max_num_seqs,
-                                  migrate_out=(role == "prefill"),
-                                  speculative=(None if role == "prefill"
-                                               else speculative),
-                                  telemetry=tracer)
-                    for engine, role, tracer in zip(self.engines, self.roles,
-                                                    tracers)]
-        prefill_idx = [i for i, role in enumerate(self.roles)
-                       if role in ("prefill", "mixed")]
-        decode_idx = [i for i, role in enumerate(self.roles)
-                      if role == "decode"]
-        prefill_replicas = [replicas[i] for i in prefill_idx]
-        decode_replicas = [replicas[i] for i in decode_idx]
-        assignments: List[List[Request]] = [[] for _ in replicas]
-        migrations_in = [0] * self.num_replicas
-        arrivals = sorted(workload.requests,
-                          key=lambda r: (r.arrival_time, r.request_id))
-        arrival_pos = 0
-        #: (prefill completion time, tiebreak, source replica index, request)
-        #: — min-heap of finished prefills awaiting migration routing.  The
-        #: source index prices the transfer payload at the exporter's KV
-        #: precision in a heterogeneous fleet.
-        handoffs: List[Tuple[float, int, int, Request]] = []
-        tiebreak = itertools.count()
-
-        def drain_outboxes() -> None:
-            for source, replica in enumerate(replicas):
-                while replica.outbox:
-                    request = replica.outbox.pop(0)
-                    heapq.heappush(handoffs, (request.prefill_done_time,
-                                              next(tiebreak), source, request))
-
-        decode_router = (router if isinstance(router, DisaggregatedRouter)
-                         else DisaggregatedRouter())
-
-        def migrate(done_time: float, request: Request, source: int) -> None:
-            target = decode_idx[decode_router.route_decode(request,
-                                                           decode_replicas)]
-            # Pinning the target's matched prefix keeps the priced payload
-            # honest: the credited blocks cannot be evicted mid-transfer.
-            delay = self.transfer_delay(
-                request, replicas[target].pin_for_import(request),
-                source=self.engines[source], target=self.engines[target])
-            if request.demoted_hit_tokens:
-                # The pinned prefix includes blocks the target had demoted
-                # to the 4-bit tier; they are restored before decode adopts
-                # them, and the restore rides the transfer window.
-                delay += self.engines[target].kv_dequant_latency(
-                    request.demoted_hit_tokens)
-                request.demoted_hit_tokens = 0
-            request.migrations += 1
-            request.transfer_delay_s += delay
-            request.migration_ready_time = done_time + delay
-            target_tracer = replicas[target].tracer
-            if target_tracer is not None:
-                # The transfer occupies the interconnect toward the target
-                # replica for its exposed window; the span lands on the
-                # target's timeline, where the request decodes next.
-                target_tracer.transfer(request, done_time, done_time + delay)
-            replicas[target].submit(request)
-            migrations_in[target] += 1
-
-        while True:
-            drain_outboxes()
-            next_arrival = (arrivals[arrival_pos].arrival_time
-                            if arrival_pos < len(arrivals) else None)
-            next_handoff = handoffs[0][0] if handoffs else None
-            if next_handoff is not None and (next_arrival is None
-                                             or next_handoff <= next_arrival):
-                done_time, order, source, request = heapq.heappop(handoffs)
-                for replica in replicas:
-                    replica.run_until(done_time)
-                drain_outboxes()
-                if handoffs and handoffs[0][0] < done_time:
-                    # Advancing uncovered an earlier completion; keep the
-                    # event order honest and route that one first.
-                    heapq.heappush(handoffs, (done_time, order, source,
-                                              request))
-                    continue
-                migrate(done_time, request, source)
-            elif next_arrival is not None:
-                request = arrivals[arrival_pos]
-                for replica in replicas:
-                    replica.run_until(request.arrival_time)
-                drain_outboxes()
-                if handoffs and handoffs[0][0] <= request.arrival_time:
-                    continue  # advancing uncovered an earlier completion
-                arrival_pos += 1
-                index = prefill_idx[router.route(request, prefill_replicas)]
-                replicas[index].submit(request)
-                assignments[index].append(request)
-            else:
-                # No queued events: step the busy replicas to surface the
-                # remaining prefill completions, or finish.  Replicas with
-                # running work go first — they are the only possible source
-                # of new events — so an idle replica does not leap to its
-                # own next availability past a completion still being
-                # computed elsewhere.
-                busy = [r for r in replicas if not r.done]
-                if not busy:
-                    break
-                active = [r for r in busy if r.scheduler.running]
-                progressed = False
-                for replica in (active or busy):
-                    progressed = replica.step() or progressed
-                if not progressed and active and len(active) < len(busy):
-                    # The active set stalled; let the idle replicas advance
-                    # to their own next availability.
-                    for replica in busy:
-                        progressed = replica.step() or progressed
-                if not progressed:
-                    drain_outboxes()
-                    if not handoffs:
-                        break  # only never-admittable requests remain
-        return self._assemble(replicas, assignments, migrations_in)
-
-    # ------------------------------------------------------------------
-    # Autoscaled serving
-    # ------------------------------------------------------------------
-    def _serve_autoscaled(self, workload: Workload, router: Router,
-                          max_num_seqs: Optional[int],
-                          scheduling: Optional[SchedulingConfig],
-                          speculative: Optional[SpeculativeConfig],
-                          telemetry: Union[None, bool, TelemetryConfig],
-                          config: AutoscalerConfig) -> ClusterResult:
-        """Event loop with a reactive autoscaler on the shared clock.
-
-        ``num_replicas`` is the replica *pool*; slots are provisioned and
-        drained by the controller.  Three event streams interleave in time
-        order: workload arrivals (routed among the *serving* replicas),
-        cold-start completions (a provisioned slot starts serving), and the
-        controller's evaluation ticks every ``interval_s``.  A scale-up
-        decision at ``t`` provisions the lowest stopped slot, which serves
-        from ``t + cold_start_s`` — its window (and GPU bill) starts at
-        ``t``, when the GPU is held to load weights.  A scale-down drains
-        the least-loaded serving replica through the migration machinery:
-        decoding requests move to the remaining replicas with their KV
-        state priced on the wire (exactly a prefill→decode handoff),
-        prefilling ones are preempted and recomputed elsewhere, and the
-        waiting queue is rerouted.  Ticks continue after the last arrival
-        so the fleet also scales down through the drain tail.
-        """
-        pool = self.num_replicas
-        max_replicas = (pool if config.max_replicas is None
-                        else config.max_replicas)
-        if max_replicas > pool:
-            raise ValueError(
-                f"max_replicas={max_replicas} exceeds the replica pool "
-                f"(num_replicas={pool})")
-        scaler = ReactiveAutoscaler(config, max_replicas)
-        cold_start = config.cold_start_s(self.engine.weight_bytes())
-        tracers = self._replica_tracers(telemetry)
-        steppers: List[Optional[EngineStepper]] = [None] * pool
-        #: "stopped" | "starting" | "active" per slot.
-        state = ["stopped"] * pool
-        ready_at = [0.0] * pool
-        windows: List[List[List[float]]] = [[] for _ in range(pool)]
-        assignments: List[List[Request]] = [[] for _ in range(pool)]
-        migrations_in = [0] * pool
-        seen_finished = [0] * pool
-
-        def provision(slot: int, start: float, ready: float) -> None:
-            stepper = steppers[slot]
-            if stepper is None:
-                stepper = EngineStepper(self.engines[slot],
-                                        scheduling=scheduling,
-                                        max_num_seqs=max_num_seqs,
-                                        speculative=speculative,
-                                        telemetry=tracers[slot])
-                steppers[slot] = stepper
-            # A replica cannot run before its weights land; a reactivated
-            # slot also never rewinds its own clock.
-            stepper.now = max(stepper.now, ready)
-            ready_at[slot] = ready
-            windows[slot].append([start, None])
-            state[slot] = "active" if ready <= start else "starting"
-
-        for slot in range(config.min_replicas):
-            provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
-
-        def live_slots() -> List[int]:
-            return [s for s in range(pool) if state[s] != "stopped"]
-
-        def active_slots() -> List[int]:
-            return [s for s in range(pool) if state[s] == "active"]
-
-        def advance(t: float) -> None:
-            for s in live_slots():
-                steppers[s].run_until(t)
-            for s in range(pool):
-                if state[s] == "starting" and ready_at[s] <= t:
-                    state[s] = "active"
-
-        def least_loaded(targets: List[int]) -> int:
-            return min(targets,
-                       key=lambda s: (steppers[s].outstanding_requests, s))
-
-        def drain(slot: int, now: float, targets: List[int]) -> None:
-            stepper = steppers[slot]
-            scheduler = stepper.scheduler
-            scheduler._clock = now  # drain spans land at the decision time
-            for request in list(scheduler.running):
-                if request.state is RequestState.DECODING:
-                    scheduler.export_request(request)
-                    target = least_loaded(targets)
-                    delay = self.transfer_delay(
-                        request, steppers[target].pin_for_import(request),
-                        source=self.engines[slot],
-                        target=self.engines[target])
-                    if request.demoted_hit_tokens:
-                        delay += self.engines[target].kv_dequant_latency(
-                            request.demoted_hit_tokens)
-                        request.demoted_hit_tokens = 0
-                    request.migrations += 1
-                    request.transfer_delay_s += delay
-                    request.migration_ready_time = now + delay
-                    target_tracer = steppers[target].tracer
-                    if target_tracer is not None:
-                        target_tracer.transfer(request, now, now + delay)
-                    steppers[target].submit(request)
-                    migrations_in[target] += 1
-            for request in list(scheduler.running):
-                if request.state is RequestState.PREFILLING:
-                    # Partial prefill is cheaper to recompute than to ship;
-                    # the request re-prefills on whichever replica admits it.
-                    scheduler._preempt(request)
-            rerouted = scheduler.waiting
-            scheduler.waiting = []
-            for request in rerouted:
-                steppers[least_loaded(targets)].submit(request)
-
-        arrivals = sorted(workload.requests,
-                          key=lambda r: (r.arrival_time, r.request_id))
-        pos = 0
-        next_tick = config.interval_s
-        stalled = 0
-        while True:
-            next_arrival = (arrivals[pos].arrival_time
-                            if pos < len(arrivals) else None)
-            starting = any(state[s] == "starting" for s in range(pool))
-            busy = any(not steppers[s].done for s in active_slots())
-            if next_arrival is None and not busy and not starting:
-                break
-            if next_arrival is not None and next_arrival <= next_tick:
-                advance(next_arrival)
-                request = arrivals[pos]
-                pos += 1
-                slots = active_slots()
-                view = [steppers[s] for s in slots]
-                index = slots[router.route(request, view)]
-                steppers[index].submit(request)
-                assignments[index].append(request)
-                continue
-            # Controller tick.
-            signature = tuple((steppers[s].now, steppers[s].iterations)
-                              for s in live_slots())
-            advance(next_tick)
-            now, next_tick = next_tick, next_tick + config.interval_s
-            if next_arrival is None and not starting:
-                # Post-arrival drain tail: if no live replica progressed
-                # over two full ticks, only never-admittable requests
-                # remain — stop instead of ticking forever.
-                progressed = signature != tuple(
-                    (steppers[s].now, steppers[s].iterations)
-                    for s in live_slots())
-                stalled = 0 if progressed else stalled + 1
-                if stalled >= 2:
-                    break
-            slots = active_slots()
-            recent_finished = recent_ok = 0
-            for s in slots:
-                finished = steppers[s].scheduler.finished
-                for request in finished[seen_finished[s]:]:
-                    recent_finished += 1
-                    if (config.ttft_slo_s is None
-                            or request.first_token_time - request.arrival_time
-                            <= config.ttft_slo_s):
-                        recent_ok += 1
-                seen_finished[s] = len(finished)
-            snapshot = FleetSnapshot(
-                now=now,
-                num_active=len(slots),
-                num_starting=sum(1 for s in range(pool)
-                                 if state[s] == "starting"),
-                queue_depth=sum(len(steppers[s].scheduler.waiting)
-                                for s in slots),
-                outstanding=sum(steppers[s].outstanding_requests
-                                for s in slots),
-                recent_finished=recent_finished,
-                recent_slo_ok=recent_ok,
-            )
-            decision = scaler.decide(snapshot)
-            if decision is None:
-                continue
-            action, reason = decision
-            if action == "up":
-                slot = min(s for s in range(pool) if state[s] == "stopped")
-                provision(slot, now,
-                          now + config.cold_start_s(
-                              self.engines[slot].weight_bytes()))
-                scaler.commit(ScalingEvent(now, "up", slot,
-                                           len(active_slots()), reason))
-            else:
-                slot = min(slots, key=lambda s:
-                           (steppers[s].outstanding_requests, -s))
-                targets = [s for s in slots if s != slot]
-                drain(slot, now, targets)
-                state[slot] = "stopped"
-                windows[slot][-1][1] = now
-                scaler.commit(ScalingEvent(now, "down", slot,
-                                           len(active_slots()), reason))
-
-        used = [s for s in range(pool) if steppers[s] is not None]
-        makespan = max(steppers[s].now for s in used)
-        for s in used:
-            if windows[s] and windows[s][-1][1] is None:
-                windows[s][-1][1] = max(windows[s][-1][0], makespan)
-        report = AutoscaleReport(
-            events=scaler.events,
-            windows=[[tuple(w) for w in windows[s]] for s in used],
-            cold_start_s=cold_start,
-            gpus_per_replica=self.engine.tp_degree,
-            makespan_s=makespan,
-        )
-        return self._assemble(
-            [steppers[s] for s in used],
-            [assignments[s] for s in used],
-            [migrations_in[s] for s in used],
-            engines=[self.engines[s] for s in used],
-            roles=["mixed"] * len(used),
-            autoscale=report)
+        stepper = target.stepper_for(request)
+        # Pinning the target's matched prefix keeps the priced payload
+        # honest: the credited blocks cannot be evicted mid-transfer.
+        delay = self.transfer_delay(
+            request, stepper.pin_for_import(request),
+            source=source.engine, target=stepper.engine)
+        if request.demoted_hit_tokens:
+            # The pinned prefix includes blocks the target had demoted to
+            # the 4-bit tier; they are restored before decode adopts them,
+            # and the restore rides the transfer window.
+            delay += stepper.engine.kv_dequant_latency(
+                request.demoted_hit_tokens)
+            request.demoted_hit_tokens = 0
+        request.migrations += 1
+        request.transfer_delay_s += delay
+        request.migration_ready_time = now + delay
+        if stepper.tracer is not None:
+            # The transfer occupies the interconnect toward the target
+            # replica for its exposed window; the span lands on the
+            # target's timeline, where the request decodes next.
+            stepper.tracer.transfer(request, now, now + delay)
+        target.submit(request)
+        return stepper

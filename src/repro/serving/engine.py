@@ -874,6 +874,37 @@ class EngineStepper:
             return None
         return max(self.now, scheduler.waiting[0].available_time)
 
+    # -- cluster host interface -----------------------------------------
+    @property
+    def steppers(self) -> Tuple["EngineStepper", ...]:
+        """The steppers a cluster slot hosts: a plain replica is one."""
+        return (self,)
+
+    def stepper_for(self, request: Request) -> "EngineStepper":
+        """The stepper that would serve ``request`` on this replica."""
+        return self
+
+    def evacuate(self, now: float) -> Tuple[List[Request], List[Request]]:
+        """Empty this replica at ``now`` for a scale-down drain.
+
+        Decoding requests are exported with their KV state for the caller
+        to migrate; partially prefilled ones are preempted — a partial
+        prefill is cheaper to recompute than to ship — and join the waiting
+        queue, which is handed back whole for rerouting.  Returns
+        ``(exported, waiting)``; trace events land at ``now``.
+        """
+        scheduler = self.scheduler
+        scheduler._clock = now
+        exported = [r for r in scheduler.running
+                    if r.state is RequestState.DECODING]
+        for request in exported:
+            scheduler.export_request(request)
+        for request in list(scheduler.running):
+            if request.state is RequestState.PREFILLING:
+                scheduler._preempt(request)
+        waiting, scheduler.waiting = scheduler.waiting, []
+        return exported, waiting
+
     # ------------------------------------------------------------------
     def step(self, horizon: Optional[float] = None) -> bool:
         """Run one pass of the serving-loop body.

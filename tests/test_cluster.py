@@ -8,11 +8,13 @@ import pytest
 from repro.gpu import A100, L40S, NVLINK, PCIE_GEN4, get_interconnect
 from repro.model import get_config
 from repro.serving import (
+    AutoscalerConfig,
     ClusterEngine,
     EngineStepper,
     IterationPlan,
     IterationPlanner,
     LatencySummary,
+    MultiplexConfig,
     ParallelConfig,
     Request,
     RequestMetrics,
@@ -281,6 +283,45 @@ def test_cluster_single_replica_matches_engine(llama7b):
     assert clustered.metrics.ttft.p95 == single.metrics.ttft.p95
 
 
+def _run_fingerprint(result):
+    """Everything a cluster run reports, exactly: per-replica run totals,
+    routing, migrations and every request's timestamps."""
+    replicas = [(r.total_time_s, r.busy_time_s, r.generated_tokens,
+                 r.num_iterations, r.num_preemptions, r.num_finished)
+                for r in result.replica_results]
+    requests = sorted((m.request_id, m.arrival_time, m.admitted_time,
+                       m.first_token_time, m.finish_time, m.preemptions,
+                       m.migrations, m.transfer_delay_s)
+                      for m in result.metrics.requests)
+    return (replicas, result.requests_per_replica,
+            result.migrations_per_replica, requests, result.gpu_seconds)
+
+
+def _oracle_fleet(llama7b, **serve_kwargs):
+    cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                            num_replicas=4, max_seq_len=4096)
+    return cluster.serve(make_router_study_workload(120, seed=1),
+                         router="least-outstanding", max_num_seqs=24,
+                         scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                         **serve_kwargs)
+
+
+def test_single_model_multiplex_matches_plain_cluster(llama7b):
+    plain = _oracle_fleet(llama7b)
+    multiplexed = _oracle_fleet(llama7b,
+                                multiplex=MultiplexConfig(models=(llama7b,)))
+    assert multiplexed.multiplex.swap_ins == 0
+    assert _run_fingerprint(multiplexed) == _run_fingerprint(plain)
+
+
+def test_fixed_size_autoscaler_matches_static_fleet(llama7b):
+    static = _oracle_fleet(llama7b)
+    pinned = _oracle_fleet(llama7b, autoscaler=AutoscalerConfig(
+        min_replicas=4, max_replicas=4))
+    assert pinned.autoscale.events == []
+    assert _run_fingerprint(pinned) == _run_fingerprint(static)
+
+
 def test_cluster_conservation_invariants(llama7b):
     """Σ replica tokens == cluster tokens; every request lands exactly once."""
     cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
@@ -365,6 +406,52 @@ def test_prefix_affinity_falls_back_without_caching(llama7b):
     assert result.num_finished == 8
     assert result.cache_hit_rate == 0.0
     assert all(n > 0 for n in result.requests_per_replica)
+
+
+def test_prefix_affinity_sticks_to_replica_not_view_position():
+    """Regression: the sticky session target is the replica itself.  An
+    index into the router's view goes stale when the view changes (an
+    autoscaled fleet routes among its active slots only)."""
+
+    class Stub:
+        def __init__(self, outstanding):
+            self.outstanding_requests = outstanding
+
+        def cached_prefix_tokens(self, request):
+            return 0
+
+    a, b, c = Stub(0), Stub(1), Stub(2)
+    router = get_router("prefix-affinity")
+
+    def turn():
+        return Request(request_id=0, prompt_len=64, output_len=4,
+                       arrival_time=0.0, prompt_segments=((1, 32), (2, 32)))
+
+    assert router.route(turn(), [a, b]) == 0          # sticks to ``a``
+    assert router.route(turn(), [c, b, a]) == 2       # ``a`` moved
+    assert router.route(turn(), [c, b]) == 1          # gone: least loaded
+
+
+def test_prefix_affinity_on_autoscaled_fleet(llama7b):
+    """Regression: sticky sessions outlive a scale-down.  This run indexed
+    past the shrunken view of active replicas and raised IndexError."""
+    from repro.serving import make_chat_workload
+
+    cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                            num_replicas=4, max_seq_len=4096)
+    workload = make_chat_workload(num_sessions=24, turns_per_session=4,
+                                  session_rate=3.0, think_time_s=4.0,
+                                  shared_system_prompt=False, seed=8)
+    result = cluster.serve(
+        workload, router="prefix-affinity", max_num_seqs=8,
+        scheduling=SCHEDULING_PRESETS["prefix-aware"],
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=4, interval_s=1.0,
+            scale_up_queue_depth=1.0, up_cooldown_s=1.0,
+            down_cooldown_s=1.0, scale_down_outstanding=4.0))
+    assert result.autoscale.num_scale_downs > 0
+    assert result.num_finished == len(workload.requests) == 96
+    assert result.saved_prefill_tokens > 0
 
 
 def test_cluster_with_tensor_parallel_replicas(llama70b):

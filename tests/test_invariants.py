@@ -6,8 +6,9 @@ container has no ``hypothesis``) samples serving scenarios across the whole
 feature matrix — workload shape, scheduling preset (chunked prefill,
 preemption, prefix caching, SLO tiers, shedding), speculative decoding,
 single engine vs. static cluster vs. autoscaled fleet vs. disaggregated
-prefill/decode vs. multiplexed multi-model fleet — and every scenario is
-checked against the invariants that must hold for *any* knob combination:
+prefill/decode vs. multiplexed multi-model fleet, static or autoscaled —
+and every scenario is checked against the invariants that must hold for
+*any* knob combination:
 
 * **Termination** — every request ends terminal (finished or dropped),
   the scheduler drains (no waiting/running leftovers), and the per-state
@@ -58,8 +59,9 @@ SYSTEM = get_system("qserve-w4a8kv4-chn")
 
 #: Scenario count (acceptance floor: 25).  Seeds are the test IDs, so a
 #: failure reproduces with ``-k scenario25``.  Seeds 0-27 cycle the four
-#: historical topologies; 28+ run multiplexed multi-model fleets.
-NUM_SCENARIOS = 36
+#: historical topologies; 28-35 run multiplexed multi-model fleets and
+#: 36+ autoscaled multiplexed fleets.
+NUM_SCENARIOS = 44
 
 #: Scheduling presets the generator samples; ``None`` is the legacy
 #: stall-prefill path.  Disaggregation requires chunk-capable planners.
@@ -112,15 +114,17 @@ def _sample_workload(rng: np.random.Generator):
 def _sample_scenario(seed: int):
     """Sample one full scenario description from ``seed``.
 
-    The topology cycles deterministically so each of the four serving
-    paths gets NUM_SCENARIOS/4 scenarios regardless of RNG draws; every
+    The topology is a fixed function of the seed (see NUM_SCENARIOS), so
+    each serving path gets its scenarios regardless of RNG draws; every
     other knob is sampled from the seeded generator.
     """
     rng = np.random.default_rng(0xC0FFEE + seed)
     if seed < 28:
         topology = ("engine", "cluster", "autoscale", "disagg")[seed % 4]
-    else:
+    elif seed < 36:
         topology = "multiplex"
+    else:
+        topology = "autoscale-multiplex"
     workload = _sample_workload(rng)
     preset_pool = _DISAGG_PRESETS if topology == "disagg" else _PRESETS
     preset = preset_pool[int(rng.integers(0, len(preset_pool)))]
@@ -129,7 +133,7 @@ def _sample_scenario(seed: int):
         assign_tenants(workload, tenants=4, free_fraction=0.5,
                        seed=int(rng.integers(0, 2**31)))
     multiplex = None
-    if topology == "multiplex":
+    if topology in ("multiplex", "autoscale-multiplex"):
         # Skewed two-model mix over the sampled workload; residency limit
         # 1 forces swaps, 2 fits both models warm.
         names = (MODEL.name, "llama-2-13b")
@@ -177,16 +181,27 @@ def _run_scenario(seed: int):
                               scheduling=sc["scheduling"],
                               speculative=sc["speculative"])
         return sc, result, [result.counters.as_dict()]
-    if sc["topology"] == "multiplex":
+    if sc["multiplex"] is not None:
         num_replicas = int(rng.integers(2, 4))
         cluster = ClusterEngine(MODEL, A100, SYSTEM,
                                 num_replicas=num_replicas, max_seq_len=2048)
         router = ("model-aware",
                   "least-outstanding")[int(rng.integers(0, 2))]
+        autoscaler = None
+        if sc["topology"] == "autoscale-multiplex":
+            # Short cooldowns so these small workloads also scale down,
+            # draining multi-model replicas.
+            autoscaler = AutoscalerConfig(
+                min_replicas=1, max_replicas=num_replicas,
+                interval_s=float(rng.uniform(0.5, 1.5)),
+                scale_up_queue_depth=float(rng.uniform(1.0, 3.0)),
+                up_cooldown_s=1.0, down_cooldown_s=1.0,
+                scale_down_outstanding=float(rng.uniform(4.0, 12.0)))
         result = cluster.serve(sc["workload"], router=router,
                                max_num_seqs=sc["max_num_seqs"],
                                scheduling=sc["scheduling"],
-                               multiplex=sc["multiplex"])
+                               multiplex=sc["multiplex"],
+                               autoscaler=autoscaler)
         return sc, result, [r.counters.as_dict()
                             for r in result.replica_results]
     kwargs = {}
@@ -344,7 +359,7 @@ def test_generator_covers_feature_matrix():
     scenarios = [_sample_scenario(seed) for seed in range(NUM_SCENARIOS)]
     topologies = {sc["topology"] for sc in scenarios}
     assert topologies == {"engine", "cluster", "autoscale", "disagg",
-                          "multiplex"}
+                          "multiplex", "autoscale-multiplex"}
     resident_limits = {sc["multiplex"].resident_limit for sc in scenarios
                        if sc["multiplex"] is not None}
     assert resident_limits == {1, 2}

@@ -2,6 +2,7 @@
 model-namespaced prefix caching, the model-aware router, per-model metrics
 breakouts and the multiplexed serving path."""
 
+import numpy as np
 import pytest
 
 from repro.gpu import A100, PCIE_GEN4
@@ -19,6 +20,7 @@ from repro.serving import (
     get_router,
     get_system,
     load_trace,
+    make_flash_crowd_workload,
     make_multi_model_workload,
     make_uniform_workload,
     prompt_block_keys,
@@ -264,18 +266,59 @@ def test_multiplexed_serving_is_deterministic():
 
 
 def test_multiplex_mutually_exclusive_modes():
-    cluster = ClusterEngine(M7, A100, SYSTEM, num_replicas=2)
     wl = make_uniform_workload(num_requests=4, prompt_len=32, output_len=4,
                                arrival_rate=None, seed=0)
     config = MultiplexConfig(models=(M7, M13))
-    with pytest.raises(ValueError, match="autoscaling"):
-        cluster.serve(wl, multiplex=config,
-                      autoscaler=AutoscalerConfig(min_replicas=1,
-                                                  max_replicas=2))
     disagg = ClusterEngine(M7, A100, SYSTEM, num_replicas=2,
                            roles=["prefill", "decode"])
     with pytest.raises(ValueError, match="role-specialised"):
         disagg.serve(wl, multiplex=config)
+    mixed = ClusterEngine(M7, A100, SYSTEM, num_replicas=2,
+                          systems=["trt-fp16", "qserve-w4a8kv4-chn"])
+    with pytest.raises(ValueError, match="per-replica systems"):
+        mixed.serve(wl, multiplex=config)
+
+
+def test_autoscaled_multiplexed_fleet():
+    # Autoscaling composes with multiplexing: scale-downs drain in-flight
+    # decodes of a multi-model replica into the right (replica, model)
+    # slices of the surviving replicas.
+    wl = make_flash_crowd_workload(120, base_rate=2.0,
+                                   spikes=((3.0, 30.0, 3.0),),
+                                   prompt_len=256, output_len=200, seed=9)
+    picks = np.random.default_rng(9).choice(2, size=120, p=[0.7, 0.3])
+    for request, pick in zip(wl.requests, picks):
+        request.model = (M7.name, M13.name)[int(pick)]
+    config = MultiplexConfig(models=(M7, M13), max_resident_models=1)
+    cluster = ClusterEngine(M7, A100, SYSTEM, num_replicas=3)
+    result = cluster.serve(
+        wl, router="model-aware", max_num_seqs=8, multiplex=config,
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=3, interval_s=1.0,
+            scale_up_queue_depth=2.0, up_cooldown_s=1.0,
+            down_cooldown_s=2.0, scale_down_outstanding=12.0))
+
+    assert result.num_finished == 120
+    assert all(r.state is RequestState.FINISHED for r in wl.requests)
+    report = result.autoscale
+    assert report.num_scale_ups > 0 and report.num_scale_downs > 0
+    assert len(report.windows) == result.physical_replicas
+    for slot in report.windows:
+        assert all(0.0 <= start <= end for start, end in slot)
+        assert all(s1 >= e0 for (_, e0), (s1, _) in zip(slot, slot[1:]))
+    assert result.gpu_seconds == report.gpu_seconds
+    for snap in result.multiplex.replicas:
+        assert 1 <= len(snap.resident) <= config.resident_limit
+        assert snap.peak_resident_bytes <= snap.weight_budget_bytes
+    assert result.num_replicas == 2 * result.physical_replicas
+    # Slices run replica-major, model-minor; a migrated decode is counted
+    # on the receiving replica's slice for the request's own model.
+    names = config.model_names
+    for j, name in enumerate(names):
+        received = sum(result.migrations_per_replica[j::len(names)])
+        assert received == sum(r.migrations for r in wl.requests
+                               if r.model == name)
+    assert sum(result.migrations_per_replica[1::2]) > 0  # drains hit M13
 
 
 def test_multiplexed_rejects_unknown_model():
