@@ -19,6 +19,15 @@ PagedKVCacheManager`'s *shared pool*: a shared page counts once toward
 * Cached-but-unreferenced blocks are reclaimed **LRU, leaves first** under
   page pressure (:meth:`PrefixCache.evict`), which preserves the radix
   invariant that every cached block's prefix chain is also cached.
+* Every request pins a *root chain*: :meth:`PrefixCache.acquire` pins the
+  matched prefix and :meth:`PrefixCache.insert` extends it block by block.
+  Refcounts are therefore monotone along every path,
+  ``ref_count(parent) >= ref_count(child)``, so an unreferenced block never
+  has a referenced descendant.  The eviction bookkeeping rests on this: the
+  unreferenced-block count is kept incrementally, which makes
+  :meth:`PrefixCache.evictable_pages` O(1) in the tree size, and the LRU
+  leaf candidates live in one heap kept for the cache's lifetime instead of
+  being rebuilt from the whole tree on every :meth:`PrefixCache.evict`.
 * With ``demotion=True`` (and a KV precision above 4 bits), eviction gets a
   cheaper first resort: cold unreferenced blocks are **demoted** to the
   4-bit tier (:data:`repro.serving.precision.DEMOTED_KV_BITS`) LRU-first,
@@ -59,6 +68,13 @@ __all__ = ["prompt_block_keys", "PrefixCacheStats", "PrefixCache"]
 
 #: Hash-chain seed for the first block of every prompt (the radix root).
 _ROOT_KEY = 0
+
+#: The eviction heap drops stale entries lazily; once a push leaves it with
+#: more than this many entries per cached block it is rebuilt from the
+#: tree.  That caps it at twice the peak block count, and since a rebuild
+#: leaves at most one entry per block and every eviction pops its own
+#: entry, more pushes than blocks separate two rebuilds: O(1) per push.
+_HEAP_ENTRIES_PER_BLOCK = 2
 
 
 def prompt_block_keys(request: Request, page_size: int,
@@ -191,6 +207,14 @@ class PrefixCache:
         self._nodes: Dict[int, _RadixNode] = {}
         self._request_blocks: Dict[int, List[_RadixNode]] = {}
         self._tick = 0
+        #: Cached blocks with ``ref_count == 0``, updated on every 0<->1
+        #: refcount transition and on eviction.
+        self._unreferenced = 0
+        #: ``(last_used, key)`` of unreferenced leaves, pushed whenever a
+        #: block becomes one or is restamped while one.  Entries go stale
+        #: when their block is referenced, gains a child, is touched again
+        #: or is evicted; :meth:`evict` skips those as it pops.
+        self._leaf_heap: List[Tuple[int, int]] = []
         self.stats = PrefixCacheStats()
 
     # ------------------------------------------------------------------
@@ -203,8 +227,13 @@ class PrefixCache:
 
     @property
     def unreferenced_pages(self) -> int:
-        """Cached blocks no running request references (eviction candidates)."""
-        return sum(1 for node in self._nodes.values() if node.ref_count == 0)
+        """Cached blocks no running request references (eviction candidates).
+
+        Kept as a running count.  Because requests pin root chains, these
+        blocks' whole subtrees are unreferenced too, so every one of them
+        is reclaimable leaves-first.
+        """
+        return self._unreferenced
 
     def evictable_pages(self, protect: Iterable["_RadixNode"] = ()) -> int:
         """Pages :meth:`evict` could reclaim right now, leaves-first.
@@ -213,22 +242,16 @@ class PrefixCache:
         (and unprotected) — evicting it must not orphan a referenced
         descendant.  Callers use this to avoid flushing the cache for a
         request that could not be admitted even after a full eviction pass.
+
+        Refcounts are monotone along every root path (each request pins a
+        root chain), so an unreferenced block has no referenced descendant;
+        ``protect`` is a root chain too (what :meth:`match` returned), so an
+        unprotected block has no protected descendant.  The reclaimable
+        blocks are therefore exactly the unreferenced ones outside
+        ``protect``, counted in O(len(protect)).
         """
-        protected = {id(node) for node in protect}
-
-        def count(node: _RadixNode) -> Tuple[int, bool]:
-            # (reclaimable pages in subtree, whole subtree reclaimable?)
-            total, all_free = 0, True
-            for child in node.children.values():
-                below, free = count(child)
-                total += below
-                all_free = all_free and free
-            pinned = node.ref_count > 0 or id(node) in protected
-            if pinned or not all_free:
-                return total, False
-            return total + 1, True
-
-        return sum(count(child)[0] for child in self._root.children.values())
+        return self._unreferenced - sum(
+            1 for node in protect if node.ref_count == 0)
 
     @property
     def total_ref_count(self) -> int:
@@ -238,6 +261,18 @@ class PrefixCache:
     def _touch(self, node: _RadixNode) -> None:
         self._tick += 1
         node.last_used = self._tick
+        if node.ref_count == 0 and not node.children:
+            self._push_leaf(node)
+
+    def _push_leaf(self, node: _RadixNode) -> None:
+        """Record ``node`` (an unreferenced leaf) as an eviction candidate."""
+        heap = self._leaf_heap
+        heapq.heappush(heap, (node.last_used, node.key))
+        if len(heap) > _HEAP_ENTRIES_PER_BLOCK * len(self._nodes):
+            # In place, so an :meth:`evict` loop holding ``heap`` sees it.
+            heap[:] = [(n.last_used, key) for key, n in self._nodes.items()
+                       if n.ref_count == 0 and not n.children]
+            heapq.heapify(heap)
 
     def _keys(self, request: Request) -> List[int]:
         """Block keys of ``request``, memoized on the request object.
@@ -318,6 +353,8 @@ class PrefixCache:
         the replica's hit rate.
         """
         for node in nodes:
+            if node.ref_count == 0:
+                self._unreferenced -= 1
             node.ref_count += 1
         self._request_blocks[request.request_id] = list(nodes)
         request.cached_tokens = len(nodes) * self.page_size
@@ -357,6 +394,8 @@ class PrefixCache:
             if child is not None:
                 self.kv_manager.drop_private_page(request.request_id)
                 self.stats.deduped_pages += 1
+                if child.ref_count == 0:
+                    self._unreferenced -= 1
                 if child.demoted:
                     # The request just prefilled this block at full
                     # precision; the drop above freed a whole page, so the
@@ -396,6 +435,10 @@ class PrefixCache:
         """
         for node in self._request_blocks.pop(request_id, []):
             node.ref_count -= 1
+            if node.ref_count == 0:
+                self._unreferenced += 1
+                if not node.children:
+                    self._push_leaf(node)
 
     # ------------------------------------------------------------------
     # Demoted tier
@@ -473,6 +516,15 @@ class PrefixCache:
         shields blocks matched-but-not-yet-acquired during the current
         admission.  Returns the number of pages reclaimed (for a demoted
         block, the whole pages its eviction actually returns).
+
+        The candidates come from the cache's persistent leaf heap rather
+        than a scan of the tree.  Since refcounts are monotone along root
+        paths, a block turns into an unreferenced leaf only when its last
+        reference is released or its last child is evicted, and both push
+        it; :meth:`match` pushes it again when it restamps one.  Stale
+        entries are skipped as they pop, protected leaves are set aside and
+        pushed back on return, and ``last_used`` ticks are unique, so the
+        pop order is the LRU order over the current unreferenced leaves.
         """
         if pages_needed <= 0:
             return 0
@@ -483,31 +535,34 @@ class PrefixCache:
             if reclaimed >= pages_needed:
                 return reclaimed
 
-        def evictable(node: _RadixNode) -> bool:
-            return (node.ref_count == 0 and not node.children
-                    and id(node) not in protected)
-
-        heap = [(node.last_used, key) for key, node in self._nodes.items()
-                if evictable(node)]
-        heapq.heapify(heap)
+        heap = self._leaf_heap
+        shielded: List[Tuple[int, int]] = []
         while heap and reclaimed < pages_needed:
-            last_used, key = heapq.heappop(heap)
+            last_used, key = entry = heapq.heappop(heap)
             node = self._nodes.get(key)
-            if node is None or node.last_used != last_used or not evictable(node):
+            if (node is None or node.last_used != last_used
+                    or node.ref_count > 0 or node.children):
                 continue  # stale heap entry
-            parent = node.parent
+            if id(node) in protected:
+                shielded.append(entry)
+                continue
             before = self.kv_manager.free_pages
             self._evict_node(node)
             reclaimed += self.kv_manager.free_pages - before
-            if parent is not None and parent is not self._root and evictable(parent):
-                heapq.heappush(heap, (parent.last_used, parent.key))
+        for entry in shielded:
+            heapq.heappush(heap, entry)
         return reclaimed
 
     def _evict_node(self, node: _RadixNode) -> None:
-        node.parent.children.pop(node.key)
+        parent = node.parent
+        parent.children.pop(node.key)
         del self._nodes[node.key]
+        self._unreferenced -= 1
         self.kv_manager.release_shared_page(demoted=node.demoted)
         self.stats.evicted_pages += 1
+        if (parent is not self._root and parent.ref_count == 0
+                and not parent.children):
+            self._push_leaf(parent)
 
     def clear(self) -> int:
         """Evict every unreferenced block (e.g. to drain after a run).

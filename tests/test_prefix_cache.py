@@ -2,8 +2,13 @@
 radix-tree cache (match/acquire/insert/release/evict), ref-counted shared
 pages in the KV manager, scheduler/engine integration, chat and
 shared-prefix workload generators, cache-aware admission, double-free
-detection, zero-token page probes, and page-conservation invariants under
-alloc/free/evict/preempt interleavings."""
+detection, zero-token page probes, page-conservation invariants under
+alloc/free/evict/preempt interleavings, and a differential oracle for the
+incremental eviction bookkeeping."""
+
+import functools
+import heapq
+import random
 
 import pytest
 
@@ -219,6 +224,9 @@ def test_lru_eviction_leaves_first_and_protect(llama7b):
     nodes, _ = cache.match(_request(4, [(2, 32), (3, 16)]))
     assert cache.evict(10, protect=nodes) == 0
     assert cache.cached_pages == 2
+    # Shielding is per call: unprotected, the same blocks are reclaimable.
+    assert cache.evict(10) == 2
+    assert cache.cached_pages == 0
 
 
 def test_referenced_blocks_never_evicted(llama7b):
@@ -475,6 +483,228 @@ def test_evictable_pages_respects_pins(llama7b):
     assert cache.evictable_pages() == 4
     # Protecting the matched A -> B -> C chain leaves only the D leaf.
     assert cache.evictable_pages(cache.match(extended)[0]) == 1
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: incremental eviction bookkeeping vs a full rescan
+# ----------------------------------------------------------------------
+def _reference_evictable_pages(cache, protect=()):
+    """Whole-tree recount: blocks whose subtree is unreferenced and
+    unprotected (the definition :meth:`PrefixCache.evictable_pages` keeps
+    incrementally)."""
+    protected = {id(node) for node in protect}
+
+    def count(node):
+        total, all_free = 0, True
+        for child in node.children.values():
+            below, free = count(child)
+            total += below
+            all_free = all_free and free
+        pinned = node.ref_count > 0 or id(node) in protected
+        if pinned or not all_free:
+            return total, False
+        return total + 1, True
+
+    return sum(count(child)[0] for child in cache._root.children.values())
+
+
+def _reference_evict(cache, pages_needed, protect=(), *, demote_first=True):
+    """LRU leaf eviction with the candidate heap rebuilt from the whole tree
+    on every call (the behaviour :meth:`PrefixCache.evict` must match)."""
+    if pages_needed <= 0:
+        return 0
+    protected = {id(node) for node in protect}
+    reclaimed = 0
+    if cache.demotion and demote_first:
+        reclaimed = cache._demote(pages_needed, protected)
+        if reclaimed >= pages_needed:
+            return reclaimed
+
+    def evictable(node):
+        return (node.ref_count == 0 and not node.children
+                and id(node) not in protected)
+
+    heap = [(node.last_used, key) for key, node in cache._nodes.items()
+            if evictable(node)]
+    heapq.heapify(heap)
+    while heap and reclaimed < pages_needed:
+        last_used, key = heapq.heappop(heap)
+        node = cache._nodes.get(key)
+        if node is None or node.last_used != last_used or not evictable(node):
+            continue
+        parent = node.parent
+        before = cache.kv_manager.free_pages
+        cache._evict_node(node)
+        reclaimed += cache.kv_manager.free_pages - before
+        if parent is not cache._root and evictable(parent):
+            heapq.heappush(heap, (parent.last_used, parent.key))
+    return reclaimed
+
+
+class _Side:
+    """One cache, its KV manager and eviction log, and the eviction methods
+    under comparison: the cache's own, or the whole-tree references."""
+
+    def __init__(self, llama7b, system, demotion, reference):
+        probe = _manager(llama7b, system=system)
+        self.mgr = PagedKVCacheManager(
+            model=llama7b, system=get_system(system),
+            capacity_bytes=48 * probe.bytes_per_page(), page_size=16,
+            max_seq_len=1536)
+        self.cache = PrefixCache(self.mgr, demotion=demotion)
+        if reference:
+            self.evict = functools.partial(_reference_evict, self.cache)
+            self.evictable_pages = functools.partial(
+                _reference_evictable_pages, self.cache)
+        else:
+            self.evict = self.cache.evict
+            self.evictable_pages = self.cache.evictable_pages
+        self.evicted = []
+        evict_node = self.cache._evict_node
+
+        def logged(node):
+            self.evicted.append(node.key)
+            evict_node(node)
+
+        self.cache._evict_node = logged
+        self.requests = {}
+
+    def admit(self, rid, segments):
+        """Scheduler-style admission: match, evict to fit, allocate, pin."""
+        request = self.requests[rid] = _request(rid, segments)
+        nodes, _ = self.cache.match(request)
+
+        def shortfall():
+            return (self.mgr.pages_needed(rid, request.prompt_len, len(nodes))
+                    + self.cache.promotion_page_need(nodes)
+                    - self.mgr.free_pages)
+
+        if 0 < shortfall() <= self.evictable_pages(nodes):
+            self.evict(shortfall(), nodes)
+        if shortfall() > 0:
+            return False
+        self.mgr.allocate(rid, request.prompt_len, len(nodes))
+        self.cache.acquire(request, nodes)
+        return True
+
+    def clear(self):
+        return self.evict(len(self.cache._nodes), demote_first=False)
+
+
+def _random_segments(rng):
+    segments = [(rng.randrange(3), rng.choice((16, 32, 40)))]
+    for _ in range(rng.randrange(3)):
+        segments.append((10 + rng.randrange(6), rng.choice((8, 16, 24))))
+    return segments
+
+
+def _tree(cache):
+    return {key: (node.ref_count, node.demoted, node.last_used,
+                  node.parent.key)
+            for key, node in cache._nodes.items()}
+
+
+def _assert_agree(fast, ref, segments):
+    cache = fast.cache
+    assert _tree(cache) == _tree(ref.cache)
+    assert fast.evicted == ref.evicted
+    assert fast.mgr.free_pages == ref.mgr.free_pages
+    unreferenced = sum(1 for n in ref.cache._nodes.values()
+                       if n.ref_count == 0)
+    assert cache.unreferenced_pages == unreferenced
+    # Protect with the (non-mutating) cached chain of a probe prompt.
+    probe = _request(-1, segments)
+    chain_fast = cache._walk(cache._keys(probe))
+    chain_ref = ref.cache._walk(ref.cache._keys(probe))
+    assert cache.evictable_pages() == ref.evictable_pages()
+    assert cache.evictable_pages(chain_fast) == ref.evictable_pages(chain_ref)
+    for node in cache._nodes.values():
+        if node.parent is not cache._root:
+            assert node.parent.ref_count >= node.ref_count
+
+
+def _drive(llama7b, system, demotion, steps, seed, weights):
+    """Random match/acquire/insert/release/evict interleaving, applied to a
+    cache and to a twin that counts and evicts by whole-tree rescans."""
+    rng = random.Random(seed)
+    fast = _Side(llama7b, system, demotion, reference=False)
+    ref = _Side(llama7b, system, demotion, reference=True)
+    sides = (fast, ref)
+    pending, inserted = [], []
+    rebuilds = 0
+    ops = ("admit", "insert", "release", "match", "evict", "clear")
+    for step in range(steps):
+        op = rng.choices(ops, weights)[0]
+        segments = _random_segments(rng)
+        heap_before = len(fast.cache._leaf_heap)
+        if op == "admit":
+            admitted = {side.admit(step, segments) for side in sides}
+            assert len(admitted) == 1
+            if admitted.pop():
+                pending.append(step)
+        elif op == "insert" and pending:
+            rid = pending.pop(rng.randrange(len(pending)))
+            for side in sides:
+                side.cache.insert(side.requests[rid])
+            inserted.append(rid)
+        elif op == "release" and (pending or inserted):
+            pool = rng.choice([p for p in (pending, inserted) if p])
+            rid = pool.pop(rng.randrange(len(pool)))
+            for side in sides:
+                side.cache.release(rid)
+                side.mgr.free(rid)
+        elif op == "match":
+            for side in sides:
+                side.cache.match(_request(-1, segments))
+        elif op == "evict":
+            pages = rng.randrange(1, 9)
+            demote_first = rng.random() < 0.7
+            results = set()
+            for side in sides:
+                protect, _ = side.cache.match(_request(-1, segments))
+                results.add((side.evictable_pages(protect),
+                             side.evict(pages, protect,
+                                        demote_first=demote_first)))
+            assert len(results) == 1
+        elif op == "clear":
+            assert fast.clear() == ref.clear()
+        if op in ("release", "match"):
+            # Both only ever push; a shorter heap means a push rebuilt it.
+            rebuilds += len(fast.cache._leaf_heap) < heap_before
+        _assert_agree(fast, ref, segments)
+    # Draining reaches every unreferenced block, including any that an
+    # earlier call shielded.
+    assert fast.clear() == ref.clear()
+    _assert_agree(fast, ref, segments)
+    assert fast.cache.unreferenced_pages == 0
+    return fast, rebuilds
+
+
+@pytest.mark.parametrize("system,demotion", [
+    ("qserve-w4a8kv4-chn", False),
+    ("trt-fp16", False),
+    ("trt-fp16", True),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eviction_bookkeeping_matches_full_rescan(llama7b, system, demotion,
+                                                  seed):
+    """``evictable_pages``, ``unreferenced_pages`` and the LRU eviction order
+    equal a whole-tree recount and a per-call candidate rebuild after every
+    operation of a random admission/insert/release/evict interleaving."""
+    fast, _ = _drive(llama7b, system, demotion, steps=400, seed=seed,
+                     weights=(6, 4, 5, 3, 2, 0.1))
+    assert fast.evicted                       # the pool really overflowed
+    if demotion:
+        assert fast.cache.stats.demoted_pages_total > 0
+
+
+def test_eviction_heap_rebuild_keeps_lru_order(llama7b):
+    """A long, match-heavy run piles stale entries onto the persistent leaf
+    heap until it is rebuilt from the tree; eviction order still matches."""
+    fast, rebuilds = _drive(llama7b, "qserve-w4a8kv4-chn", False, steps=3000,
+                            seed=7, weights=(2, 2, 2, 20, 0.2, 0))
+    assert rebuilds > 0
+    assert fast.evicted
 
 
 def test_summary_text_reports_gauges(llama7b):

@@ -7,10 +7,11 @@ of serving scenarios — legacy Table 4 throughput, chunked prefill with
 preemption, prefix-cache chat, a multi-replica cluster, disaggregated
 prefill/decode, speculative decoding, a heterogeneous mixed-precision fleet,
 KV-cache demotion under memory pressure, diurnal multi-tenant traffic with
-tier-aware admission, a flash-crowd autoscaled fleet and a multiplexed
-multi-model fleet — and emits a JSON fingerprint
-in which every float is hex-encoded (``float.hex()``: exact, no rounding)
-and every per-request metrics stream is hashed.
+tier-aware admission, a flash-crowd autoscaled fleet, a multiplexed
+multi-model fleet and LRU prefix-cache eviction under memory pressure — and
+emits a JSON fingerprint in which every float is hex-encoded
+(``float.hex()``: exact, no rounding) and every per-request metrics stream
+is hashed.
 
 Usage::
 
@@ -284,6 +285,23 @@ def build_fingerprint() -> Dict[str, object]:
                               sorted(r.multiplex.requests_by_model.items())},
         "per_model_ttft_p99": {m: _hx(metrics.ttft.p99) for m, metrics in
                                sorted(r.metrics.by_model().items())},
+    }
+
+    # 12. LRU prefix-cache eviction under memory pressure (no demotion).
+    engine = ServingEngine(llama7b, A100, system, max_seq_len=4096)
+    capacity = 96 * engine.new_kv_manager().bytes_per_page()
+    engine.kv_capacity_bytes = lambda: capacity
+    wl = make_chat_workload(num_sessions=8, turns_per_session=4,
+                            system_prompt_len=192, user_len=32,
+                            assistant_len=64, think_time_s=6.0, seed=11)
+    r = engine.serve(wl, max_num_seqs=3,
+                     scheduling=SCHEDULING_PRESETS["prefix-aware"])
+    s = r.prefix_stats
+    fp["prefix-evict"] = {
+        "serving": _serving_result(r),
+        "inserted_pages": s.inserted_pages,
+        "deduped_pages": s.deduped_pages,
+        "peak_cached_pages": s.peak_cached_pages,
     }
 
     return fp
