@@ -40,15 +40,13 @@ Regression tracking::
 ``--check`` fails (exit 1) when any scenario's requests/s falls more than
 ``--tolerance`` (default 25%) below the committed baseline for the same mode.
 Improvements never fail.  ``--profile`` wraps the run in cProfile and prints
-the top 25 functions by cumulative time; ``--no-cost-cache`` disables the
-engines' cost-model memoization for A/B comparisons.
+the top 25 functions by cumulative time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -284,17 +282,10 @@ def main() -> int:
                         help="allowed fractional req/s drop (default 0.25)")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile, print top 25 by cumulative")
-    parser.add_argument("--no-cost-cache", action="store_true",
-                        help="disable the engines' cost-model memoization")
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full" if args.full else "default"
 
-    if args.no_cost_cache:
-        # Engines read the default lazily at construction, so setting the
-        # environment before building scenarios disables every cache.
-        os.environ["REPRO_COST_CACHE"] = "0"
-    print(f"mode: {mode}"
-          + (" (cost cache off)" if args.no_cost_cache else ""))
+    print(f"mode: {mode}")
 
     if args.profile:
         import cProfile

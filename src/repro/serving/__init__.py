@@ -13,7 +13,7 @@ goodput) under pluggable scheduling policies:
 * :mod:`repro.serving.request` — request and workload definitions, including
   ShareGPT-like lognormal and bursty on/off workload generators;
 * :mod:`repro.serving.cost_cache` — per-engine memoization of the pure
-  cost-model latencies, keyed on batch shape (bitwise-identical hits);
+  cost-model latencies, keyed on their arguments (bitwise-identical hits);
 * :mod:`repro.serving.kv_cache_manager` — paged KV cache with per-head scale
   storage, whole-request page reclamation, a ref-counted shared-page pool and
   per-block precision tiers (4-bit demotion of cold shared blocks);
@@ -33,8 +33,9 @@ goodput) under pluggable scheduling policies:
   registry with a Prometheus-style snapshot, Chrome trace-event export
   (Perfetto-loadable) and SLO phase attribution;
 * :mod:`repro.serving.engine` — per-iteration latency from the GPU cost model
-  plus the event-driven serving loop (whole-run ``serve`` and the
-  iteration-level :class:`EngineStepper`);
+  (one pricing rule, ``ServingEngine.mixed_step``) plus the event-driven
+  serving loop (whole-run ``serve`` and the iteration-level
+  :class:`EngineStepper`);
 * :mod:`repro.serving.parallel` — tensor-parallel sharding + all-reduce cost
   model (:class:`ParallelConfig`);
 * :mod:`repro.serving.speculative` — speculative decoding: draft-model cost
@@ -106,7 +107,7 @@ from repro.serving.multiplex import (
     ResidencySnapshot,
     MultiplexReport,
 )
-from repro.serving.cost_cache import CostModelCache, cache_enabled_default
+from repro.serving.cost_cache import CostModelCache
 from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationError
 from repro.serving.prefix_cache import (
     PrefixCache,
@@ -197,7 +198,7 @@ __all__ = [
     "ReactiveAutoscaler", "AutoscaleReport", "weight_transfer_s",
     "MultiplexConfig", "ModelResidency", "ResidencySnapshot",
     "MultiplexReport",
-    "CostModelCache", "cache_enabled_default",
+    "CostModelCache",
     "PagedKVCacheManager", "PageAllocationError",
     "PrefixCache", "PrefixCacheStats", "prompt_block_keys",
     "SchedulerPolicy", "FCFSPolicy", "StrictFCFSPolicy",

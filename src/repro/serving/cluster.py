@@ -793,20 +793,22 @@ class ClusterEngine:
                     f"{num_replicas} replicas")
             resolved = [get_system(s) if isinstance(s, str) else s
                         for s in systems]
-            # One engine per distinct preset: replicas with the same system
+            # One engine per distinct preset: replicas with an equal system
             # share cost-model caches, and a replica matching the base
             # ``system`` reuses ``self.engine`` itself, so a uniform
             # ``systems`` list is the homogeneous cluster by construction.
-            built: Dict[str, ServingEngine] = {
-                self.engine.system.name: self.engine}
+            # Presets are keyed by value: two configs that only share a
+            # name are different systems.
+            built: Dict[SystemConfig, ServingEngine] = {
+                self.engine.system: self.engine}
             self.engines = []
             for sys_config in resolved:
-                engine = built.get(sys_config.name)
+                engine = built.get(sys_config)
                 if engine is None:
                     engine = ServingEngine(model, gpu, sys_config,
                                            max_seq_len=max_seq_len,
                                            parallel=parallel)
-                    built[sys_config.name] = engine
+                    built[sys_config] = engine
                 self.engines.append(engine)
         self.roles = list(roles) if roles is not None else \
             ["mixed"] * num_replicas
@@ -1273,7 +1275,7 @@ class ClusterEngine:
             raw += dst.kv_transcode_latency(cold_tokens, src.system)
         if not self.transfer_overlap:
             return raw
-        overlap = dst.decode_step(1, request.context_len).total
+        overlap = dst.mixed_step((), 1, request.context_len).total
         return max(self.transfer_link.latency_s, raw - overlap)
 
     def _migrate(self, request: Request, source: EngineStepper,

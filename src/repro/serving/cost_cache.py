@@ -7,59 +7,50 @@ prefill re-evaluates the same LM-head and all-reduce shapes, and a 100k
 millions of times.  All of those calls are *pure* — the engine's model
 geometry, GPU spec, precision preset and parallel plan are fixed at
 construction — so each engine owns a :class:`CostModelCache` and keys its
-hot-path latencies on the only thing that varies: the batch shape.
+hot-path latencies on the only thing that varies: the arguments.
 
 Correctness is trivial by construction: a hit returns the exact float the
-miss computed, so cached and uncached runs are bitwise-identical (the
+miss computed, so memoised and recomputed prices are bitwise-identical (the
 contract ``tests/test_perf_core.py`` locks in across schedulers, prefix
 caching and speculation).  Invalidation is equally simple: there is none.
 The cache never observes a key whose value could change, because everything
 else that feeds the latency formulas is immutable for the engine's lifetime;
-anything that *does* vary (context length, chunk boundaries, decode batch)
-must be part of the key.  Code that mutates an engine's model/GPU/system in
-place (no in-tree code does) must call :meth:`CostModelCache.clear`.
+anything that *does* vary (context length, chunk boundaries, decode batch,
+a migration's source preset) is an argument and therefore part of the key.
+Code that mutates an engine's model/GPU/system in place (no in-tree code
+does) must call :meth:`CostModelCache.clear`.
 
-The cache can be disabled per engine (``ServingEngine(cost_cache=False)``)
-or process-wide via ``REPRO_COST_CACHE=0`` — the A/B switch the equivalence
-tests and the perf benchmark's ``--no-cost-cache`` flag use.
+:func:`memoised` is the only code that reads or writes a cache.  On CPython
+3.11 (2-core Xeon host, best of 15 in-process rounds) a hit through the
+decorator costs 0.21 µs, against 0.18 µs for the dictionary probe
+hand-inlined into each method; a steady decode iteration makes three hits.
+The key is one flat tuple built as ``(kind,) + args``: a nested
+``(kind, args)`` key measured 0.26 µs and holds a second tuple per entry,
+and unpacking, ``(kind, *args)``, measured 0.32 µs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Tuple
+from functools import wraps
+from typing import Callable, Dict, Tuple
 
-__all__ = ["CostModelCache", "cache_enabled_default"]
-
-
-def cache_enabled_default() -> bool:
-    """Process-wide default for new engines (``REPRO_COST_CACHE``, on unless
-    set to ``0``/``false``/``off``)."""
-    return os.environ.get("REPRO_COST_CACHE", "1").lower() not in (
-        "0", "false", "off")
+__all__ = ["CostModelCache", "memoised"]
 
 
 class CostModelCache:
     """Hit-counted memo table for one engine's cost-model evaluations.
 
-    Keys are ``(kind, *shape)`` tuples — e.g. ``("gemm", tokens)`` for one
+    Keys are ``(kind, *args)`` tuples — e.g. ``("gemm", tokens)`` for one
     transformer block's projection GEMMs, ``("attn", batch, context)`` for
-    the decode-attention kernel, or the precision-keyed KV repricing entries
-    ``("kv_dequant", tokens)`` (demoted-block restoration, priced against
-    the engine's own tiers) and ``("kv_transcode", source_system, tokens)``
-    (mixed-precision migration landing, keyed on the *source* preset's name
-    since the engine's own precision is construction-fixed) — and values are
-    latencies in seconds.  The
-    engine consults :attr:`store` directly on the hot path (a dict probe is
-    the whole point; wrapping it in a method call would give back a third of
-    the win) and uses :meth:`record_hit`/:meth:`record_miss` only to keep the
-    hit-rate gauge honest.
+    the decode-attention kernel, or ``("kv_transcode", tokens, source)`` for
+    a mixed-precision migration landing from the ``source`` preset — and
+    values are latencies in seconds.  :func:`memoised` fills it; the
+    counters keep the hit-rate gauge honest.
     """
 
-    __slots__ = ("enabled", "hits", "misses", "store")
+    __slots__ = ("hits", "misses", "store")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.store: Dict[Tuple, float] = {}
@@ -84,6 +75,31 @@ class CostModelCache:
         return len(self.store)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "on" if self.enabled else "off"
-        return (f"CostModelCache({state}, {len(self.store)} entries, "
+        return (f"CostModelCache({len(self.store)} entries, "
                 f"hit rate {self.hit_rate * 100:.1f}%)")
+
+
+def memoised(kind: str) -> Callable[[Callable], Callable]:
+    """Memoise a pure engine method in ``self.cost_cache`` under ``kind``.
+
+    The decorated method takes positional arguments only; they form the
+    key, so every argument must be hashable and must determine the result
+    together with the engine's construction-fixed state.
+    """
+    def decorate(method: Callable) -> Callable:
+        prefix = (kind,)
+
+        @wraps(method)
+        def cached(self, *args):
+            cache = self.cost_cache
+            key = prefix + args
+            try:
+                value = cache.store[key]
+            except KeyError:
+                cache.misses += 1
+                value = cache.store[key] = method(self, *args)
+                return value
+            cache.hits += 1
+            return value
+        return cached
+    return decorate

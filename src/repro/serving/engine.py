@@ -3,10 +3,11 @@
 ``ServingEngine`` binds a model geometry, a GPU and a serving-system preset.
 It answers two kinds of questions:
 
-* *kernel-level*: how long does one decode iteration (or one prefill, or one
-  mixed chunked-prefill+decode iteration) take at a given batch size and
-  context length?  These latencies come from the GPU cost model
-  (:mod:`repro.gpu.gemm`, :mod:`repro.gpu.attention_kernel`) and drive
+* *kernel-level*: how long does one iteration — prefill chunks plus a
+  decode batch at some context length — take?  One rule,
+  :meth:`ServingEngine.mixed_step`, prices every shape (a decode step and a
+  batched prefill are its special cases) from the GPU cost model
+  (:mod:`repro.gpu.gemm`, :mod:`repro.gpu.attention_kernel`); it drives
   Figures 2a, 17 and the throughput tables.
 * *system-level*: given a workload, a memory budget and a
   :class:`repro.serving.policies.SchedulingConfig`, run the continuous
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.gpu.attention_kernel import (
     KERNEL_LAUNCH_OVERHEAD_S,
@@ -60,7 +61,7 @@ from repro.gpu.attention_kernel import (
 from repro.gpu.gemm import GEMM_PRECISIONS, gemm_latency
 from repro.gpu.specs import GPUSpec
 from repro.model.config import ModelConfig
-from repro.serving.cost_cache import CostModelCache, cache_enabled_default
+from repro.serving.cost_cache import CostModelCache, memoised
 from repro.serving.kv_cache_manager import PagedKVCacheManager
 from repro.serving.metrics import ServingMetrics
 from repro.serving.parallel import ParallelConfig
@@ -71,7 +72,12 @@ from repro.serving.policies import (
     SchedulingConfig,
 )
 from repro.serving.precision import SystemConfig
-from repro.serving.request import Request, RequestState, Workload
+from repro.serving.request import (
+    Request,
+    RequestState,
+    Workload,
+    mean_context_len,
+)
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.speculative import (
     SpeculationStats,
@@ -288,8 +294,7 @@ class ServingEngine:
 
     def __init__(self, model: ModelConfig, gpu: GPUSpec, system: SystemConfig,
                  max_seq_len: int = 2048,
-                 parallel: Optional[ParallelConfig] = None,
-                 cost_cache: Optional[bool] = None) -> None:
+                 parallel: Optional[ParallelConfig] = None) -> None:
         self.model = model
         self.gpu = gpu
         self.system = system
@@ -300,11 +305,9 @@ class ServingEngine:
         self.attention_kernel = KV_KERNELS[system.attention_kernel]
         #: Memoises the pure per-shape latency evaluations below (see
         #: :mod:`repro.serving.cost_cache`).  Everything that feeds the
-        #: latency formulas besides the batch shape is fixed at construction,
-        #: so hits are bitwise-identical to recomputation.  ``cost_cache``
-        #: overrides the process-wide ``REPRO_COST_CACHE`` default.
-        self.cost_cache = CostModelCache(
-            enabled=cache_enabled_default() if cost_cache is None else cost_cache)
+        #: latency formulas besides their arguments is fixed at
+        #: construction, so hits are bitwise-identical to recomputation.
+        self.cost_cache = CostModelCache()
 
     @property
     def tp_degree(self) -> int:
@@ -356,6 +359,7 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Kernel-level latency
     # ------------------------------------------------------------------
+    @memoised("gemm")
     def _block_gemm_latency(self, tokens: int) -> float:
         """Sum of one transformer block's per-GPU GEMM latencies for ``tokens`` rows.
 
@@ -367,13 +371,6 @@ class ServingEngine:
         (the decode batch sizes and chunk budgets in flight) thousands of
         times per run.
         """
-        cache = self.cost_cache
-        if cache.enabled:
-            value = cache.store.get(("gemm", tokens))
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
         h = self.model.hidden_size
         kv = self.model.kv_dim
         inter = self.model.intermediate_size
@@ -396,8 +393,6 @@ class ServingEngine:
             ffn = (gemm_latency(self.gpu, tokens, 2 * inter // tp, h, p).total
                    + gemm_latency(self.gpu, tokens, h, inter // tp, p).total)
             total += ffn * (moe_factor - 1)
-        if cache.enabled:
-            cache.store[("gemm", tokens)] = total
         return total
 
     def _prefill_attention_latency(self, macs: float) -> float:
@@ -405,59 +400,31 @@ class ServingEngine:
         return (2.0 * macs / (self.gpu.tensor_core_tops("fp16") * 1e12
                               * self.gpu.compute_efficiency)) * self.model.num_layers
 
+    @memoised("lm_head")
     def _lm_head_latency(self, batch: int) -> float:
         """Latency of the (vocab-sharded) FP16 LM head for ``batch`` tokens."""
-        cache = self.cost_cache
-        if cache.enabled:
-            value = cache.store.get(("lm_head", batch))
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
         vocab = self.parallel.shard_ceil(self.model.vocab_size)
-        value = gemm_latency(self.gpu, batch, vocab, self.model.hidden_size,
-                             GEMM_PRECISIONS["fp16"]).total
-        if cache.enabled:
-            cache.store[("lm_head", batch)] = value
-        return value
+        return gemm_latency(self.gpu, batch, vocab, self.model.hidden_size,
+                            GEMM_PRECISIONS["fp16"]).total
 
+    @memoised("comm")
     def _comm_latency(self, tokens: int) -> float:
-        """Tensor-parallel all-reduce time of one iteration over ``tokens`` rows."""
-        if not self.parallel.is_parallel:
-            return 0.0
-        cache = self.cost_cache
-        if cache.enabled:
-            value = cache.store.get(("comm", tokens))
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
-        value = self.parallel.block_comm_latency(
+        """Tensor-parallel all-reduce time of one iteration over ``tokens``
+        rows; callers skip it on a single GPU, where it is zero."""
+        return self.parallel.block_comm_latency(
             tokens, self.model.hidden_size, self.model.num_layers)
-        if cache.enabled:
-            cache.store[("comm", tokens)] = value
-        return value
 
+    @memoised("attn")
     def _decode_attention_latency(self, batch: int, context_len: int) -> float:
         """All-layer decode-attention latency for ``batch`` sequences over
         ``context_len`` cached tokens (memoised on the ``(batch, context)``
         shape — the pair a steady decode batch repeats step after step)."""
-        cache = self.cost_cache
-        if cache.enabled:
-            value = cache.store.get(("attn", batch, context_len))
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
         tp = self.parallel.tp_degree
-        value = attention_decode_latency(
+        return attention_decode_latency(
             self.gpu, self.attention_kernel, batch, max(1, context_len),
             self.model.num_heads // tp, self.model.num_kv_heads // tp,
             self.model.head_dim,
         ).total * self.model.num_layers
-        if cache.enabled:
-            cache.store[("attn", batch, context_len)] = value
-        return value
 
     def _kv_reprice_latency(self, tokens: int, read_bytes_per_token: float,
                             write_bytes_per_token: float) -> float:
@@ -484,106 +451,85 @@ class ServingEngine:
         return ((max(mem_time, compute_time) + KERNEL_LAUNCH_OVERHEAD_S)
                 / self.system.runtime_efficiency)
 
+    @memoised("kv_dequant")
     def kv_dequant_latency(self, tokens: int) -> float:
         """Cost of promoting ``tokens`` of demoted (4-bit) KV state back to
         this system's native precision — charged when a request hits a
         prefix-cache block the cache demoted under memory pressure."""
-        cache = self.cost_cache
-        if cache.enabled:
-            value = cache.store.get(("kv_dequant", tokens))
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
-        value = self._kv_reprice_latency(
+        return self._kv_reprice_latency(
             tokens,
             self.system.demoted_kv_bytes_per_token(self.model),
             self.system.kv_bytes_per_token(self.model))
-        if cache.enabled:
-            cache.store[("kv_dequant", tokens)] = value
-        return value
 
+    @memoised("kv_transcode")
     def kv_transcode_latency(self, tokens: int, source: SystemConfig) -> float:
         """Cost of re-quantizing ``tokens`` of KV state arriving from a
         replica running ``source`` into this engine's KV precision — the
         landing-side repricing of a mixed-precision KV migration."""
-        cache = self.cost_cache
-        if cache.enabled:
-            value = cache.store.get(("kv_transcode", source.name, tokens))
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
-        value = self._kv_reprice_latency(
+        return self._kv_reprice_latency(
             tokens,
             source.kv_bytes_per_token(self.model),
             self.system.kv_bytes_per_token(self.model))
-        if cache.enabled:
-            cache.store[("kv_transcode", source.name, tokens)] = value
-        return value
 
     def decode_step(self, batch: int, context_len: int) -> StepBreakdown:
-        """Latency of one decoding iteration for ``batch`` sequences."""
+        """Latency of one decoding iteration for ``batch`` sequences: the
+        :meth:`mixed_step` with no prefill chunks."""
         if batch <= 0:
             raise ValueError("batch must be positive")
-        gemm = self._block_gemm_latency(batch) * self.model.num_layers
-        attn = self._decode_attention_latency(batch, context_len)
-        # LM head (kept in FP16 by every system).
-        lm = self._lm_head_latency(batch)
-        eff = self.system.runtime_efficiency
-        return StepBreakdown(gemm=(gemm + lm) / eff, attention=attn / eff,
-                             other=_STEP_OVERHEAD_S / eff,
-                             comm=self._comm_latency(batch))
+        return self.mixed_step((), batch, context_len)
 
     def prefill(self, batch: int, prompt_len: int) -> StepBreakdown:
-        """Latency of prefilling ``batch`` prompts of ``prompt_len`` tokens."""
-        tokens = batch * prompt_len
-        gemm = self._block_gemm_latency(tokens) * self.model.num_layers
-        # Prefill attention is a compute-bound FP16 matmul of cost
-        # 2 * b * S^2 * H * D MACs per layer (QK^T and SV), on tensor cores;
-        # head sharding divides the MACs across the TP group.
-        macs = 2.0 * batch * prompt_len * prompt_len * self.model.num_heads * self.model.head_dim
-        attn = self._prefill_attention_latency(macs / self.parallel.tp_degree)
-        eff = self.system.runtime_efficiency
-        return StepBreakdown(gemm=gemm / eff, attention=attn / eff,
-                             other=_STEP_OVERHEAD_S / eff,
-                             comm=self._comm_latency(tokens))
+        """Latency of prefilling ``batch`` prompts of ``prompt_len`` tokens:
+        the :meth:`mixed_step` of ``batch`` whole-prompt chunks with no
+        decodes."""
+        if batch <= 0:
+            raise ValueError("batch must be positive")
+        return self.mixed_step([(prompt_len, 0)] * batch, 0, 0)
 
-    def mixed_step(self, prefill_chunks: List[Tuple[int, int]],
+    def mixed_step(self, prefill_chunks: Sequence[Tuple[int, int]],
                    decode_batch: int, decode_context: int) -> StepBreakdown:
-        """Latency of one chunked-prefill iteration.
+        """Latency of one iteration — the engine's single pricing rule.
 
         ``prefill_chunks`` holds ``(chunk_len, tokens_already_prefilled)``
         pairs: each chunk's queries attend to the KV state accumulated so far
         plus the chunk itself, so a prompt split into chunks costs the same
-        order of attention MACs as the monolithic prefill.  ``decode_batch``
-        sequences additionally each generate one token against
-        ``decode_context`` tokens of KV cache.  GEMM cost is shared — all
-        prefill-chunk and decode tokens go through the projections as one
-        batched matmul, which is exactly why chunked prefill keeps the GPU
-        saturated without stalling decodes.
+        order of attention MACs as the monolithic prefill.  Prefill attention
+        is a compute-bound FP16 matmul of ``2 * chunk_len * (done +
+        chunk_len) * H * D`` MACs per layer (QK^T and SV) on tensor cores;
+        head sharding divides the MACs across the TP group.
+        ``decode_batch`` sequences additionally each generate one token
+        against ``decode_context`` tokens of KV cache.  GEMM cost is shared —
+        all prefill-chunk and decode tokens go through the projections as
+        one batched matmul, which is exactly why chunked prefill keeps the
+        GPU saturated without stalling decodes.  A plain decode step and a
+        batched prefill are the two special cases (:meth:`decode_step`,
+        :meth:`prefill`).
         """
-        tp = self.parallel.tp_degree
-        chunk_tokens = sum(c for c, _ in prefill_chunks)
-        tokens = chunk_tokens + decode_batch
+        model = self.model
+        tokens = decode_batch
+        attn = 0.0
+        if prefill_chunks:
+            macs = 0.0
+            for chunk_len, done in prefill_chunks:
+                tokens += chunk_len
+                macs += 2.0 * chunk_len * (done + chunk_len) * \
+                    model.num_heads * model.head_dim
+            attn = self._prefill_attention_latency(
+                macs / self.parallel.tp_degree)
         if tokens <= 0:
             raise ValueError("mixed_step needs at least one token of work")
-        gemm = self._block_gemm_latency(tokens) * self.model.num_layers
-        macs = 0.0
-        for chunk_len, done in prefill_chunks:
-            macs += 2.0 * chunk_len * (done + chunk_len) * \
-                self.model.num_heads * self.model.head_dim
-        attn = self._prefill_attention_latency(macs / tp) if macs else 0.0
-        if decode_batch > 0:
-            attn += self._decode_attention_latency(decode_batch, decode_context)
+        gemm = self._block_gemm_latency(tokens) * model.num_layers
         # LM head only for the decode tokens; mid-prompt logits are discarded.
         lm = 0.0
         if decode_batch > 0:
+            attn += self._decode_attention_latency(decode_batch, decode_context)
             lm = self._lm_head_latency(decode_batch)
         eff = self.system.runtime_efficiency
-        return StepBreakdown(gemm=(gemm + lm) / eff, attention=attn / eff,
-                             other=_STEP_OVERHEAD_S / eff,
-                             comm=self._comm_latency(tokens))
+        return StepBreakdown(
+            gemm=(gemm + lm) / eff, attention=attn / eff,
+            other=_STEP_OVERHEAD_S / eff,
+            comm=(self._comm_latency(tokens) if self.parallel.is_parallel
+                  else 0.0))
 
     def speculative_verify_step(self, verify_chunks: List[Tuple[int, int]],
                                 prefill_chunks: List[Tuple[int, int]] = (),
@@ -620,30 +566,23 @@ class ServingEngine:
         Prefix-cache hits shrink the work: only a request's cold suffix is
         prefilled, but its queries still attend across the cached prefix, so
         cached tokens enter the attention context (the ``done`` offset of
-        each chunk) without contributing projection GEMM rows.
+        each chunk) without contributing projection GEMM rows.  The legacy
+        stall-the-world prefill pads every admitted prompt to the longest
+        one (a batched prefill) unless a cache hit gives some prompt an
+        offset, in which case it prices the exact chunks like any plan.
         """
-        if plan.stalled_prefill:
-            if any(r.cached_tokens for r, _ in plan.prefill_chunks):
-                # Cache-hit prompts attend to their cached prefix; the
-                # monolithic prefill call cannot express that offset, so the
-                # batch goes through the chunked cost path in one iteration.
-                chunks = [(r.prefill_target, r.cached_tokens)
-                          for r, _ in plan.prefill_chunks]
-                return self.mixed_step(chunks, 0, 0).total
-            # Legacy batched prefill: every admitted prompt is padded to the
-            # longest one and prefilled in a single call.
-            prompt_len = max(r.prefill_target for r, _ in plan.prefill_chunks)
-            return self.prefill(len(plan.prefill_chunks), prompt_len).total
+        chunks: Sequence[Tuple[int, int]] = ()
+        prefills = plan.prefill_chunks
+        if prefills:
+            if plan.stalled_prefill and not any(
+                    r.cached_tokens for r, _ in prefills):
+                prompt_len = max(r.prefill_target for r, _ in prefills)
+                chunks = [(prompt_len, 0)] * len(prefills)
+            else:
+                chunks = plan.chunk_pairs()
         decode = plan.decode
-        if not plan.prefill_chunks:
-            batch = len(decode)
-            context = int(sum(r.context_len for r in decode) / batch)
-            return self.decode_step(batch, context).total
-        decode_context = 0
-        if decode:
-            decode_context = int(sum(r.context_len for r in decode) / len(decode))
-        return self.mixed_step(plan.chunk_pairs(), len(decode),
-                               decode_context).total
+        return self.mixed_step(chunks, len(decode),
+                               mean_context_len(decode)).total
 
     def serve(self, workload: Workload, max_num_seqs: Optional[int] = None,
               scheduling: Optional[SchedulingConfig] = None,
@@ -894,14 +833,13 @@ class EngineStepper:
         ``(exported, waiting)``; trace events land at ``now``.
         """
         scheduler = self.scheduler
-        scheduler._clock = now
         exported = [r for r in scheduler.running
                     if r.state is RequestState.DECODING]
         for request in exported:
-            scheduler.export_request(request)
+            scheduler.export_request(request, now)
         for request in list(scheduler.running):
             if request.state is RequestState.PREFILLING:
-                scheduler._preempt(request)
+                scheduler.preempt(request, now)
         waiting, scheduler.waiting = scheduler.waiting, []
         return exported, waiting
 
@@ -1018,15 +956,11 @@ class EngineStepper:
         if self.migrate_out:
             # Prefill role: anything that just completed its prefill (state
             # DECODING, before any decode step could be planned for it) is
-            # exported for migration to a decode replica.
-            if self.tracer is not None:
-                # Prefill replicas run no decode step, so the scheduler's
-                # stashed clock is still the pre-iteration instant; exports
-                # happen *after* this iteration's latency elapsed.
-                scheduler._clock = self.now
+            # exported for migration to a decode replica, stamped after
+            # this iteration's latency elapsed.
             for request in list(scheduler.running):
                 if request.state is RequestState.DECODING:
-                    scheduler.export_request(request)
+                    scheduler.export_request(request, self.now)
                     self.outbox.append(request)
         if self.tracer is not None:
             self.tracer.iteration(

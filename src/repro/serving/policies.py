@@ -173,9 +173,9 @@ class IterationPlan:
     ``prefill_chunks`` pairs each prefilling request with the number of its
     prompt tokens processed this iteration; ``decode`` lists the requests
     that each generate one token.  ``stalled_prefill`` marks the legacy
-    whole-prompt batched prefill, which uses the monolithic
-    :meth:`repro.serving.engine.ServingEngine.prefill` cost path instead of
-    the mixed-iteration path.
+    whole-prompt batched prefill, which the engine prices with every prompt
+    padded to the longest one (see
+    :meth:`repro.serving.engine.ServingEngine.prefill`).
     """
 
     prefill_chunks: List[Tuple[Request, int]] = field(default_factory=list)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "RequestState",
     "Request",
     "Workload",
+    "mean_context_len",
     "make_uniform_workload",
     "make_lognormal_workload",
     "make_bursty_workload",
@@ -193,6 +194,14 @@ class Request:
                        prompt_segments=self.prompt_segments,
                        precision_floor_bits=self.precision_floor_bits,
                        tenant=self.tenant, tier=self.tier, model=self.model)
+
+
+def mean_context_len(requests: Sequence[Request]) -> int:
+    """The one context length a batch is priced at: its members' mean
+    ``context_len``, truncated to an integer (0 for an empty batch)."""
+    if not requests:
+        return 0
+    return int(sum(r.context_len for r in requests) / len(requests))
 
 
 @dataclass

@@ -116,9 +116,9 @@ class ContinuousBatchingScheduler:
     #: one scheduler's batch can only ever execute its own resident model,
     #: so a mistagged request would silently produce another model's tokens.
     model_name: Optional[str] = None
-    #: Clock of the current scheduling pass, stashed by :meth:`admit` for the
-    #: hooks on methods that do not receive ``now`` (preemption, export) —
-    #: both run at the same simulated instant as the admission pass.
+    #: Clock of the current scheduling pass, stashed by :meth:`admit` (and
+    #: :meth:`record_decode_step`) for :meth:`prepare_decode`, which does
+    #: not receive ``now`` but preempts at the admission pass's instant.
     _clock: float = field(default=0.0, repr=False)
 
     def submit(self, requests: List[Request]) -> None:
@@ -452,8 +452,9 @@ class ContinuousBatchingScheduler:
         self.kv_manager.free(request.request_id)
         self.running.remove(request)
 
-    def _preempt(self, request: Request) -> None:
-        """Reclaim a running request's private pages and return it to the queue.
+    def preempt(self, request: Request, now: float) -> None:
+        """Reclaim a running request's private pages and return it to the
+        queue at simulated time ``now``.
 
         Shared blocks are only de-referenced, never freed here: another
         request may still be reading them, and an unreferenced block stays
@@ -473,12 +474,12 @@ class ContinuousBatchingScheduler:
         bisect.insort(self.waiting, request, key=_waiting_key)
         self.num_preemptions += 1
         if self.tracer is not None:
-            self.tracer.request_preempted(request, self._clock)
+            self.tracer.request_preempted(request, now)
 
     # ------------------------------------------------------------------
     # Disaggregated handoff
     # ------------------------------------------------------------------
-    def export_request(self, request: Request) -> None:
+    def export_request(self, request: Request, now: float) -> None:
         """Hand an in-flight request off to another replica (prefill→decode).
 
         Called by a prefill-role replica the instant a prefill completes: the
@@ -486,7 +487,8 @@ class ContinuousBatchingScheduler:
         local KV pages are reclaimed — the KV *state* travels to the decode
         replica as a priced transfer, not as pages on this device.  Prefix
         references are only dropped, so blocks the prefill published stay
-        cached here for future same-prefix arrivals.
+        cached here for future same-prefix arrivals.  ``now`` stamps the
+        export in the trace.
         """
         if request.state is not RequestState.DECODING:
             raise ValueError(
@@ -496,7 +498,7 @@ class ContinuousBatchingScheduler:
         request.state = RequestState.MIGRATING
         request.kv_ready = True
         if self.tracer is not None:
-            self.tracer.request_exported(request, self._clock)
+            self.tracer.request_exported(request, now)
 
     def prepare_decode(self, lookahead: Optional[Callable[[Request], int]] = None
                        ) -> List[Request]:
@@ -554,7 +556,7 @@ class ContinuousBatchingScheduler:
                 if victim is None:
                     # Nothing lower-priority left to evict.
                     if survivors or len(self.running) > 1:
-                        self._preempt(request)
+                        self.preempt(request, self._clock)
                         preempted_self = True
                         break
                     raise PageAllocationError(
@@ -562,7 +564,7 @@ class ContinuousBatchingScheduler:
                         f"{claim} tokens of KV cache but the "
                         f"device holds only "
                         f"{kv_manager.total_pages * kv_manager.page_size}")
-                self._preempt(victim)
+                self.preempt(victim, self._clock)
             if not preempted_self:
                 if kv_manager.needs_pages(request.request_id, claim,
                                           request.shared_kv_pages):

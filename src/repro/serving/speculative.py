@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.model.config import ModelConfig
 from repro.serving.precision import SystemConfig, get_system
-from repro.serving.request import Request
+from repro.serving.request import Request, mean_context_len
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serving.engine import ServingEngine
@@ -439,8 +439,8 @@ class SpeculativeDecoder:
         max_k = max((k for _, k in lookaheads), default=0)
         for j in range(max_k):
             batch = [r for r, k in lookaheads if k > j]
-            context = int(sum(r.context_len for r in batch) / len(batch)) + j
-            total += self.draft_engine.decode_step(len(batch), context).total
+            total += self.draft_engine.decode_step(
+                len(batch), mean_context_len(batch) + j).total
         return total
 
     def run_iteration(self, decode: List[Request],
@@ -464,9 +464,7 @@ class SpeculativeDecoder:
         draft_s = self._draft_latency(spec)
         verify_chunks = [(k + 1, r.context_len) for r, k in spec]
         chunk_pairs = list(prefill_chunks)
-        plain_context = 0
-        if plain:
-            plain_context = int(sum(r.context_len for r in plain) / len(plain))
+        plain_context = mean_context_len(plain)
         if verify_chunks:
             verify_s = self.target.speculative_verify_step(
                 verify_chunks, chunk_pairs, len(plain), plain_context).total
@@ -507,8 +505,8 @@ class SpeculativeDecoder:
             # chunks sharing the step there is no clean baseline to compare
             # against (the chunks would run once, not once per committed
             # token).
-            context = int(sum(r.context_len for r in decode) / len(decode))
-            baseline_iter = self.target.decode_step(len(decode), context).total
+            baseline_iter = self.target.decode_step(
+                len(decode), mean_context_len(decode)).total
             self.stats.baseline_time_s += \
                 baseline_iter * committed_total / len(decode)
             self.stats.spec_time_s += latency

@@ -322,11 +322,13 @@ def load_trace(source: Union[str, Path, IO[str], Iterable[str]]) -> Workload:
 
     Each line is one JSON object with required fields ``arrival_s``,
     ``prompt_tokens`` and ``output_tokens``, plus optional ``tenant``,
-    ``tier`` (default ``"paid"``) and ``model``.  Requests are sorted by
-    arrival time (ties broken by line order) and re-numbered 0..n-1, so the
-    same file always replays into the identical workload regardless of line
-    order.  ``source`` may be a path, an open text file, or any iterable of
-    lines.
+    ``tier`` (default ``"paid"``) and ``model``.  ``arrival_s`` must be a
+    finite number ``>= 0`` and the token counts positive JSON integers; a
+    line that breaks the schema raises :class:`ValueError` naming it.
+    Requests are sorted by arrival time (ties broken by line order) and
+    re-numbered 0..n-1, so the same file always replays into the identical
+    workload regardless of line order.  ``source`` may be a path, an open
+    text file, or any iterable of lines.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -345,6 +347,17 @@ def load_trace(source: Union[str, Path, IO[str], Iterable[str]]) -> Workload:
         for key in _TRACE_REQUIRED:
             if key not in record:
                 raise ValueError(f"trace line {lineno}: missing {key!r}")
+        arrival = record["arrival_s"]
+        if (isinstance(arrival, bool) or not isinstance(arrival, (int, float))
+                or not math.isfinite(arrival) or arrival < 0):
+            raise ValueError(f"trace line {lineno}: arrival_s must be a "
+                             f"finite number >= 0, got {arrival!r}")
+        for key in ("prompt_tokens", "output_tokens"):
+            tokens = record[key]
+            if (isinstance(tokens, bool) or not isinstance(tokens, int)
+                    or tokens <= 0):
+                raise ValueError(f"trace line {lineno}: {key} must be a "
+                                 f"positive integer, got {tokens!r}")
         tier = record.get("tier", "paid")
         if tier not in TIERS:
             raise ValueError(f"trace line {lineno}: unknown tier {tier!r}")
@@ -352,11 +365,11 @@ def load_trace(source: Union[str, Path, IO[str], Iterable[str]]) -> Workload:
         if model is not None and model not in MODEL_REGISTRY:
             raise ValueError(
                 f"trace line {lineno}: unknown model {model!r}")
-        records.append((float(record["arrival_s"]), lineno, record, tier))
+        records.append((float(arrival), lineno, record, tier))
     records.sort(key=lambda item: (item[0], item[1]))
     requests = [
-        Request(request_id=i, prompt_len=int(record["prompt_tokens"]),
-                output_len=int(record["output_tokens"]), arrival_time=arrival,
+        Request(request_id=i, prompt_len=record["prompt_tokens"],
+                output_len=record["output_tokens"], arrival_time=arrival,
                 tenant=record.get("tenant"), tier=tier,
                 model=record.get("model"))
         for i, (arrival, _, record, tier) in enumerate(records)

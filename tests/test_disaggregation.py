@@ -134,6 +134,40 @@ def test_stepper_exports_on_prefill_completion(llama7b):
         assert request.generated == 0
 
 
+def test_exports_and_evacuations_are_traced_at_their_clock(llama7b):
+    """Prefill-role exports land in the trace when the prefill completes
+    (after the iteration's latency), and an evacuation stamps its exports
+    and preemptions with the evacuation time."""
+    engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                           max_seq_len=4096)
+    prefiller = EngineStepper(engine, max_num_seqs=4, migrate_out=True,
+                              telemetry=True)
+    requests = [Request(request_id=i, prompt_len=128, output_len=16,
+                        arrival_time=0.01 * i) for i in range(3)]
+    prefiller.submit(list(requests))
+    prefiller.run()
+    exports = {rid: t for t, kind, rid, _, _ in prefiller.tracer.events
+               if kind == "exported"}
+    assert exports == {r.request_id: r.prefill_done_time for r in requests}
+
+    stepper = EngineStepper(engine, max_num_seqs=4,
+                            scheduling=SCHEDULING_PRESETS["chunked"],
+                            telemetry=True)
+    stepper.submit([Request(request_id=0, prompt_len=128, output_len=64),
+                    Request(request_id=1, prompt_len=3000, output_len=8)])
+    stepper.step()
+    stepper.step()
+    states = {r.request_id: r.state for r in stepper.scheduler.running}
+    assert states == {0: RequestState.DECODING, 1: RequestState.PREFILLING}
+    drain_at = stepper.now + 5.0
+    exported, waiting = stepper.evacuate(drain_at)
+    assert [r.request_id for r in exported] == [0]
+    assert [r.request_id for r in waiting] == [1]
+    marks = [(kind, rid, t) for t, kind, rid, _, _ in stepper.tracer.events
+             if kind in ("exported", "preempted")]
+    assert marks == [("exported", 0, drain_at), ("preempted", 1, drain_at)]
+
+
 def test_decode_stepper_adopts_without_reprefill(llama7b):
     engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
                            max_seq_len=512)
@@ -221,7 +255,7 @@ def test_export_requires_completed_prefill(llama7b):
     request = Request(request_id=0, prompt_len=128, output_len=16)
     stepper.submit(request)
     with pytest.raises(ValueError):
-        stepper.scheduler.export_request(request)    # still WAITING
+        stepper.scheduler.export_request(request, 0.0)    # still WAITING
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,18 @@ off and comparing every float with ``float.hex()`` (no tolerance), and they
 lock in the perf properties themselves: cache hit rates on steady decode
 loops, admission-scan work staying far below the naive rescan-everything
 count, and the sorted-waiting-queue invariant the fast paths rely on.
+
+"Cache off" is a test-local :class:`CostModelCache` whose store never
+retains an entry, so every lookup recomputes the price from scratch.
 """
 
-import os
+import contextlib
 
 import pytest
 
 from repro.gpu import A100
 from repro.model import get_config
+from repro.serving import engine as engine_module
 from repro.serving import (
     ContinuousBatchingScheduler,
     CostModelCache,
@@ -24,7 +28,6 @@ from repro.serving import (
     SYSTEM_PRESETS,
     ServingEngine,
     SpeculativeConfig,
-    cache_enabled_default,
     make_chat_workload,
     make_lognormal_workload,
     make_uniform_workload,
@@ -34,8 +37,37 @@ LLAMA7B = get_config("llama-2-7b")
 QSERVE = SYSTEM_PRESETS["qserve-w4a8kv4-chn"]
 
 
-def _engine(**kwargs) -> ServingEngine:
-    return ServingEngine(LLAMA7B, A100, QSERVE, max_seq_len=4096, **kwargs)
+def _engine() -> ServingEngine:
+    return ServingEngine(LLAMA7B, A100, QSERVE, max_seq_len=4096)
+
+
+class _NeverStore(dict):
+    """A memo store that drops every write, so each lookup misses."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class _ForgetfulCache(CostModelCache):
+    """A cost cache that never retains an entry: every price is recomputed."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.store = _NeverStore()
+
+
+@contextlib.contextmanager
+def _cost_cache(enabled: bool):
+    """Engines built inside the block (speculative drafts included) memoise
+    their prices when ``enabled`` and recompute every one otherwise."""
+    if enabled:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "CostModelCache", _ForgetfulCache)
+        yield
 
 
 def _result_fingerprint(result) -> dict:
@@ -74,9 +106,10 @@ def test_cost_cache_bitwise_identical(scheduling, workload):
     """Cache on/off produce byte-for-byte identical serving results."""
     results = {}
     for enabled in (True, False):
-        r = _engine(cost_cache=enabled).serve(
-            workload(), max_num_seqs=24,
-            scheduling=SCHEDULING_PRESETS[scheduling])
+        with _cost_cache(enabled):
+            r = _engine().serve(
+                workload(), max_num_seqs=24,
+                scheduling=SCHEDULING_PRESETS[scheduling])
         results[enabled] = _result_fingerprint(r)
     assert results[True] == results[False]
 
@@ -89,17 +122,20 @@ def test_cost_cache_bitwise_identical_speculative():
     wl = make_lognormal_workload(60, arrival_rate=30.0, seed=7)
     results = {}
     for enabled in (True, False):
-        r = _engine(cost_cache=enabled).serve(
-            wl.copy_fresh(), max_num_seqs=16,
-            scheduling=SCHEDULING_PRESETS["chunked-preempt"],
-            speculative=spec)
+        with _cost_cache(enabled):
+            r = _engine().serve(
+                wl.copy_fresh(), max_num_seqs=16,
+                scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                speculative=spec)
         results[enabled] = _result_fingerprint(r)
     assert results[True] == results[False]
 
 
 def test_cost_cache_kernel_latencies_identical():
     """Every kernel-level entry point returns identical values on hit and miss."""
-    cached, uncached = _engine(cost_cache=True), _engine(cost_cache=False)
+    cached = _engine()
+    with _cost_cache(False):
+        uncached = _engine()
     for batch, context in [(1, 128), (16, 512), (48, 1024), (16, 512)]:
         for name in ("gemm", "attention", "other", "comm"):
             a = getattr(cached.decode_step(batch, context), name)
@@ -117,7 +153,7 @@ def test_cost_cache_kernel_latencies_identical():
 # ----------------------------------------------------------------------
 def test_cost_cache_hit_rate_steady_decode():
     """A steady decode loop re-prices the same shapes almost every step."""
-    engine = _engine(cost_cache=True)
+    engine = _engine()
     engine.serve(make_uniform_workload(48, prompt_len=512, output_len=128),
                  max_num_seqs=24)
     cache = engine.cost_cache
@@ -128,32 +164,11 @@ def test_cost_cache_hit_rate_steady_decode():
 
 
 def test_cost_cache_hit_rate_chunked():
-    engine = _engine(cost_cache=True)
+    engine = _engine()
     engine.serve(make_lognormal_workload(120, arrival_rate=40.0, seed=0),
                  max_num_seqs=32,
                  scheduling=SCHEDULING_PRESETS["chunked-preempt"])
     assert engine.cost_cache.hit_rate > 0.5
-
-
-def test_cost_cache_disabled_counts_nothing():
-    engine = _engine(cost_cache=False)
-    engine.serve(make_uniform_workload(8, prompt_len=128, output_len=16),
-                 max_num_seqs=8)
-    cache = engine.cost_cache
-    assert cache.lookups == 0 and len(cache.store) == 0
-
-
-def test_cost_cache_env_default(monkeypatch):
-    """REPRO_COST_CACHE=0 disables caching for engines built without override."""
-    monkeypatch.setenv("REPRO_COST_CACHE", "0")
-    assert not cache_enabled_default()
-    assert not _engine().cost_cache.enabled
-    monkeypatch.setenv("REPRO_COST_CACHE", "1")
-    assert cache_enabled_default()
-    assert _engine().cost_cache.enabled
-    # Explicit constructor choice always wins over the environment.
-    monkeypatch.setenv("REPRO_COST_CACHE", "0")
-    assert _engine(cost_cache=True).cost_cache.enabled
 
 
 def test_cost_cache_clear():

@@ -3,6 +3,8 @@ precision tiers (demote/promote/evict conservation), dequant cost charging,
 precision-aware SLO accounting, heterogeneous mixed-precision fleets with
 cross-precision transfer repricing, and the precision-aware router."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gpu import A100
@@ -405,6 +407,30 @@ def test_heterogeneous_fleet_shares_engines_per_preset(llama7b):
     with pytest.raises(ValueError, match="entries"):
         ClusterEngine(llama7b, A100, get_system("trt-fp16"), 2,
                       systems=["trt-fp16"])
+
+
+def test_heterogeneous_fleet_keys_engines_by_config_not_name(llama7b):
+    """A config that only borrows another preset's name gets its own engine."""
+    qserve = get_system("qserve-w4a8kv4-chn")
+    fp16 = replace(get_system("trt-fp16"), name=qserve.name)
+    fleet = ClusterEngine(llama7b, A100, qserve, 2, systems=[fp16, qserve])
+    assert fleet.engines[0].system is fp16
+    assert (fleet.engines[0].system.weight_bits,
+            fleet.engines[0].system.kv_bits) == (16, 16)
+    assert fleet.engines[1] is fleet.engine
+    assert fleet.engines[0] is not fleet.engine
+
+
+def test_kv_transcode_memo_keys_on_the_source_config(llama7b):
+    """Two source configs that share a name are priced separately."""
+    kv4 = ServingEngine(llama7b, A100, get_system("qserve-w4a8kv4-chn"))
+    fp16 = get_system("trt-fp16")
+    kv8 = replace(get_system("trt-w8a8"), name=fp16.name)
+    from_fp16 = kv4.kv_transcode_latency(1024, fp16)
+    from_kv8 = kv4.kv_transcode_latency(1024, kv8)
+    assert from_kv8 < from_fp16                 # half the bytes to read
+    assert kv4.kv_transcode_latency(1024, fp16) == from_fp16
+    assert kv4.kv_transcode_latency(1024, kv8) == from_kv8
 
 
 def test_precision_aware_router_honors_floors_and_tiers(llama7b):

@@ -280,7 +280,7 @@ def test_preemption_releases_refs_and_rematches(llama7b):
     sched.admit(now=0.0)
     sched.complete_prefill(now=1.0)
     assert victim.shared_kv_pages == 6
-    sched._preempt(victim)
+    sched.preempt(victim, now=1.0)
     assert victim.cached_tokens == 0 and victim.shared_kv_pages == 0
     assert cache.total_ref_count == 0
     assert cache.cached_pages == 6              # blocks survive the preemption

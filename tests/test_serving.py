@@ -13,6 +13,7 @@ from repro.serving import (
     LatencySummary,
     PageAllocationError,
     PagedKVCacheManager,
+    ParallelConfig,
     Request,
     RequestMetrics,
     RequestState,
@@ -226,6 +227,67 @@ def test_mixed_step_reduces_to_decode_step(llama7b):
     mixed = engine.mixed_step([], decode_batch=16, decode_context=1024)
     plain = engine.decode_step(16, 1024)
     assert mixed.total == plain.total
+
+
+def _closed_form_decode(engine, batch, context):
+    """The decode-step formula as written before it became a mixed step."""
+    eff = engine.system.runtime_efficiency
+    gemm = engine._block_gemm_latency(batch) * engine.model.num_layers
+    lm = engine._lm_head_latency(batch)
+    return ((gemm + lm) / eff,
+            engine._decode_attention_latency(batch, context) / eff,
+            100e-6 / eff, _closed_form_comm(engine, batch))
+
+
+def _closed_form_prefill(engine, batch, prompt_len):
+    """The batched-prefill formula as written before it became a mixed step."""
+    model, eff = engine.model, engine.system.runtime_efficiency
+    tokens = batch * prompt_len
+    macs = 2.0 * batch * prompt_len * prompt_len * model.num_heads * model.head_dim
+    attn = engine._prefill_attention_latency(macs / engine.tp_degree)
+    return (engine._block_gemm_latency(tokens) * model.num_layers / eff,
+            attn / eff, 100e-6 / eff, _closed_form_comm(engine, tokens))
+
+
+def _closed_form_comm(engine, tokens):
+    if not engine.parallel.is_parallel:
+        return 0.0
+    return engine.parallel.block_comm_latency(
+        tokens, engine.model.hidden_size, engine.model.num_layers)
+
+
+def _fields(step):
+    return tuple(getattr(step, f).hex()
+                 for f in ("gemm", "attention", "other", "comm"))
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+@pytest.mark.parametrize("system", sorted(SYSTEM_PRESETS))
+@pytest.mark.parametrize("model", ["llama-2-7b", "llama-2-70b", "mixtral-8x7b"])
+def test_decode_and_prefill_are_mixed_steps(model, system, tp):
+    """``decode_step`` and ``prefill`` are special cases of ``mixed_step``,
+    bit for bit, and equal the closed forms they replaced — including the
+    b=256, S=4096 llama-2-70b prefill, whose 2^46 MACs sit closest to the
+    2^53 bound below which summing equal chunks is exact."""
+    engine = ServingEngine(get_config(model), A100, SYSTEM_PRESETS[system],
+                           parallel=ParallelConfig(tp_degree=tp))
+    for batch, context in [(1, 1), (16, 1024), (256, 4096)]:
+        decode = engine.decode_step(batch, context)
+        assert _fields(decode) == _fields(engine.mixed_step((), batch, context))
+        assert _fields(decode) == tuple(
+            v.hex() for v in _closed_form_decode(engine, batch, context))
+        prefill = engine.prefill(batch, context)
+        assert _fields(prefill) == _fields(
+            engine.mixed_step([(context, 0)] * batch, 0, 0))
+        assert _fields(prefill) == tuple(
+            v.hex() for v in _closed_form_prefill(engine, batch, context))
+
+
+def test_decode_and_prefill_reject_empty_batches(llama7b):
+    engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["trt-w8a8"])
+    for price in (engine.decode_step, engine.prefill):
+        with pytest.raises(ValueError, match="batch must be positive"):
+            price(0, 128)
 
 
 def test_mixed_step_chunk_cost_grows_with_context(llama7b):

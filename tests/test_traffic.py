@@ -223,6 +223,28 @@ def test_trace_load_validates():
         load_trace(["{not json"])
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("arrival_s", float("nan"), "arrival_s must be a finite number"),
+    ("arrival_s", float("inf"), "arrival_s must be a finite number"),
+    ("arrival_s", -3, "arrival_s must be a finite number"),
+    ("arrival_s", "soon", "arrival_s must be a finite number"),
+    ("arrival_s", True, "arrival_s must be a finite number"),
+    ("prompt_tokens", 10.9, "prompt_tokens must be a positive integer"),
+    ("prompt_tokens", 10.0, "prompt_tokens must be a positive integer"),
+    ("prompt_tokens", True, "prompt_tokens must be a positive integer"),
+    ("prompt_tokens", 0, "prompt_tokens must be a positive integer"),
+    ("prompt_tokens", "12", "prompt_tokens must be a positive integer"),
+    ("output_tokens", -1, "output_tokens must be a positive integer"),
+    ("output_tokens", None, "output_tokens must be a positive integer"),
+])
+def test_trace_load_rejects_bad_values(field, value, message):
+    """Bad values fail at the trace boundary, naming the offending line."""
+    good = {"arrival_s": 0.5, "prompt_tokens": 16, "output_tokens": 4}
+    bad = dict(good, **{field: value})
+    with pytest.raises(ValueError, match=f"trace line 2: {message}"):
+        load_trace([json.dumps(good), json.dumps(bad)])
+
+
 def test_trace_replay_reproducible(llama7b, system):
     wl = make_diurnal_workload(60, base_rate=20.0, period_s=10.0,
                                tenants=4, seed=8)
