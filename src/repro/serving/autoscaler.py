@@ -82,10 +82,9 @@ class AutoscalerConfig:
       finished since the last tick met their TTFT SLO (given at least
       ``slo_min_samples`` of them, so one slow request cannot trigger a
       replica).
-    * **scale down** when the queue is no deeper than
-      ``scale_down_queue_depth``, the outstanding work would fit on the
-      remaining replicas at ``scale_down_outstanding`` requests each, and no
-      replica is still provisioning.
+    * **scale down** when nothing is queued, the outstanding work would fit
+      on the remaining replicas at ``scale_down_outstanding`` requests each,
+      and no replica is still provisioning.
 
     ``up_cooldown_s`` / ``down_cooldown_s`` are the hysteresis: after a
     scale-up, further ups wait ``up_cooldown_s`` and downs wait
@@ -103,7 +102,6 @@ class AutoscalerConfig:
     max_replicas: Optional[int] = None
     interval_s: float = 5.0
     scale_up_queue_depth: float = 4.0
-    scale_down_queue_depth: float = 0.0
     scale_down_outstanding: float = 1.0
     up_cooldown_s: float = 10.0
     down_cooldown_s: float = 30.0
@@ -222,7 +220,7 @@ class ReactiveAutoscaler:
                 and snapshot.num_starting == 0
                 and snapshot.now - self._last_up >= cfg.down_cooldown_s
                 and snapshot.now - self._last_down >= cfg.down_cooldown_s
-                and snapshot.queue_depth <= cfg.scale_down_queue_depth
+                and snapshot.queue_depth == 0
                 and snapshot.outstanding
                 <= cfg.scale_down_outstanding * (snapshot.num_active - 1)):
             return ("down", "idle")

@@ -195,9 +195,9 @@ class PrefixAffinityRouter(Router):
 
     Each arriving request probes every replica's prefix cache
     (:meth:`EngineStepper.cached_prefix_tokens`) and is routed to the
-    replica with the best ``hit_tokens - load_penalty_tokens * outstanding``
+    replica with the best ``hit_tokens - LOAD_PENALTY_TOKENS * outstanding``
     score, so cache affinity wins until the warm replica's queue grows
-    ``load_penalty_tokens`` worth of backlog per waiting request.  Requests
+    :attr:`LOAD_PENALTY_TOKENS` worth of backlog per waiting request.  Requests
     that hit nowhere (first turns, caching disabled) are routed
     least-outstanding but *stick* by session key — the first two prompt
     segments, i.e. (system prompt, first user message) — so a session's
@@ -208,11 +208,10 @@ class PrefixAffinityRouter(Router):
     """
 
     name = "prefix-affinity"
+    #: Prompt tokens of cache hit one outstanding request outweighs.
+    LOAD_PENALTY_TOKENS = 512
 
-    def __init__(self, load_penalty_tokens: int = 512) -> None:
-        if load_penalty_tokens < 0:
-            raise ValueError("load_penalty_tokens must be non-negative")
-        self.load_penalty_tokens = load_penalty_tokens
+    def __init__(self) -> None:
         self._sticky: Dict[tuple, EngineStepper] = {}
 
     @staticmethod
@@ -227,7 +226,7 @@ class PrefixAffinityRouter(Router):
         index = None
         if max(probes) > 0:
             index = min(range(len(replicas)),
-                        key=lambda i: (-(probes[i] - self.load_penalty_tokens
+                        key=lambda i: (-(probes[i] - self.LOAD_PENALTY_TOKENS
                                          * replicas[i].outstanding_requests), i))
         elif key in self._sticky:
             sticky = self._sticky[key]
@@ -272,7 +271,7 @@ class PrecisionAwareRouter(Router):
     :attr:`~repro.serving.precision.SystemConfig.min_precision_bits`.
     Requests carrying a quality floor (``precision_floor_bits > 0``) go to
     the replicas that satisfy it; short interactive requests (total work at
-    most ``interactive_tokens`` prompt+output tokens) go to the
+    most :attr:`INTERACTIVE_TOKENS` prompt+output tokens) go to the
     highest-precision group, whose replicas are also the fastest per token
     to first byte under light load in a mixed FP16 + W4A8KV4 fleet's
     latency tier; everything else — throughput traffic — lands on the
@@ -282,14 +281,13 @@ class PrecisionAwareRouter(Router):
     """
 
     name = "precision-aware"
-
-    def __init__(self, interactive_tokens: int = 256) -> None:
-        if interactive_tokens < 0:
-            raise ValueError("interactive_tokens must be non-negative")
-        self.interactive_tokens = interactive_tokens
+    #: Largest prompt+output token total routed as interactive traffic.
+    INTERACTIVE_TOKENS = 256
 
     def route(self, request: Request, replicas: Sequence[EngineStepper]) -> int:
-        bits = [replica.engine.system.min_precision_bits
+        # Both host types expose their steppers; a multiplexed replica's
+        # steppers all run on the replica's one system.
+        bits = [replica.steppers[0].engine.system.min_precision_bits
                 for replica in replicas]
         hi, lo = max(bits), min(bits)
         if hi == lo:
@@ -301,7 +299,7 @@ class PrecisionAwareRouter(Router):
                 # No replica meets the floor; fail toward the best quality
                 # available rather than refusing to route.
                 group = [i for i in range(len(replicas)) if bits[i] == hi]
-        elif request.prompt_len + request.output_len <= self.interactive_tokens:
+        elif request.prompt_len + request.output_len <= self.INTERACTIVE_TOKENS:
             group = [i for i in range(len(replicas)) if bits[i] == hi]
         else:
             group = [i for i in range(len(replicas)) if bits[i] == lo]
@@ -849,7 +847,7 @@ class ClusterEngine:
     @property
     def heterogeneous(self) -> bool:
         """Whether replicas run under more than one system preset."""
-        return len({engine.system.name for engine in self.engines}) > 1
+        return len({engine.system for engine in self.engines}) > 1
 
     @property
     def total_gpus(self) -> int:

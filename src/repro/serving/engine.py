@@ -685,10 +685,6 @@ class EngineStepper:
                     lambda r: self.spec.lookahead_for(r) + 1
         kv_manager = engine.new_kv_manager(capacity_bytes=kv_capacity)
         self.prefix_cache: Optional[PrefixCache] = None
-        if self.scheduling.kv_demotion and not self.scheduling.prefix_caching:
-            raise ValueError(
-                "kv_demotion applies to shared prefix-cache blocks; enable "
-                "prefix_caching alongside it")
         if self.scheduling.prefix_caching:
             if not engine.system.paged_kv:
                 raise ValueError(
@@ -697,23 +693,13 @@ class EngineStepper:
             self.prefix_cache = PrefixCache(
                 kv_manager, demotion=self.scheduling.kv_demotion,
                 namespace=model_name)
-        policy = self.scheduling.build_policy()
-        if hasattr(policy, "prefix_cache"):
-            # Cache-aware policies rank by live cache state.
-            policy.prefix_cache = self.prefix_cache
         self.scheduler = ContinuousBatchingScheduler(
             kv_manager=kv_manager,
+            scheduling=self.scheduling,
             max_num_seqs=max_num_seqs or 10**9,
-            policy=policy,
-            preemption=self.scheduling.preemption,
             prefix_cache=self.prefix_cache,
             tracer=self.tracer,
-            model_name=model_name,
-            tier_admission=self.scheduling.tier_admission,
-            free_tier_page_headroom=self.scheduling.free_tier_page_headroom,
-            free_tier_seq_headroom=self.scheduling.free_tier_seq_headroom,
-            tier_aging_s=self.scheduling.tier_aging_s,
-            free_tier_drop_after_s=self.scheduling.free_tier_drop_after_s)
+            model_name=model_name)
         self.now = 0.0
         self.iterations = 0
         self.peak_batch = 0
@@ -872,35 +858,23 @@ class EngineStepper:
             # speculation the claim covers the whole drafted block
             # (rejected tokens are trimmed back after verification).
             scheduler.prepare_decode(
+                self.now,
                 lookahead=None if self.spec is None else self.spec.lookahead_for)
             admitted = [r for r in admitted
                         if r.state is RequestState.PREFILLING]
         plan = self.planner.plan(scheduler, admitted)
         if plan.is_empty:
-            # Nothing runnable: jump to the next arrival (for migrated
-            # requests, the instant their KV transfer lands), or stop if the
-            # remaining requests can never be admitted.  The scheduler keeps
-            # ``waiting`` sorted by availability, so the next arrival is the
-            # queue head and the first strictly-future one a bisect away —
-            # no full-queue scan.
+            # Nothing runnable at ``now``, and replanning at the same clock
+            # would make no progress: jump to the next strictly-future
+            # arrival (for migrated requests, the instant their KV transfer
+            # lands) — only a new admission can unwedge the loop — or stop
+            # and report the stuck requests as unserved.  This applies with
+            # or without a running batch: an arrived request that can never
+            # be admitted (larger than the whole KV cache) strands only
+            # itself, not every later arrival.  The scheduler keeps
+            # ``waiting`` sorted by availability, so that arrival is a
+            # bisect away — no full-queue scan.
             waiting = scheduler.waiting
-            if not waiting:
-                return False
-            next_arrival = waiting[0].available_time
-            if next_arrival > self.now:
-                if horizon is not None and next_arrival > horizon:
-                    return False  # nothing more can happen before the horizon
-                self.now = next_arrival
-                return True
-            # Admission, preemption and planning all made no progress at
-            # ``now`` and the scheduler state is unchanged, so replanning at
-            # the same clock would spin forever (the old loop did, until the
-            # iteration guard fired).  Jump deterministically to the next
-            # strictly-future arrival — only a new admission can unwedge the
-            # loop — or stop and report the stuck requests as unserved.
-            # This applies with or without a running batch: an arrived
-            # request that can never be admitted (larger than the whole KV
-            # cache) must strand only itself, not every later arrival.
             index = bisect_right(waiting, self.now,
                                  key=lambda r: r.available_time)
             if index == len(waiting):

@@ -208,11 +208,6 @@ class PagedKVCacheManager:
         target = self.pages_for_tokens(num_tokens) - shared_pages
         return target - self._allocated.get(request_id, 0)
 
-    def can_allocate(self, request_id: int, num_tokens: int,
-                     shared_pages: int = 0) -> bool:
-        return self.pages_needed(request_id, num_tokens,
-                                 shared_pages) <= self.free_pages
-
     def needs_pages(self, request_id: int, num_tokens: int,
                     shared_pages: int = 0) -> bool:
         """Whether growing to ``num_tokens`` needs at least one fresh page.

@@ -296,13 +296,20 @@ class SchedulingConfig:
     tier_admission:
         When true, admission becomes SLO-tier aware (multi-tenant serving):
         paid-tier requests admit ahead of free-tier ones, free-tier requests
-        are deferred while the replica is under page/queue pressure (see the
-        two headroom knobs), a deferred request older than ``tier_aging_s``
-        is promoted to paid rank (aging floor, no starvation), and — with
-        ``free_tier_drop_after_s`` set — never-admitted free-tier requests
-        stuck that long under pressure are dropped (load shedding).  Off by
-        default; untagged requests default to the paid tier, so enabling it
-        on a tier-less workload changes nothing.
+        are deferred while the replica is under page/queue pressure, and a
+        deferred request older than the aging floor is promoted to paid rank
+        (no starvation); the pressure thresholds and the floor are constants
+        of :mod:`repro.serving.scheduler`.  Off by default; untagged requests
+        default to the paid tier, so enabling it on a tier-less workload
+        changes nothing.
+    free_tier_drop_after_s:
+        With ``tier_admission``, never-admitted free-tier requests stuck
+        longer than this many seconds under pressure are dropped (load
+        shedding).  ``None`` (the default) never sheds.
+
+    Construction rejects an unknown ``policy``, a non-positive
+    ``prefill_chunk_size``, a negative ``free_tier_drop_after_s`` and
+    ``kv_demotion`` without ``prefix_caching``.
     """
 
     policy: str = "fcfs"
@@ -312,10 +319,21 @@ class SchedulingConfig:
     prefix_caching: bool = False
     kv_demotion: bool = False
     tier_admission: bool = False
-    free_tier_page_headroom: float = 0.10
-    free_tier_seq_headroom: float = 0.25
-    tier_aging_s: float = 5.0
     free_tier_drop_after_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}; known: "
+                             f"{', '.join(sorted(POLICIES))}")
+        if self.prefill_chunk_size <= 0:
+            raise ValueError("prefill_chunk_size must be positive")
+        if (self.free_tier_drop_after_s is not None
+                and self.free_tier_drop_after_s < 0):
+            raise ValueError("free_tier_drop_after_s must be non-negative")
+        if self.kv_demotion and not self.prefix_caching:
+            raise ValueError(
+                "kv_demotion applies to shared prefix-cache blocks; enable "
+                "prefix_caching alongside it")
 
     def build_policy(self) -> SchedulerPolicy:
         return get_policy(self.policy)

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationError
-from repro.serving.policies import FCFSPolicy, SchedulerPolicy
+from repro.serving.policies import (LEGACY_SCHEDULING, SchedulerPolicy,
+                                    SchedulingConfig)
 from repro.serving.prefix_cache import PrefixCache
 from repro.serving.request import Request, RequestState
 
@@ -65,47 +66,29 @@ def _waiting_key(request: Request):
     return (request.available_time, request.request_id)
 
 
+#: Tier-aware admission thresholds: a replica is under pressure with fewer
+#: than this share of its KV pages free, or with at most this share of its
+#: sequence slots open.
+FREE_TIER_PAGE_HEADROOM = 0.10
+FREE_TIER_SEQ_HEADROOM = 0.25
+#: Aging floor: a free-tier request waiting this long counts as paid rank.
+TIER_AGING_S = 5.0
+
+
 @dataclass
 class ContinuousBatchingScheduler:
-    """Policy-driven continuous-batching scheduler over a paged KV cache."""
+    """Policy-driven continuous-batching scheduler over a paged KV cache.
+
+    Every setting comes from ``scheduling``: the admission/eviction policy
+    (``cache-aware`` is bound to ``prefix_cache``), optimistic reservation
+    with preemption, and tier-aware admission.  The fields after
+    ``model_name`` are the built policy and run state.
+    """
 
     kv_manager: PagedKVCacheManager
+    scheduling: SchedulingConfig = LEGACY_SCHEDULING
     max_num_seqs: int = 256
-    policy: SchedulerPolicy = field(default_factory=FCFSPolicy)
-    preemption: bool = False
     prefix_cache: Optional[PrefixCache] = None
-    waiting: List[Request] = field(default_factory=list)
-    running: List[Request] = field(default_factory=list)
-    finished: List[Request] = field(default_factory=list)
-    num_preemptions: int = 0
-    recomputed_prefill_tokens: int = 0
-    #: Admission-scan instrumentation: requests actually examined by
-    #: :meth:`admit`'s scan loop across the run, and admit() calls resolved
-    #: by a constant-time fast path (sequence cap reached, nothing arrived,
-    #: or a provably full KV cache) without touching the queue.  Together
-    #: they pin down the scheduler's admission work: a run whose queue never
-    #: drains should resolve almost every step through the fast path instead
-    #: of rescanning the whole waiting list.
-    admission_scanned_requests: int = 0
-    admission_fast_skips: int = 0
-    #: Tier-aware admission (multi-tenant SLO tiers), default off.  When on,
-    #: paid-tier requests admit ahead of free-tier ones, and free-tier
-    #: requests are *deferred* (skipped without a scan) while the replica is
-    #: under pressure — fewer than ``free_tier_page_headroom`` of the KV
-    #: pages free, or fewer than ``free_tier_seq_headroom`` of the sequence
-    #: slots open.  A deferred request older than ``tier_aging_s`` is
-    #: promoted to paid rank (the aging floor: sustained paid load can delay
-    #: free traffic but never starve it).  With ``free_tier_drop_after_s``
-    #: set, never-admitted free-tier requests still waiting that long under
-    #: pressure are dropped (load shedding) into :attr:`dropped`.
-    tier_admission: bool = False
-    free_tier_page_headroom: float = 0.10
-    free_tier_seq_headroom: float = 0.25
-    tier_aging_s: float = 5.0
-    free_tier_drop_after_s: Optional[float] = None
-    dropped: List[Request] = field(default_factory=list)
-    tier_deferrals: int = 0
-    drops_by_tier: Dict[str, int] = field(default_factory=dict)
     #: Optional telemetry recorder (:class:`~repro.serving.telemetry.Tracer`).
     #: Every hook below sits behind an ``is not None`` guard, so an untraced
     #: scheduler pays one pointer test per call site at most.
@@ -116,10 +99,41 @@ class ContinuousBatchingScheduler:
     #: one scheduler's batch can only ever execute its own resident model,
     #: so a mistagged request would silently produce another model's tokens.
     model_name: Optional[str] = None
-    #: Clock of the current scheduling pass, stashed by :meth:`admit` (and
-    #: :meth:`record_decode_step`) for :meth:`prepare_decode`, which does
-    #: not receive ``now`` but preempts at the admission pass's instant.
-    _clock: float = field(default=0.0, repr=False)
+    policy: SchedulerPolicy = field(init=False)
+    waiting: List[Request] = field(init=False, default_factory=list)
+    running: List[Request] = field(init=False, default_factory=list)
+    finished: List[Request] = field(init=False, default_factory=list)
+    num_preemptions: int = field(init=False, default=0)
+    recomputed_prefill_tokens: int = field(init=False, default=0)
+    #: Admission-scan instrumentation: requests actually examined by
+    #: :meth:`admit`'s scan loop across the run, and admit() calls resolved
+    #: by a constant-time fast path (sequence cap reached, nothing arrived,
+    #: or a provably full KV cache) without touching the queue.  Together
+    #: they pin down the scheduler's admission work: a run whose queue never
+    #: drains should resolve almost every step through the fast path instead
+    #: of rescanning the whole waiting list.
+    admission_scanned_requests: int = field(init=False, default=0)
+    admission_fast_skips: int = field(init=False, default=0)
+    #: Tier-aware admission (multi-tenant SLO tiers): paid-tier requests
+    #: admit ahead of free-tier ones, and free-tier requests are *deferred*
+    #: (skipped without a scan, counted in ``tier_deferrals``) while the
+    #: replica is under pressure — fewer than :data:`FREE_TIER_PAGE_HEADROOM`
+    #: of the KV pages free, or at most :data:`FREE_TIER_SEQ_HEADROOM` of
+    #: the sequence slots open.  A deferred request older than
+    #: :data:`TIER_AGING_S` is promoted to paid rank (the aging floor:
+    #: sustained paid load can delay free traffic but never starve it).
+    #: With ``free_tier_drop_after_s`` set, never-admitted free-tier
+    #: requests still waiting that long under pressure are dropped (load
+    #: shedding) into ``dropped``.
+    dropped: List[Request] = field(init=False, default_factory=list)
+    tier_deferrals: int = field(init=False, default=0)
+    drops_by_tier: Dict[str, int] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.policy = self.scheduling.build_policy()
+        if hasattr(self.policy, "prefix_cache"):
+            # Cache-aware policies rank by live cache state.
+            self.policy.prefix_cache = self.prefix_cache
 
     def submit(self, requests: List[Request]) -> None:
         """Add requests to the waiting queue (sorted by availability time).
@@ -152,7 +166,7 @@ class ContinuousBatchingScheduler:
     # ------------------------------------------------------------------
     def _reservation_tokens(self, request: Request) -> int:
         """KV tokens to reserve at admission under the current mode."""
-        if self.preemption:
+        if self.scheduling.preemption:
             # Optimistic: only what the request holds right now (its prompt,
             # plus any generated tokens to recompute after a preemption).
             return request.context_len
@@ -181,8 +195,9 @@ class ContinuousBatchingScheduler:
         is a pure short-circuit of the full scan: the admissions it returns
         and the queue it leaves behind are identical, step for step.
         """
-        self._clock = now
-        if (self.tier_admission and self.free_tier_drop_after_s is not None
+        scheduling = self.scheduling
+        tier_admission = scheduling.tier_admission
+        if (tier_admission and scheduling.free_tier_drop_after_s is not None
                 and self.waiting):
             self._shed_free_tier(now)
         waiting = self.waiting
@@ -210,8 +225,9 @@ class ContinuousBatchingScheduler:
         pending = waiting[split:]
 
         admitted: List[Request] = []
+        kv_manager = self.kv_manager
         order = self.policy.admission_order(arrived)
-        if self.tier_admission:
+        if tier_admission:
             # Paid tier first; a free-tier request past the aging floor
             # counts as paid (stable sort keeps the policy order within each
             # rank).  Tier rank deliberately outranks arrival order — that is
@@ -219,7 +235,7 @@ class ContinuousBatchingScheduler:
             # tiers when this mode is on.
             order = sorted(order, key=lambda r: self._tier_rank(r, now))
         for request in order:
-            if (self.tier_admission and self._tier_rank(request, now)
+            if (tier_admission and self._tier_rank(request, now)
                     and self._tier_pressure(len(admitted))):
                 # Deferred free-tier request: a constant-time pre-screen, not
                 # an admission scan — it must not inflate
@@ -232,8 +248,8 @@ class ContinuousBatchingScheduler:
                 # The cap blocks this and every later request (nothing below
                 # can admit once it is reached), so stop scanning.
                 break
-            if self.preemption and self.kv_manager.pages_for_tokens(
-                    request.prompt_len + request.output_len) > self.kv_manager.total_pages:
+            if scheduling.preemption and kv_manager.pages_for_tokens(
+                    request.prompt_len + request.output_len) > kv_manager.total_pages:
                 # Optimistic admission still refuses requests whose *final*
                 # footprint exceeds the whole cache: no amount of preemption
                 # could ever finish them, so admitting would end in a
@@ -265,35 +281,27 @@ class ContinuousBatchingScheduler:
                     # with demotion off.
                     promote_need = self.prefix_cache.promotion_page_need(
                         cached_nodes)
-                shortfall = (self.kv_manager.pages_needed(
-                    request.request_id, tokens, shared_pages)
-                    + promote_need
-                    - self.kv_manager.free_pages)
-                if (shortfall > 0 and shortfall
-                        <= self.prefix_cache.evictable_pages(cached_nodes)):
-                    # Reclaim unreferenced cached blocks before refusing
-                    # admission, shielding the blocks this request matched.
-                    # When even a full eviction pass could not cover the
-                    # shortfall (e.g. a request larger than the whole cache)
-                    # the shared blocks are left alone: flushing them would
-                    # not admit this request but would destroy every other
-                    # request's reuse.
-                    self.prefix_cache.evict(shortfall, protect=cached_nodes)
-            if promote_need:
-                fits = (self.kv_manager.pages_needed(
-                    request.request_id, tokens, shared_pages) + promote_need
-                    <= self.kv_manager.free_pages)
-            else:
-                fits = self.kv_manager.can_allocate(request.request_id,
-                                                    tokens, shared_pages)
-            if fits:
+            need = kv_manager.pages_needed(
+                request.request_id, tokens, shared_pages) + promote_need
+            shortfall = need - kv_manager.free_pages
+            if (shortfall > 0 and self.prefix_cache is not None
+                    and shortfall
+                    <= self.prefix_cache.evictable_pages(cached_nodes)):
+                # Reclaim unreferenced cached blocks before refusing
+                # admission, shielding the blocks this request matched.
+                # When even a full eviction pass could not cover the
+                # shortfall (e.g. a request larger than the whole cache) the
+                # shared blocks are left alone: flushing them would not
+                # admit this request but would destroy every other request's
+                # reuse.
+                self.prefix_cache.evict(shortfall, protect=cached_nodes)
+            if need <= kv_manager.free_pages:
                 if request.kv_ready:
                     # The uncached pages' contents arrive via KV transfer.
-                    self.kv_manager.adopt(request.request_id, tokens,
-                                          shared_pages)
+                    kv_manager.adopt(request.request_id, tokens, shared_pages)
                 else:
-                    self.kv_manager.allocate(request.request_id, tokens,
-                                             shared_pages)
+                    kv_manager.allocate(request.request_id, tokens,
+                                        shared_pages)
                 if self.prefix_cache is not None and not pinned:
                     self.prefix_cache.acquire(request, cached_nodes,
                                               count_stats=not request.kv_ready)
@@ -320,13 +328,13 @@ class ContinuousBatchingScheduler:
     def _tier_rank(self, request: Request, now: float) -> int:
         """0 for paid-rank requests, 1 for deferrable free-tier ones.
 
-        Free-tier requests that have waited at least ``tier_aging_s`` since
+        Free-tier requests that have waited at least :data:`TIER_AGING_S` since
         becoming available are promoted to paid rank — the aging floor that
         keeps sustained paid load from starving free traffic forever.
         """
         if request.tier != "free":
             return 0
-        return 1 if now - request.available_time < self.tier_aging_s else 0
+        return 1 if now - request.available_time < TIER_AGING_S else 0
 
     def _tier_pressure(self, extra_seqs: int = 0) -> bool:
         """Is the replica under page or queue pressure right now?
@@ -335,10 +343,10 @@ class ContinuousBatchingScheduler:
         pressure can develop mid-scan as admissions consume slots and pages.
         """
         kv = self.kv_manager
-        if kv.free_pages < self.free_tier_page_headroom * kv.total_pages:
+        if kv.free_pages < FREE_TIER_PAGE_HEADROOM * kv.total_pages:
             return True
         open_slots = self.max_num_seqs - len(self.running) - extra_seqs
-        return open_slots <= self.free_tier_seq_headroom * self.max_num_seqs
+        return open_slots <= FREE_TIER_SEQ_HEADROOM * self.max_num_seqs
 
     def _shed_free_tier(self, now: float) -> None:
         """Drop never-admitted free-tier requests stuck past the shed cutoff.
@@ -351,12 +359,12 @@ class ContinuousBatchingScheduler:
         """
         if not self._tier_pressure():
             return
+        cutoff = self.scheduling.free_tier_drop_after_s
         kept: List[Request] = []
         for request in self.waiting:
             if (request.tier == "free" and request.admitted_time is None
                     and request.available_time <= now
-                    and now - request.available_time
-                    > self.free_tier_drop_after_s):
+                    and now - request.available_time > cutoff):
                 request.state = RequestState.DROPPED
                 request.drop_time = now
                 self.dropped.append(request)
@@ -427,12 +435,6 @@ class ContinuousBatchingScheduler:
             if self.tracer is not None:
                 self.tracer.prefill_done(request, now)
 
-    def complete_prefill(self, now: float) -> None:
-        """Finish the prefill of every prefilling request (legacy stall path)."""
-        for request in self.running:
-            if request.state is RequestState.PREFILLING:
-                self.record_prefill(request, request.prefill_remaining, now)
-
     # ------------------------------------------------------------------
     # Preemption
     # ------------------------------------------------------------------
@@ -500,7 +502,8 @@ class ContinuousBatchingScheduler:
         if self.tracer is not None:
             self.tracer.request_exported(request, now)
 
-    def prepare_decode(self, lookahead: Optional[Callable[[Request], int]] = None
+    def prepare_decode(self, now: float,
+                       lookahead: Optional[Callable[[Request], int]] = None
                        ) -> List[Request]:
         """Guarantee every decoding request can append its next token(s).
 
@@ -508,7 +511,8 @@ class ContinuousBatchingScheduler:
         request whose context crosses a page boundary.  Pages are claimed here,
         highest-priority request first; when the cache is exhausted the
         policy's lowest-priority *running* request (decoding or prefilling) is
-        preempted until the claim fits.  Returns the surviving decode batch.
+        preempted at ``now`` until the claim fits.  Returns the surviving
+        decode batch.
 
         ``lookahead`` (speculative decoding) returns the extra draft tokens a
         request will verify beyond its next token, so the claim covers the
@@ -517,7 +521,7 @@ class ContinuousBatchingScheduler:
         page conservation exact.
         """
         decoding = self.decoding_requests()
-        if not self.preemption or not decoding:
+        if not self.scheduling.preemption or not decoding:
             return decoding
         # Fast path: on most iterations no decode crosses a page boundary, so
         # every claim below would be a no-op allocation.  Checking that first
@@ -556,7 +560,7 @@ class ContinuousBatchingScheduler:
                 if victim is None:
                     # Nothing lower-priority left to evict.
                     if survivors or len(self.running) > 1:
-                        self.preempt(request, self._clock)
+                        self.preempt(request, now)
                         preempted_self = True
                         break
                     raise PageAllocationError(
@@ -564,7 +568,7 @@ class ContinuousBatchingScheduler:
                         f"{claim} tokens of KV cache but the "
                         f"device holds only "
                         f"{kv_manager.total_pages * kv_manager.page_size}")
-                self.preempt(victim, self._clock)
+                self.preempt(victim, now)
             if not preempted_self:
                 if kv_manager.needs_pages(request.request_id, claim,
                                           request.shared_kv_pages):
@@ -597,7 +601,6 @@ class ContinuousBatchingScheduler:
         to the tokens actually kept, releasing the rejected tokens' pages
         (conservative reservation never allocated them in the first place).
         """
-        self._clock = now
         completed: List[Request] = []
         survivors: List[Request] = []
         kv_manager = self.kv_manager
@@ -638,7 +641,7 @@ class ContinuousBatchingScheduler:
                     kv_manager.allocate(request.request_id,
                                         request.context_len,
                                         request.shared_kv_pages)
-                if commits is not None and self.preemption:
+                if commits is not None and self.scheduling.preemption:
                     # Roll back the optimistic speculative claim: pages held
                     # for drafted-but-rejected tokens are released again.
                     kv_manager.trim(request.request_id,
@@ -650,10 +653,6 @@ class ContinuousBatchingScheduler:
         return completed
 
     # ------------------------------------------------------------------
-    @property
-    def num_running(self) -> int:
-        return len(self.running)
-
     @property
     def all_done(self) -> bool:
         return not self.waiting and not self.running

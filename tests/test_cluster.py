@@ -243,6 +243,65 @@ def test_unadmittable_request_strands_only_itself(llama7b, monkeypatch):
     assert requests[0].state is RequestState.WAITING
 
 
+@pytest.mark.parametrize("fleet", [
+    {},
+    {"serve": {"autoscaler": AutoscalerConfig(min_replicas=1, max_replicas=2,
+                                              interval_s=1.0)}},
+    {"init": {"roles": ["prefill", "decode"]}},
+], ids=["plain", "autoscaled", "disaggregated"])
+def test_cluster_strands_only_an_oversized_request(llama7b, monkeypatch,
+                                                   fleet):
+    """Each cluster loop's termination rule (plain drain, the autoscaler's
+    no-progress ticks, the disaggregated lockstep's no-progress pass) ends
+    the run with exactly the request larger than the KV pool unserved."""
+    cluster = ClusterEngine(llama7b, A100,
+                            SYSTEM_PRESETS["qserve-w4a8kv4-chn"], 2,
+                            max_seq_len=4096, **fleet.get("init", {}))
+    pages200 = 200 * cluster.engine.new_kv_manager().bytes_per_page()
+    monkeypatch.setattr(cluster.engine, "kv_capacity_bytes", lambda: pages200)
+    requests = [Request(request_id=0, prompt_len=4000, output_len=200,
+                        arrival_time=0.05)]          # footprint > whole pool
+    requests += [Request(request_id=i, prompt_len=256, output_len=32,
+                         arrival_time=1.0 + 0.1 * i) for i in range(1, 9)]
+    result = cluster.serve(Workload(requests=requests), max_num_seqs=4,
+                           **fleet.get("serve", {}))
+    assert result.num_unserved == 1
+    assert result.num_finished == 8
+    assert requests[0].state is RequestState.WAITING
+
+
+def test_scale_down_reroutes_a_partial_prefill(llama7b):
+    """A scale-down that catches a request mid-prefill preempts it and
+    reroutes it to the surviving replica, which recomputes the prefill."""
+    cluster = ClusterEngine(llama7b, A100,
+                            SYSTEM_PRESETS["qserve-w4a8kv4-chn"], 2)
+    # Three short requests queue on the initial replica (scale-up at 0.25);
+    # two long prompts then land one per replica and prefill 8 tokens per
+    # iteration, so the 2.25 s tick drains replica 1 mid-prefill.
+    requests = [Request(request_id=i, prompt_len=64, output_len=30)
+                for i in range(3)]
+    requests += [Request(request_id=10 + i, prompt_len=2000, output_len=4,
+                         arrival_time=2.0) for i in range(2)]
+    result = cluster.serve(
+        Workload(requests=requests), max_num_seqs=1,
+        scheduling=SchedulingConfig(chunked_prefill=True,
+                                    prefill_chunk_size=8),
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=2, interval_s=0.25,
+            scale_up_queue_depth=0.0, up_cooldown_s=0.0,
+            down_cooldown_s=1.9, scale_down_outstanding=2.0,
+            provision_s=0.0))
+    down = [e for e in result.autoscale.events if e.action == "down"]
+    assert [(e.time_s, e.replica) for e in down[:1]] == [(2.25, 1)]
+    drained = requests[4]
+    assert drained.preemptions == 1
+    assert drained.admitted_time == 2.0
+    # Recomputed after the other long request, on the surviving replica.
+    assert drained.prefill_done_time > requests[3].finish_time
+    assert result.num_finished == 5
+    assert result.migrations_per_replica == [0, 0]   # recomputed, not moved
+
+
 def test_preemption_chunked_prefill_bursty_conservation(llama7b, monkeypatch):
     """Preemption + chunked prefill under bursty arrivals: every allocated
     page is eventually reclaimed and no request is left in PREEMPTED."""

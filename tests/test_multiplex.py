@@ -2,6 +2,8 @@
 model-namespaced prefix caching, the model-aware router, per-model metrics
 breakouts and the multiplexed serving path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,39 @@ def test_multiplex_mutually_exclusive_modes():
                           systems=["trt-fp16", "qserve-w4a8kv4-chn"])
     with pytest.raises(ValueError, match="per-replica systems"):
         mixed.serve(wl, multiplex=config)
+
+
+def test_renamed_system_is_still_heterogeneous():
+    # Regression: heterogeneity compared preset names, so an FP16 system
+    # renamed to the W4A8KV4 preset's name slipped past the systems x
+    # multiplex guard and both replicas were then served as W4A8KV4.
+    qserve = get_system("qserve-w4a8kv4-chn")
+    renamed = replace(get_system("trt-fp16"), name=qserve.name)
+    cluster = ClusterEngine(M7, A100, qserve, num_replicas=2,
+                            systems=[renamed, qserve])
+    assert cluster.heterogeneous
+    wl = make_uniform_workload(num_requests=4, prompt_len=32, output_len=4,
+                               arrival_rate=None, seed=0)
+    with pytest.raises(ValueError, match="per-replica systems"):
+        cluster.serve(wl, multiplex=MultiplexConfig(models=(M7, M13)))
+
+
+def test_precision_aware_router_on_multiplexed_fleet():
+    # Regression: the router read ``replica.engine``, which a multiplexed
+    # replica does not have.  A multiplexed fleet is homogeneous, so the
+    # router must route exactly like least-outstanding.
+    cluster = ClusterEngine(M7, A100, get_system("qserve-w4a8kv4-chn"), 2)
+    wl = make_multi_model_workload(20, models=(M7.name, M13.name),
+                                   weights=(0.8, 0.2), arrival_rate=16,
+                                   seed=1)
+    config = MultiplexConfig(models=(M7, M13), max_resident_models=1)
+    aware = cluster.serve(wl.copy_fresh(), router="precision-aware",
+                          multiplex=config)
+    lor = cluster.serve(wl.copy_fresh(), router="least-outstanding",
+                        multiplex=config)
+    assert aware.requests_per_replica == lor.requests_per_replica
+    assert aware.num_finished == lor.num_finished == 20
+    assert aware.total_time_s == lor.total_time_s
 
 
 def test_autoscaled_multiplexed_fleet():

@@ -14,7 +14,6 @@ from repro.serving import (
     DEMOTED_KV_BITS,
     EngineStepper,
     PagedKVCacheManager,
-    PrecisionAwareRouter,
     PrefixCache,
     Request,
     RequestMetrics,
@@ -269,11 +268,9 @@ def test_dequant_and_transcode_latencies_scale(llama7b):
     assert kv4.kv_transcode_latency(1024, SYSTEM_PRESETS["trt-fp16"]) == cross
 
 
-def test_kv_demotion_requires_prefix_caching(llama7b):
-    engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["trt-fp16"])
-    bad = SchedulingConfig(kv_demotion=True)
+def test_kv_demotion_requires_prefix_caching():
     with pytest.raises(ValueError, match="prefix_caching"):
-        EngineStepper(engine, scheduling=bad)
+        SchedulingConfig(kv_demotion=True)
 
 
 def test_demote_preset_beats_plain_lru_under_pressure(llama7b, monkeypatch):
@@ -461,8 +458,6 @@ def test_precision_aware_router_degrades_on_homogeneous_fleet(llama7b):
     lor = fleet.serve(workload.copy_fresh(), router="least-outstanding")
     assert aware.requests_per_replica == lor.requests_per_replica
     assert aware.total_time_s == lor.total_time_s
-    with pytest.raises(ValueError):
-        PrecisionAwareRouter(interactive_tokens=-1)
 
 
 def test_cross_precision_transfer_reprices_payload(llama7b):

@@ -255,7 +255,8 @@ def test_admission_skips_prefill_for_cached_prefix(llama7b):
     sched.submit([warm])
     sched.admit(now=0.0)
     assert warm.prefill_target == 96            # cold cache: full prompt
-    sched.complete_prefill(now=1.0)
+    for request in sched.prefilling_requests():
+        sched.record_prefill(request, request.prefill_remaining, now=1.0)
     for step in range(warm.output_len):
         sched.record_decode_step(now=2.0 + step)
     assert warm.state is RequestState.FINISHED
@@ -272,13 +273,14 @@ def test_admission_skips_prefill_for_cached_prefix(llama7b):
 def test_preemption_releases_refs_and_rematches(llama7b):
     mgr = _manager(llama7b)
     cache = PrefixCache(mgr)
-    sched = ContinuousBatchingScheduler(kv_manager=mgr, max_num_seqs=8,
-                                        policy=get_policy("fcfs"),
-                                        preemption=True, prefix_cache=cache)
+    sched = ContinuousBatchingScheduler(
+        kv_manager=mgr, scheduling=SchedulingConfig(preemption=True),
+        max_num_seqs=8, prefix_cache=cache)
     victim = _request(0, [(1, 64), (2, 32)], output_len=16)
     sched.submit([victim])
     sched.admit(now=0.0)
-    sched.complete_prefill(now=1.0)
+    for request in sched.prefilling_requests():
+        sched.record_prefill(request, request.prefill_remaining, now=1.0)
     assert victim.shared_kv_pages == 6
     sched.preempt(victim, now=1.0)
     assert victim.cached_tokens == 0 and victim.shared_kv_pages == 0

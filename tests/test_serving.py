@@ -90,7 +90,8 @@ def test_scheduler_admission_and_completion(llama7b):
     sched.submit(requests)
     admitted = sched.admit(now=0.0)
     assert len(admitted) == 4                    # capped by max_num_seqs
-    sched.complete_prefill(now=1.0)
+    for request in sched.prefilling_requests():
+        sched.record_prefill(request, request.prefill_remaining, now=1.0)
     for step in range(4):
         sched.record_decode_step(now=2.0 + step)
     assert len(sched.finished) == 4
@@ -178,6 +179,19 @@ def test_measure_throughput_validation(llama7b):
 # ----------------------------------------------------------------------
 # Scheduling policies
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("kwargs, match", [
+    ({"policy": "lifo"}, "unknown policy"),
+    ({"prefill_chunk_size": 0}, "prefill_chunk_size"),
+    ({"prefill_chunk_size": -512}, "prefill_chunk_size"),
+    ({"tier_admission": True, "free_tier_drop_after_s": -1.0},
+     "free_tier_drop_after_s"),
+    ({"kv_demotion": True}, "prefix_caching"),
+])
+def test_scheduling_config_rejects_bad_settings(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SchedulingConfig(**kwargs)
+
+
 def test_legacy_preset_matches_default(llama7b):
     engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
                            max_seq_len=160)
@@ -201,7 +215,8 @@ def test_fcfs_bypass_vs_strict_fcfs(llama7b):
         assert mgr.pages_for_tokens(1400) > mgr.total_pages
         assert mgr.pages_for_tokens(40) <= mgr.total_pages
         sched = ContinuousBatchingScheduler(
-            kv_manager=mgr, max_num_seqs=8, policy=get_policy(policy_name))
+            kv_manager=mgr, scheduling=SchedulingConfig(policy=policy_name),
+            max_num_seqs=8)
         sched.submit([big.copy_fresh(), small.copy_fresh()])
         admitted = sched.admit(now=0.0)
         assert [r.request_id for r in admitted] == expected
@@ -209,8 +224,9 @@ def test_fcfs_bypass_vs_strict_fcfs(llama7b):
 
 def test_sjf_admits_short_jobs_first(llama7b):
     mgr = _manager(llama7b, capacity_gib=4.0)
-    sched = ContinuousBatchingScheduler(kv_manager=mgr, max_num_seqs=2,
-                                        policy=get_policy("sjf"))
+    sched = ContinuousBatchingScheduler(
+        kv_manager=mgr, scheduling=SchedulingConfig(policy="sjf"),
+        max_num_seqs=2)
     long_req = Request(request_id=0, prompt_len=512, output_len=256)
     short_req = Request(request_id=1, prompt_len=32, output_len=8)
     mid_req = Request(request_id=2, prompt_len=128, output_len=64)
@@ -350,17 +366,18 @@ def test_chunked_prefill_latency_accounting(llama7b):
 # ----------------------------------------------------------------------
 def test_preemption_recompute_in_scheduler(llama7b):
     mgr = _manager(llama7b, capacity_gib=0.02)  # 9 pages = 144 tokens
-    sched = ContinuousBatchingScheduler(kv_manager=mgr, max_num_seqs=8,
-                                        policy=get_policy("fcfs"),
-                                        preemption=True)
+    sched = ContinuousBatchingScheduler(
+        kv_manager=mgr, scheduling=SchedulingConfig(preemption=True),
+        max_num_seqs=8)
     a = Request(request_id=0, prompt_len=48, output_len=64)
     b = Request(request_id=1, prompt_len=48, output_len=64, arrival_time=0.1)
     sched.submit([a, b])
     assert len(sched.admit(now=0.5)) == 2  # optimistic: both fit their prompts
-    sched.complete_prefill(now=1.0)
+    for request in sched.prefilling_requests():
+        sched.record_prefill(request, request.prefill_remaining, now=1.0)
     # Decode until the cache fills; the later-arrived request gets preempted.
     for step in range(80):
-        batch = sched.prepare_decode()
+        batch = sched.prepare_decode(now=1.0 + step)
         if not batch:
             break
         sched.record_decode_step(now=2.0 + step)

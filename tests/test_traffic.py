@@ -22,6 +22,7 @@ from repro.serving import (
     RequestState,
     SCHEDULING_PRESETS,
     ScalingEvent,
+    SchedulingConfig,
     ServingEngine,
     TIERS,
     TenantSpec,
@@ -266,8 +267,9 @@ def test_trace_replay_reproducible(llama7b, system):
 # ----------------------------------------------------------------------
 def _tiered_scheduler(llama7b, max_num_seqs=4, **kwargs):
     return ContinuousBatchingScheduler(
-        kv_manager=_manager(llama7b), max_num_seqs=max_num_seqs,
-        tier_admission=True, **kwargs)
+        kv_manager=_manager(llama7b),
+        scheduling=SchedulingConfig(tier_admission=True, **kwargs),
+        max_num_seqs=max_num_seqs)
 
 
 def _mk(request_id, tier="paid", arrival=0.0, prompt=64, output=8):
@@ -303,12 +305,12 @@ def test_free_tier_admitted_without_pressure(llama7b):
 
 
 def test_aging_floor_promotes_deferred_free_tier(llama7b):
-    sched = _tiered_scheduler(llama7b)   # tier_aging_s = 5.0
+    sched = _tiered_scheduler(llama7b)   # TIER_AGING_S = 5.0
     sched.submit([_mk(i) for i in range(3)] + [_mk(9, tier="free")])
     sched.admit(now=0.0)
     assert sched.admit(now=4.0) == []            # still deferred
     deferred_before = sched.tier_deferrals
-    admitted = sched.admit(now=6.0)              # waited past tier_aging_s
+    admitted = sched.admit(now=6.0)              # waited past TIER_AGING_S
     assert [r.request_id for r in admitted] == [9]
     assert sched.tier_deferrals == deferred_before
 
