@@ -34,6 +34,8 @@ on the wire instead of being killed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -112,17 +114,34 @@ class AutoscalerConfig:
     slo_min_samples: int = 5
 
     def __post_init__(self) -> None:
+        # Counts must be true integers; every float bound below is written
+        # as a chained comparison, which NaN fails like any out-of-range
+        # value.  A finite positive tick interval is what lets the cluster
+        # loop reach its stop rule.
+        for name in ("min_replicas", "max_replicas", "slo_min_samples"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not
+                                      isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas is not None \
                 and self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.up_cooldown_s < 0 or self.down_cooldown_s < 0:
-            raise ValueError("cooldowns must be non-negative")
-        if self.provision_s < 0:
-            raise ValueError("provision_s must be non-negative")
+        if not 0.0 < self.interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be positive and finite, got "
+                f"{self.interval_s!r}")
+        for name in ("scale_up_queue_depth", "scale_down_outstanding",
+                     "up_cooldown_s", "down_cooldown_s", "provision_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value!r}")
+        if self.ttft_slo_s is not None and not 0.0 < self.ttft_slo_s < math.inf:
+            raise ValueError(
+                f"ttft_slo_s must be positive and finite, got "
+                f"{self.ttft_slo_s!r}")
         if not 0.0 < self.slo_floor <= 1.0:
             raise ValueError("slo_floor must be in (0, 1]")
         if self.slo_min_samples < 1:

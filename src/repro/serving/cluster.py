@@ -9,7 +9,9 @@ requests are dispatched in arrival order, every replica is advanced to the
 arrival instant first, and the pluggable :class:`Router` then picks a
 replica using the queue state *at that moment* — exactly the information a
 real load balancer has.  Disaggregated, autoscaled and multiplexed fleets
-(below) run on that same event loop and compose where their meanings do.
+(below) run on that same event loop and compose where their meanings do:
+only role-specialised replicas with autoscaling, and multiplexing with
+per-replica systems, are refused.
 
 Routers shipped by default:
 
@@ -72,6 +74,7 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -644,10 +647,6 @@ class _MultiplexReplica:
         return self.residency.swap_cost_s(model)
 
     # -- host interface -------------------------------------------------
-    @property
-    def done(self) -> bool:
-        return all(s.done for s in self.steppers)
-
     def stepper_for(self, request: Request) -> EngineStepper:
         """The stepper serving ``request``'s model on this replica."""
         return self.by_model[self.resolve_model(request)]
@@ -677,15 +676,16 @@ class _MultiplexReplica:
                 stepper.tracer.model_swap(stepper.model_name, t0, stepper.now)
         stepper.submit(request)
 
-    def run_until(self, t: Optional[float] = None) -> None:
+    def run_until(self, t: float) -> bool:
         """Advance the serialized timeline until no stepper can start < ``t``.
 
         Repeatedly picks the stepper able to start soonest on the shared
         GPU — its own ready time, but never before the replica's committed
         frontier — lets it run one step, and folds the outcome back into
-        the frontier.  Ties break toward the lowest model index.
-        ``t=None`` drains everything.
+        the frontier.  Ties break toward the lowest model index.  Returns
+        whether any stepper stepped.
         """
+        stepped = False
         stuck: set = set()
         while True:
             best = None
@@ -698,21 +698,17 @@ class _MultiplexReplica:
                 start = max(self.clock, ready)
                 if best is None or start < best[0]:
                     best = (start, j, stepper)
-            if best is None:
-                return
+            if best is None or best[0] >= t:
+                return stepped
             start, _, stepper = best
-            if t is not None and start >= t:
-                return
             stepper.sync_clock(start)
             if stepper.step(horizon=t):
                 self.clock = max(self.clock, stepper.now)
+                stepped = True
             else:
                 # No admissible work on this model before the horizon
                 # (or ever); stop re-polling it this pass.
                 stuck.add(best[1])
-
-    def run(self) -> None:
-        self.run_until(None)
 
 
 #: What the cluster loop drives in one replica slot.
@@ -901,8 +897,9 @@ class ClusterEngine:
         ``router="model-aware"`` for warm-first placement) and the result
         carries one slice per (replica, model) plus a
         :class:`~repro.serving.multiplex.MultiplexReport`.  Multiplexing
-        composes with autoscaling; role-specialised replicas combine with
-        neither, and multiplexing excludes heterogeneous ``systems``.
+        composes with autoscaling and with role-specialised replicas;
+        roles exclude autoscaling, and multiplexing excludes heterogeneous
+        ``systems``.
 
         All of these run on one event loop over per-slot replica hosts
         (an :class:`EngineStepper`, or a multiplexed replica serializing
@@ -911,7 +908,11 @@ class ClusterEngine:
         Three event kinds interleave in time order, ties resolved
         handoff < arrival < tick: prefill completions waiting to migrate,
         workload arrivals (routed among the active prefill-capable slots)
-        and autoscaler ticks.
+        and autoscaler ticks.  Each turn advances the hosts toward the
+        next arrival or tick ``t`` — prefill-role hosts to ``t``, every
+        other host no further than the earliest pending handoff — and
+        handles one event.  The loop stops once no event is left, or at a
+        tick with no arrival left, no slot starting and no host stepped.
         """
         if isinstance(router, str):
             router = get_router(router)
@@ -919,10 +920,6 @@ class ClusterEngine:
             raise ValueError(
                 "autoscaling and role-specialised replicas are mutually "
                 "exclusive; use mixed roles")
-        if self.disaggregated and multiplex is not None:
-            raise ValueError(
-                "multiplexing and role-specialised replicas are "
-                "mutually exclusive; use mixed roles")
         if self.heterogeneous and multiplex is not None:
             raise ValueError(
                 "multiplexing and per-replica systems are mutually "
@@ -957,9 +954,6 @@ class ClusterEngine:
             return [s for s in range(pool)
                     if state[s] == status and self.roles[s] in roles]
 
-        def live() -> List[_Host]:
-            return [hosts[s] for s in range(pool) if state[s] != "stopped"]
-
         def provision(slot: int, start: float, ready: float) -> None:
             if hosts[slot] is None:
                 hosts[slot] = build(slot)
@@ -969,13 +963,6 @@ class ClusterEngine:
             ready_at[slot] = ready
             windows[slot].append([start, None])
             state[slot] = "active" if ready <= start else "starting"
-
-        def advance(t: float) -> None:
-            for host in live():
-                host.run_until(t)
-            for s in range(pool):
-                if state[s] == "starting" and ready_at[s] <= t:
-                    state[s] = "active"
 
         def least_loaded(targets: List[int]) -> int:
             return min(targets,
@@ -1032,7 +1019,7 @@ class ClusterEngine:
 
         for slot in range(pool if scaler is None else autoscaler.min_replicas):
             provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
-        #: Prefill-role replicas park finished prefills in their outbox.
+        #: Prefill-role replicas park finished prefills in their outboxes.
         exporters = [hosts[s] for s in range(pool)
                      if self.roles[s] == "prefill"]
         #: (prefill completion time, tiebreak, source stepper, request) —
@@ -1042,102 +1029,68 @@ class ClusterEngine:
         handoffs: List[Tuple[float, int, EngineStepper, Request]] = []
         tiebreak = itertools.count()
 
-        def collect_handoffs() -> None:
-            for stepper in exporters:
-                while stepper.outbox:
-                    request = stepper.outbox.pop(0)
-                    heapq.heappush(handoffs, (request.prefill_done_time,
-                                              next(tiebreak), stepper, request))
+        def advance(t: float) -> bool:
+            """Run every live host toward ``t``; whether any host stepped.
+
+            Prefill-role hosts receive only arrivals, so they run to ``t``
+            and their handoffs are collected first; every other host then
+            stops at the earliest handoff still to route, which may land
+            work on it.
+            """
+            progressed = False
+            for host in exporters:
+                progressed = host.run_until(t) or progressed
+                for stepper in host.steppers:
+                    for request in stepper.outbox:
+                        heapq.heappush(handoffs, (request.prefill_done_time,
+                                                  next(tiebreak), stepper,
+                                                  request))
+                    stepper.outbox.clear()
+            horizon = min(t, handoffs[0][0]) if handoffs else t
+            for s in range(pool):
+                if state[s] != "stopped" and self.roles[s] != "prefill":
+                    progressed = hosts[s].run_until(horizon) or progressed
+                if state[s] == "starting" and ready_at[s] <= t:
+                    state[s] = "active"
+            return progressed
 
         arrivals = sorted(workload.requests,
                           key=lambda r: (r.arrival_time, r.request_id))
         pos = 0
-        next_tick = None if scaler is None else autoscaler.interval_s
-        stalled = 0
+        next_tick = math.inf if scaler is None else autoscaler.interval_s
         while True:
-            collect_handoffs()
+            # One event per turn, ties resolved handoff < arrival < tick.
             next_arrival = (arrivals[pos].arrival_time
-                            if pos < len(arrivals) else None)
-            next_handoff = handoffs[0][0] if handoffs else None
-            if next_handoff is not None \
-                    and (next_arrival is None or next_handoff <= next_arrival) \
-                    and (next_tick is None or next_handoff <= next_tick):
-                done_time, order, source, request = heapq.heappop(handoffs)
-                advance(done_time)
-                collect_handoffs()
-                if handoffs and handoffs[0][0] < done_time:
-                    # Advancing uncovered an earlier completion; keep the
-                    # event order honest and route that one first.
-                    heapq.heappush(handoffs, (done_time, order, source,
-                                              request))
-                    continue
+                            if pos < len(arrivals) else math.inf)
+            t = min(next_arrival, next_tick)
+            # Read before advancing: a slot whose cold start ends by ``t``
+            # still keeps this tick from being the last.
+            starting = "starting" in state
+            progressed = advance(t)
+            if handoffs and handoffs[0][0] <= t:
+                done_time, _, source, request = heapq.heappop(handoffs)
                 targets = slots("active", ("decode",))
                 target = targets[decode_router.route_decode(
                     request, [hosts[s] for s in targets])]
                 migrations_in[self._migrate(request, source, hosts[target],
                                             done_time)] += 1
-            elif next_arrival is not None \
-                    and (next_tick is None or next_arrival <= next_tick):
+            elif t == math.inf:
+                break  # every host has drained as far as it can
+            elif next_arrival == t:
                 request = arrivals[pos]
-                advance(next_arrival)
-                collect_handoffs()
-                if handoffs and handoffs[0][0] <= next_arrival:
-                    continue  # advancing uncovered an earlier completion
                 pos += 1
                 targets = slots("active", ("prefill", "mixed"))
                 host = hosts[targets[router.route(
                     request, [hosts[s] for s in targets])]]
                 assigned[host.stepper_for(request)].append(request)
                 host.submit(request)
-            elif next_tick is not None:
-                starting = "starting" in state
-                if next_arrival is None and not starting and all(
-                        hosts[s].done for s in slots("active")):
-                    break
-                signature = tuple((st.now, st.iterations)
-                                  for host in live() for st in host.steppers)
-                advance(next_tick)
-                now, next_tick = next_tick, next_tick + autoscaler.interval_s
-                if next_arrival is None and not starting:
-                    # Post-arrival drain tail: if no live replica progressed
-                    # over two full ticks, only never-admittable requests
-                    # remain — stop instead of ticking forever.
-                    progressed = signature != tuple(
-                        (st.now, st.iterations)
-                        for host in live() for st in host.steppers)
-                    stalled = 0 if progressed else stalled + 1
-                    if stalled >= 2:
-                        break
-                tick(now)
-            elif not exporters:
-                # No more events and no replica that could raise one:
-                # every host drains on its own.
-                for host in live():
-                    host.run()
+            elif pos == len(arrivals) and not starting and not progressed:
+                # A whole tick without an arrival, a cold start or a step:
+                # only never-admittable requests (if any) remain.
                 break
             else:
-                # Step the busy replicas to surface the remaining prefill
-                # completions, or finish.  Replicas with running work go
-                # first — they are the only possible source of new events —
-                # so an idle replica does not leap to its own next
-                # availability past a completion still being computed
-                # elsewhere.
-                busy = [host for host in live() if not host.done]
-                if not busy:
-                    break
-                running = [host for host in busy if host.scheduler.running]
-                progressed = False
-                for host in (running or busy):
-                    progressed = host.step() or progressed
-                if not progressed and running and len(running) < len(busy):
-                    # The running set stalled; let the idle replicas advance
-                    # to their own next availability.
-                    for host in busy:
-                        progressed = host.step() or progressed
-                if not progressed:
-                    collect_handoffs()
-                    if not handoffs:
-                        break  # only never-admittable requests remain
+                next_tick += autoscaler.interval_s
+                tick(t)
 
         used = [s for s in range(pool) if hosts[s] is not None]
         steppers = [st for s in used for st in hosts[s].steppers]
@@ -1227,14 +1180,18 @@ class ClusterEngine:
             for name, engine in engines.items()}
 
         def build(slot: int) -> _Host:
+            role = self.roles[slot]
+            suffix = "" if role == "mixed" else f" ({role})"
             residency = ModelResidency(multiplex, base.gpu, weight, workspace,
                                        tp_degree=base.tp_degree)
             return _MultiplexReplica(multiplex, [
                 EngineStepper(
                     engines[model.name], scheduling=scheduling,
-                    max_num_seqs=max_num_seqs, speculative=speculative,
+                    max_num_seqs=max_num_seqs,
+                    migrate_out=(role == "prefill"),
+                    speculative=None if role == "prefill" else speculative,
                     telemetry=tracer(slot * len(multiplex.models) + j,
-                                     f"replica{slot}/{model.name}"),
+                                     f"replica{slot}/{model.name}{suffix}"),
                     model_name=model.name,
                     kv_capacity_bytes=residency.kv_pool_bytes())
                 for j, model in enumerate(multiplex.models)], residency)

@@ -947,17 +947,21 @@ class EngineStepper:
         while self.step():
             pass
 
-    def run_until(self, t: float) -> None:
+    def run_until(self, t: float) -> bool:
         """Advance the clock to (at least) ``t`` or until progress stops.
 
         The clock may overshoot ``t`` because iterations are atomic, but an
         idle replica never *jumps* past it: a replica whose only pending
         work becomes available after ``t`` (e.g. a migrated request with an
         in-flight KV transfer) keeps its clock and waits for a later call.
+        Returns whether any step ran (an iteration or an idle jump).
         """
+        stepped = False
         while not self.done and self.now < t:
             if not self.step(horizon=t):
                 break
+            stepped = True
+        return stepped
 
     # ------------------------------------------------------------------
     def result(self, workload: Workload) -> ServingResult:

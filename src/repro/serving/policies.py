@@ -42,6 +42,8 @@ equivalent to the seed serving loop.
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
@@ -307,9 +309,10 @@ class SchedulingConfig:
         longer than this many seconds under pressure are dropped (load
         shedding).  ``None`` (the default) never sheds.
 
-    Construction rejects an unknown ``policy``, a non-positive
-    ``prefill_chunk_size``, a negative ``free_tier_drop_after_s`` and
-    ``kv_demotion`` without ``prefix_caching``.
+    Construction rejects an unknown ``policy``, a ``prefill_chunk_size``
+    that is not a positive integer, a ``free_tier_drop_after_s`` that is
+    negative, infinite or NaN, and ``kv_demotion`` without
+    ``prefix_caching``.
     """
 
     policy: str = "fcfs"
@@ -325,11 +328,18 @@ class SchedulingConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; known: "
                              f"{', '.join(sorted(POLICIES))}")
+        if isinstance(self.prefill_chunk_size, bool) or not isinstance(
+                self.prefill_chunk_size, numbers.Integral):
+            raise ValueError(f"prefill_chunk_size must be an integer, got "
+                             f"{self.prefill_chunk_size!r}")
         if self.prefill_chunk_size <= 0:
             raise ValueError("prefill_chunk_size must be positive")
+        # A chained comparison: NaN fails it like a negative value.
         if (self.free_tier_drop_after_s is not None
-                and self.free_tier_drop_after_s < 0):
-            raise ValueError("free_tier_drop_after_s must be non-negative")
+                and not 0.0 <= self.free_tier_drop_after_s < math.inf):
+            raise ValueError(
+                f"free_tier_drop_after_s must be non-negative and finite, "
+                f"got {self.free_tier_drop_after_s!r}")
         if self.kv_demotion and not self.prefix_caching:
             raise ValueError(
                 "kv_demotion applies to shared prefix-cache blocks; enable "

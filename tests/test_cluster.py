@@ -251,9 +251,10 @@ def test_unadmittable_request_strands_only_itself(llama7b, monkeypatch):
 ], ids=["plain", "autoscaled", "disaggregated"])
 def test_cluster_strands_only_an_oversized_request(llama7b, monkeypatch,
                                                    fleet):
-    """Each cluster loop's termination rule (plain drain, the autoscaler's
-    no-progress ticks, the disaggregated lockstep's no-progress pass) ends
-    the run with exactly the request larger than the KV pool unserved."""
+    """The cluster loop's stop rule (no event left, or a tick without an
+    arrival, a cold start or a step) ends plain, autoscaled and
+    disaggregated runs with exactly the request larger than the KV pool
+    unserved."""
     cluster = ClusterEngine(llama7b, A100,
                             SYSTEM_PRESETS["qserve-w4a8kv4-chn"], 2,
                             max_seq_len=4096, **fleet.get("init", {}))
@@ -370,6 +371,26 @@ def test_single_model_multiplex_matches_plain_cluster(llama7b):
     multiplexed = _oracle_fleet(llama7b,
                                 multiplex=MultiplexConfig(models=(llama7b,)))
     assert multiplexed.multiplex.swap_ins == 0
+    assert _run_fingerprint(multiplexed) == _run_fingerprint(plain)
+
+
+def test_single_model_multiplexed_split_matches_plain_split(llama7b):
+    """Roles compose with multiplexing: a one-model multiplexed prefill /
+    decode split is the plain split, bit for bit."""
+    runs = []
+    for multiplex in (None, MultiplexConfig(models=(llama7b,))):
+        cluster = ClusterEngine(llama7b, A100,
+                                SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                                num_replicas=4, max_seq_len=4096,
+                                roles=["prefill", "decode", "decode",
+                                       "decode"])
+        runs.append(cluster.serve(
+            make_router_study_workload(120, seed=1), router="disaggregated",
+            max_num_seqs=24, scheduling=SCHEDULING_PRESETS["chunked"],
+            multiplex=multiplex))
+    plain, multiplexed = runs
+    assert multiplexed.multiplex.swap_ins == 0
+    assert plain.num_migrations == 120
     assert _run_fingerprint(multiplexed) == _run_fingerprint(plain)
 
 

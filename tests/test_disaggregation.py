@@ -371,3 +371,52 @@ def test_split_cuts_p95_tpot_vs_mixed_at_equal_gpu_count(llama7b):
     assert split.num_migrations == 120
     assert split.transfer_delay.mean > 0.0           # overhead is accounted
     assert mixed.num_migrations == 0
+
+
+def test_handoff_is_routed_before_the_decode_tier_runs_past_it(llama7b):
+    """Regression: the cluster loop advanced the decode replicas past a
+    pending prefill handoff before routing it, so a migrated request sat
+    idle on a decode replica with free slots (1.257 s for request 119).
+    The decode tier here never fills (peak batch 9 of 24), so every
+    migrated request must start decoding within two full-batch decode
+    iterations of its KV landing."""
+    cluster = _cluster(llama7b, num_replicas=4,
+                       roles=["prefill", "decode", "decode", "decode"])
+    workload = make_router_study_workload(120, seed=1)
+    result = cluster.serve(workload, router="disaggregated", max_num_seqs=24,
+                           scheduling=SCHEDULING_PRESETS["chunked"])
+    assert result.num_migrations == 120
+    assert max(r.peak_batch for r in result.replica_results[1:]) < 24
+    bound = 2 * cluster.engine.decode_step(24, 4096).total
+    waits = [r.first_token_time - r.migration_ready_time
+             for r in workload.requests]
+    assert max(waits) < bound
+
+
+@pytest.mark.parametrize("system", ["qserve-w4a8kv4-chn", "trt-fp16"])
+@pytest.mark.parametrize("prompt_len, output_len",
+                         [(128, 16), (512, 64), (1000, 200)])
+def test_single_request_handoff_closed_form(llama7b, system, prompt_len,
+                                            output_len):
+    """Oracle: one request on a 1 prefill + 1 decode split finishes at its
+    chunked prefill, plus the exposed KV transfer, plus one batch-1 decode
+    step per output token — the same floats added left to right, bit for
+    bit."""
+    cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS[system],
+                            num_replicas=2, roles=["prefill", "decode"])
+    scheduling = SCHEDULING_PRESETS["chunked"]
+    request = Request(request_id=0, prompt_len=prompt_len,
+                      output_len=output_len)
+    engine = cluster.engine
+    expected = 0.0
+    for done in range(0, prompt_len, scheduling.prefill_chunk_size):
+        chunk = min(scheduling.prefill_chunk_size, prompt_len - done)
+        expected += engine.mixed_step([(chunk, done)], 0, 0).total
+    expected += cluster.transfer_delay(
+        Request(request_id=0, prompt_len=prompt_len, output_len=output_len))
+    for k in range(output_len):
+        expected += engine.mixed_step((), 1, prompt_len + k).total
+    result = cluster.serve(Workload(requests=[request]),
+                           router="disaggregated", scheduling=scheduling)
+    assert result.num_migrations == 1
+    assert request.finish_time == expected

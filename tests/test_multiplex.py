@@ -271,14 +271,35 @@ def test_multiplex_mutually_exclusive_modes():
     wl = make_uniform_workload(num_requests=4, prompt_len=32, output_len=4,
                                arrival_rate=None, seed=0)
     config = MultiplexConfig(models=(M7, M13))
-    disagg = ClusterEngine(M7, A100, SYSTEM, num_replicas=2,
-                           roles=["prefill", "decode"])
-    with pytest.raises(ValueError, match="role-specialised"):
-        disagg.serve(wl, multiplex=config)
     mixed = ClusterEngine(M7, A100, SYSTEM, num_replicas=2,
                           systems=["trt-fp16", "qserve-w4a8kv4-chn"])
     with pytest.raises(ValueError, match="per-replica systems"):
         mixed.serve(wl, multiplex=config)
+
+
+def test_multiplexed_prefill_decode_split():
+    # Roles compose with multiplexing: a two-model 1 prefill + 2 decode
+    # fleet that can hold one model's weights at a time prefills every
+    # request on the prefill replica, migrates it into the right model's
+    # stepper on a decode replica, and generates every output token there.
+    wl = make_multi_model_workload(120, models=(M7.name, M13.name),
+                                   weights=(0.7, 0.3), arrival_rate=16,
+                                   seed=1)
+    cluster = ClusterEngine(M7, A100, SYSTEM, num_replicas=3,
+                            roles=["prefill", "decode", "decode"])
+    result = cluster.serve(
+        wl, router="disaggregated", max_num_seqs=16,
+        multiplex=MultiplexConfig(models=(M7, M13), max_resident_models=1))
+    assert result.num_finished == 120
+    assert result.num_migrations == 120
+    assert result.generated_tokens == sum(r.output_len for r in wl.requests)
+    assert result.replica_roles == ["prefill", "prefill", "decode", "decode",
+                                    "decode", "decode"]
+    # Slices are (replica, model): the prefill replica decodes nothing.
+    assert sum(r.generated_tokens for r in result.replica_results[:2]) == 0
+    assert result.multiplex.swap_ins > 0
+    for request in wl.requests:
+        assert request.migrations == 1
 
 
 def test_renamed_system_is_still_heterogeneous():

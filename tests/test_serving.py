@@ -186,6 +186,14 @@ def test_measure_throughput_validation(llama7b):
     ({"tier_admission": True, "free_tier_drop_after_s": -1.0},
      "free_tier_drop_after_s"),
     ({"kv_demotion": True}, "prefix_caching"),
+    # NaN passes every ``x <= 0`` check; counts must be true integers.
+    ({"prefill_chunk_size": 512.0}, "prefill_chunk_size"),
+    ({"prefill_chunk_size": True}, "prefill_chunk_size"),
+    ({"prefill_chunk_size": float("nan")}, "prefill_chunk_size"),
+    ({"tier_admission": True, "free_tier_drop_after_s": float("nan")},
+     "free_tier_drop_after_s"),
+    ({"tier_admission": True, "free_tier_drop_after_s": float("inf")},
+     "free_tier_drop_after_s"),
 ])
 def test_scheduling_config_rejects_bad_settings(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -340,6 +348,28 @@ def test_chunked_prefill_improves_ttft_under_load(llama7b):
     assert chunked.metrics.ttft.p95 < legacy.metrics.ttft.p95
     ratio = chunked.generation_throughput / legacy.generation_throughput
     assert ratio > 0.95
+
+
+@pytest.mark.parametrize("system", ["qserve-w4a8kv4-chn", "trt-fp16"])
+@pytest.mark.parametrize("batch, prompt_len, output_len",
+                         [(4, 128, 16), (32, 512, 64), (64, 1000, 200)])
+def test_closed_batch_makespan_closed_form(llama7b, system, batch,
+                                           prompt_len, output_len):
+    """Oracle: B identical requests arriving together under the default
+    scheduling run one batched prefill and then T full-batch decode steps;
+    the makespan is those step latencies added left to right, bit for
+    bit."""
+    engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS[system])
+    workload = make_uniform_workload(batch, prompt_len=prompt_len,
+                                     output_len=output_len,
+                                     arrival_rate=None, seed=0)
+    expected = engine.prefill(batch, prompt_len).total
+    for k in range(output_len):
+        expected += engine.decode_step(batch, prompt_len + k).total
+    result = engine.serve(workload)
+    assert result.num_finished == batch
+    assert result.num_iterations == output_len + 1
+    assert result.total_time_s == expected
 
 
 def test_chunked_prefill_latency_accounting(llama7b):

@@ -414,6 +414,29 @@ def test_autoscaler_config_validation():
         ReactiveAutoscaler(AutoscalerConfig(min_replicas=2), max_replicas=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("interval_s", float("nan")),
+    ("interval_s", float("inf")),
+    ("up_cooldown_s", float("nan")),
+    ("down_cooldown_s", float("inf")),
+    ("provision_s", float("inf")),
+    ("provision_s", float("nan")),
+    ("scale_up_queue_depth", float("nan")),
+    ("scale_down_outstanding", float("inf")),
+    ("ttft_slo_s", float("nan")),
+    ("ttft_slo_s", float("inf")),
+    ("min_replicas", 1.5),
+    ("min_replicas", True),
+    ("max_replicas", 2.0),
+    ("slo_min_samples", 5.0),
+], ids=lambda v: repr(v))
+def test_autoscaler_config_rejects_non_finite_and_non_integer(field, value):
+    """NaN slips through ``x <= 0`` checks, and a NaN tick interval would
+    keep the cluster loop from ever reaching its stop rule."""
+    with pytest.raises(ValueError, match=field):
+        AutoscalerConfig(**{field: value})
+
+
 def test_cold_start_prices_weight_transfer():
     cfg = AutoscalerConfig(provision_s=2.0)
     bytes_ = 13 * (1 << 30)

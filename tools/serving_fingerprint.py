@@ -20,7 +20,9 @@ Usage::
 
 Capture a fingerprint before an optimisation, capture again after, and
 ``--compare`` must report zero differences.  Any mismatch means the change
-was not a pure optimisation.
+was not a pure optimisation; the report ends with the mismatch count of
+every scenario, so a change meant to move one scenario shows that it moved
+only that one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from typing import Dict, List
 
 
@@ -323,11 +326,16 @@ def compare(path_a: str, path_b: str) -> int:
         a = dict(_flatten(json.load(fh)))
     with open(path_b) as fh:
         b = dict(_flatten(json.load(fh)))
-    diffs = [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
+    keys = sorted(set(a) | set(b))
+    diffs = [k for k in keys if a.get(k) != b.get(k)]
     for key in diffs:
         print(f"MISMATCH {key}: {a.get(key)!r} != {b.get(key)!r}")
     if diffs:
-        print(f"{len(diffs)} fingerprint mismatches")
+        # The scenario is a key's first path component.
+        per_scenario = Counter(key.split("/", 1)[0] for key in diffs)
+        print(f"{len(diffs)} fingerprint mismatches; per scenario:")
+        for scenario in sorted({key.split("/", 1)[0] for key in keys}):
+            print(f"  {scenario:<18} {per_scenario[scenario]}")
         return 1
     print(f"fingerprints identical ({len(a)} entries)")
     return 0
