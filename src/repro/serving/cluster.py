@@ -911,8 +911,9 @@ class ClusterEngine:
         and autoscaler ticks.  Each turn advances the hosts toward the
         next arrival or tick ``t`` — prefill-role hosts to ``t``, every
         other host no further than the earliest pending handoff — and
-        handles one event.  The loop stops once no event is left, or at a
-        tick with no arrival left, no slot starting and no host stepped.
+        handles one event.  A tick with no arrival left, no slot starting
+        and no host stepped ends the ticking; the loop stops once no event
+        is left, after every host has run as far as it can.
         """
         if isinstance(router, str):
             router = get_router(router)
@@ -1085,9 +1086,11 @@ class ClusterEngine:
                 assigned[host.stepper_for(request)].append(request)
                 host.submit(request)
             elif pos == len(arrivals) and not starting and not progressed:
-                # A whole tick without an arrival, a cold start or a step:
-                # only never-admittable requests (if any) remain.
-                break
+                # A tick without an arrival, a cold start or a step: stop
+                # ticking and let the next turn drain every host.  A host
+                # whose last iteration or swap-in ran past ``t`` still has
+                # work, so this must not end the run.
+                next_tick = math.inf
             else:
                 next_tick += autoscaler.interval_s
                 tick(t)

@@ -251,10 +251,10 @@ def test_unadmittable_request_strands_only_itself(llama7b, monkeypatch):
 ], ids=["plain", "autoscaled", "disaggregated"])
 def test_cluster_strands_only_an_oversized_request(llama7b, monkeypatch,
                                                    fleet):
-    """The cluster loop's stop rule (no event left, or a tick without an
-    arrival, a cold start or a step) ends plain, autoscaled and
-    disaggregated runs with exactly the request larger than the KV pool
-    unserved."""
+    """The cluster loop's stop rule (no event left; a tick without an
+    arrival, a cold start or a step ends the ticking) ends plain,
+    autoscaled and disaggregated runs with exactly the request larger than
+    the KV pool unserved."""
     cluster = ClusterEngine(llama7b, A100,
                             SYSTEM_PRESETS["qserve-w4a8kv4-chn"], 2,
                             max_seq_len=4096, **fleet.get("init", {}))
@@ -269,6 +269,25 @@ def test_cluster_strands_only_an_oversized_request(llama7b, monkeypatch,
     assert result.num_unserved == 1
     assert result.num_finished == 8
     assert requests[0].state is RequestState.WAITING
+
+
+def test_last_arrival_on_a_tick_is_served(llama7b):
+    """Regression: a tick that steps no host must not end the run while a
+    host is still busy.  The turn that routes the last arrival (t=1.0, also
+    a tick) runs the decoding replica past 1.0, so the tick turn at 1.0
+    steps nothing; the loop must still finish every request."""
+    cluster = ClusterEngine(llama7b, A100,
+                            SYSTEM_PRESETS["qserve-w4a8kv4-chn"], 1)
+    requests = [Request(request_id=i, prompt_len=128, output_len=400)
+                for i in range(4)]                   # decode until ~1.5 s
+    requests.append(Request(request_id=4, prompt_len=128, output_len=16,
+                            arrival_time=1.0))
+    result = cluster.serve(
+        Workload(requests=requests), max_num_seqs=8,
+        autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=1,
+                                    interval_s=1.0))
+    assert result.num_finished == 5
+    assert all(r.state is RequestState.FINISHED for r in requests)
 
 
 def test_scale_down_reroutes_a_partial_prefill(llama7b):

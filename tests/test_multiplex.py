@@ -377,6 +377,32 @@ def test_autoscaled_multiplexed_fleet():
     assert sum(result.migrations_per_replica[1::2]) > 0  # drains hit M13
 
 
+def test_drain_swap_in_longer_than_a_tick_is_served():
+    # Regression: a scale-down drain moves the M13 decode onto a replica
+    # holding M7, whose swap-in (3 s) outlasts the 0.5 s tick interval.
+    # The next tick steps no host, and must not end the run with the
+    # drained request and the replica's own decodes unfinished.
+    requests = [Request(request_id=i, prompt_len=128,
+                        output_len=50 if i < 2 else 800, model=M7.name)
+                for i in range(4)]
+    requests.append(Request(request_id=4, prompt_len=128, output_len=300,
+                            model=M13.name, arrival_time=1.2))
+    cluster = ClusterEngine(M7, A100, SYSTEM, num_replicas=2)
+    result = cluster.serve(
+        Workload(requests=requests), router="model-aware", max_num_seqs=2,
+        multiplex=MultiplexConfig(models=(M7, M13), max_resident_models=1,
+                                  provision_s=2.0),
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=2, interval_s=0.5,
+            scale_up_queue_depth=0.0, up_cooldown_s=0.0, provision_s=0.0,
+            down_cooldown_s=1.0, scale_down_outstanding=10.0))
+    down = [e for e in result.autoscale.events if e.action == "down"]
+    assert [(e.time_s, e.replica) for e in down] == [(4.5, 1)]
+    assert requests[4].migrations == 1
+    assert result.num_finished == 5
+    assert all(r.state is RequestState.FINISHED for r in requests)
+
+
 def test_multiplexed_rejects_unknown_model():
     wl = Workload(requests=[Request(request_id=0, prompt_len=32, output_len=4,
                                     arrival_time=0.0, model="yi-34b")])
