@@ -72,12 +72,7 @@ from repro.serving.policies import (
     SchedulingConfig,
 )
 from repro.serving.precision import SystemConfig
-from repro.serving.request import (
-    Request,
-    RequestState,
-    Workload,
-    mean_context_len,
-)
+from repro.serving.request import Request, RequestState, Workload
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.speculative import (
     SpeculationStats,
@@ -580,9 +575,8 @@ class ServingEngine:
                 chunks = [(prompt_len, 0)] * len(prefills)
             else:
                 chunks = plan.chunk_pairs()
-        decode = plan.decode
-        return self.mixed_step(chunks, len(decode),
-                               mean_context_len(decode)).total
+        return self.mixed_step(chunks, len(plan.decode),
+                               plan.decode_context).total
 
     def serve(self, workload: Workload, max_num_seqs: Optional[int] = None,
               scheduling: Optional[SchedulingConfig] = None,
@@ -819,13 +813,11 @@ class EngineStepper:
         ``(exported, waiting)``; trace events land at ``now``.
         """
         scheduler = self.scheduler
-        exported = [r for r in scheduler.running
-                    if r.state is RequestState.DECODING]
+        exported = scheduler.decoding_requests()
         for request in exported:
             scheduler.export_request(request, now)
-        for request in list(scheduler.running):
-            if request.state is RequestState.PREFILLING:
-                scheduler.preempt(request, now)
+        for request in scheduler.prefilling_requests():
+            scheduler.preempt(request, now)
         waiting, scheduler.waiting = scheduler.waiting, []
         return exported, waiting
 
@@ -932,10 +924,9 @@ class EngineStepper:
             # DECODING, before any decode step could be planned for it) is
             # exported for migration to a decode replica, stamped after
             # this iteration's latency elapsed.
-            for request in list(scheduler.running):
-                if request.state is RequestState.DECODING:
-                    scheduler.export_request(request, self.now)
-                    self.outbox.append(request)
+            for request in scheduler.decoding_requests():
+                scheduler.export_request(request, self.now)
+                self.outbox.append(request)
         if self.tracer is not None:
             self.tracer.iteration(
                 t0, self.now, sum(t for _, t in plan.prefill_chunks),

@@ -88,12 +88,12 @@ class SchedulerPolicy(abc.ABC):
         """Sort key; lower sorts earlier (= higher admission priority)."""
 
     def admission_order(self, requests: List[Request]) -> List[Request]:
-        """Waiting requests in the order admission should consider them."""
-        return sorted(requests, key=self.admission_key)
+        """Waiting requests in the order admission should consider them.
 
-    def victim_order(self, requests: List[Request]) -> List[Request]:
-        """Running requests in eviction order: lowest priority first."""
-        return sorted(requests, key=self.admission_key, reverse=True)
+        Preemption reads the same key the other way round: the running
+        request with the highest key is the lowest-priority victim.
+        """
+        return sorted(requests, key=self.admission_key)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -174,7 +174,9 @@ class IterationPlan:
 
     ``prefill_chunks`` pairs each prefilling request with the number of its
     prompt tokens processed this iteration; ``decode`` lists the requests
-    that each generate one token.  ``stalled_prefill`` marks the legacy
+    that each generate one token, and ``decode_context`` is their
+    :func:`~repro.serving.request.mean_context_len`, the context the decode
+    batch is priced at.  ``stalled_prefill`` marks the legacy
     whole-prompt batched prefill, which the engine prices with every prompt
     padded to the longest one (see
     :meth:`repro.serving.engine.ServingEngine.prefill`).
@@ -182,6 +184,7 @@ class IterationPlan:
 
     prefill_chunks: List[Tuple[Request, int]] = field(default_factory=list)
     decode: List[Request] = field(default_factory=list)
+    decode_context: int = 0
     stalled_prefill: bool = False
 
     @property
@@ -217,7 +220,8 @@ class StallPrefillPlanner(IterationPlanner):
         if admitted:
             chunks = [(r, r.prefill_target) for r in admitted]
             return IterationPlan(prefill_chunks=chunks, stalled_prefill=True)
-        return IterationPlan(decode=scheduler.decoding_requests())
+        return IterationPlan(decode=scheduler.decoding_requests(),
+                             decode_context=scheduler.decode_context_len())
 
 
 class ChunkedPrefillPlanner(IterationPlanner):
@@ -255,7 +259,8 @@ class ChunkedPrefillPlanner(IterationPlanner):
             if tokens > 0:
                 chunks.append((request, tokens))
                 budget -= tokens
-        return IterationPlan(prefill_chunks=chunks, decode=decode)
+        return IterationPlan(prefill_chunks=chunks, decode=decode,
+                             decode_context=scheduler.decode_context_len())
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,15 @@ class Request:
     #: Simulation time tier-aware admission dropped the request (load
     #: shedding); ``None`` for requests that were never dropped.
     drop_time: Optional[float] = None
+    # Lazy decode accounting (plain attributes, not dataclass fields): while
+    # a scheduler advances this request by plain decode steps, ``generated``
+    # reads the stored ``_generated`` plus the decode iterations that
+    # scheduler (``_decode_clock``) ran since ``_decode_join``.
+    # ``_run_seq`` is the request's position in its scheduler's running
+    # order.
+    _decode_clock = None
+    _decode_join = 0
+    _run_seq = 0
 
     def __post_init__(self) -> None:
         if self.prompt_len <= 0 or self.output_len <= 0:
@@ -194,6 +203,28 @@ class Request:
                        prompt_segments=self.prompt_segments,
                        precision_floor_bits=self.precision_floor_bits,
                        tenant=self.tenant, tier=self.tier, model=self.model)
+
+
+def _get_generated(request: Request) -> int:
+    clock = request._decode_clock
+    if clock is None:
+        return request._generated
+    return request._generated + clock.decode_iterations - request._decode_join
+
+
+def _set_generated(request: Request, value: int) -> None:
+    if request._decode_clock is not None:
+        raise RuntimeError(
+            f"request {request.request_id} is decoding; its scheduler owns "
+            f"the generated count")
+    request._generated = value
+
+
+# Installed after the dataclass is built, so ``generated`` stays an init
+# field with default 0 and every access goes through the lazy count.
+Request.generated = property(
+    _get_generated, _set_generated,
+    doc="Output tokens generated so far (lazy while plain-decoding).")
 
 
 def mean_context_len(requests: Sequence[Request]) -> int:

@@ -37,13 +37,20 @@ and its pages are reclaimed), and the decode replica's scheduler admits the
 arriving request with ``kv_ready`` set — pages are *adopted* for the
 transferred KV state, no prefill is planned, and the request joins the decode
 batch directly.  See :mod:`repro.serving.cluster` for the transfer pricing.
+
+A plain decode step costs O(events), not O(batch): decoding requests count
+their tokens off the scheduler's decode-iteration counter, and heaps keyed
+on the iteration at which each request finishes or next needs a KV page
+pick out the few requests a step changes (``docs/PERFORMANCE.md``, "Lazy
+decode accounting").
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationError
 from repro.serving.policies import (LEGACY_SCHEDULING, SchedulerPolicy,
@@ -64,6 +71,18 @@ def _availability(request: Request) -> float:
 
 def _waiting_key(request: Request):
     return (request.available_time, request.request_id)
+
+
+def _run_seq(request: Request) -> int:
+    return request._run_seq
+
+
+def _remove(requests: List[Request], request: Request) -> None:
+    """Delete ``request`` from a list kept in running order, by identity."""
+    index = bisect.bisect_left(requests, request._run_seq, key=_run_seq)
+    if index == len(requests) or requests[index] is not request:
+        raise ValueError(f"request {request.request_id} is not listed")
+    del requests[index]
 
 
 #: Tier-aware admission thresholds: a replica is under pressure with fewer
@@ -128,6 +147,30 @@ class ContinuousBatchingScheduler:
     dropped: List[Request] = field(init=False, default_factory=list)
     tier_deferrals: int = field(init=False, default=0)
     drops_by_tier: Dict[str, int] = field(init=False, default_factory=dict)
+    #: Lazy decode accounting (see ``docs/PERFORMANCE.md``).  Plain decode
+    #: steps run so far: a plain-decoding request's ``generated`` is derived
+    #: from this counter instead of being written every step.
+    decode_iterations: int = field(init=False, default=0)
+    #: The decode batch and the prefilling requests, each in running order
+    #: (``running`` is ordered by ``Request._run_seq``, handed out from
+    #: ``_next_seq`` at admission).
+    _decoding: List[Request] = field(init=False, default_factory=list)
+    _prefilling: List[Request] = field(init=False, default_factory=list)
+    _next_seq: int = field(init=False, default=0)
+    #: Sum over the decode batch of ``context_len - decode_iterations``.
+    _context_sum: int = field(init=False, default=0)
+    #: Event structures, so a plain step touches only the requests an event
+    #: happens to: decoders still owed their first token, and heaps of
+    #: ``(decode iteration, run seq, request)`` for each request's finish
+    #: and next page crossing.  Entries of requests that left go stale and
+    #: are skipped when popped.  A speculative commit moves every key, so
+    #: it clears ``_indexed`` and the next plain use rebuilds them.
+    _fresh: List[Request] = field(init=False, default_factory=list)
+    _finish_heap: List[Tuple[int, int, Request]] = field(
+        init=False, default_factory=list)
+    _crossing_heap: List[Tuple[int, int, Request]] = field(
+        init=False, default_factory=list)
+    _indexed: bool = field(init=False, default=True)
 
     def __post_init__(self) -> None:
         self.policy = self.scheduling.build_policy()
@@ -305,6 +348,8 @@ class ContinuousBatchingScheduler:
                 if self.prefix_cache is not None and not pinned:
                     self.prefix_cache.acquire(request, cached_nodes,
                                               count_stats=not request.kv_ready)
+                request._run_seq = self._next_seq
+                self._next_seq += 1
                 self._begin_prefill(request, now)
                 admitted.append(request)
             elif not self.policy.allow_bypass:
@@ -392,6 +437,7 @@ class ContinuousBatchingScheduler:
                 self.kv_manager.system.min_precision_bits
             if self.prefix_cache is not None:
                 self.prefix_cache.insert(request)
+            self._join(request)
             if request.admitted_time is None:
                 request.admitted_time = now
             if self.tracer is not None:
@@ -399,6 +445,7 @@ class ContinuousBatchingScheduler:
             return
         was_preempted = request.state is RequestState.PREEMPTED
         request.state = RequestState.PREFILLING
+        self._prefilling.append(request)  # the newest run seq sorts last
         request.served_precision_bits = \
             self.kv_manager.system.min_precision_bits
         # Cache-hit tokens (``cached_tokens``, stamped by the prefix cache at
@@ -427,11 +474,13 @@ class ContinuousBatchingScheduler:
             raise ValueError(f"request {request.request_id} is not prefilling")
         request.prefilled += tokens
         if request.prefilled >= request.prefill_target:
+            _remove(self._prefilling, request)
             request.state = RequestState.DECODING
             request.prefill_done_time = now
             if self.prefix_cache is not None:
                 # Publish the freshly prefilled prompt blocks for reuse.
                 self.prefix_cache.insert(request)
+            self._join(request)
             if self.tracer is not None:
                 self.tracer.prefill_done(request, now)
 
@@ -446,13 +495,17 @@ class ContinuousBatchingScheduler:
         the running batch — the teardown shared by preemption and the
         disaggregated export.
         """
+        if request.state is RequestState.DECODING:
+            self._leave(request)
+        elif request.state is RequestState.PREFILLING:
+            _remove(self._prefilling, request)
         if self.prefix_cache is not None:
             self.prefix_cache.release(request.request_id)
         request.cached_tokens = 0
         request.shared_kv_pages = 0
         request.demoted_hit_tokens = 0
         self.kv_manager.free(request.request_id)
-        self.running.remove(request)
+        _remove(self.running, request)
 
     def preempt(self, request: Request, now: float) -> None:
         """Reclaim a running request's private pages and return it to the
@@ -514,37 +567,31 @@ class ContinuousBatchingScheduler:
         preempted at ``now`` until the claim fits.  Returns the surviving
         decode batch.
 
+        Only the crossing requests are visited: the crossing heap yields the
+        requests whose ``context_len + 1`` claim needs a page this step (a
+        claim that needs no page cannot fail, so it would change nothing).
         ``lookahead`` (speculative decoding) returns the extra draft tokens a
-        request will verify beyond its next token, so the claim covers the
-        whole speculated block optimistically; tokens rejected at
-        verification are trimmed back by :meth:`record_decode_step`, keeping
-        page conservation exact.
+        request will verify beyond its next token; claims then vary per
+        request and per step, so the crossing requests are found by a scan.
+        The claim covers the whole speculated block optimistically; tokens
+        rejected at verification are trimmed back by
+        :meth:`record_decode_step`, keeping page conservation exact.
         """
-        decoding = self.decoding_requests()
-        if not self.scheduling.preemption or not decoding:
-            return decoding
-        # Fast path: on most iterations no decode crosses a page boundary, so
-        # every claim below would be a no-op allocation.  Checking that first
-        # skips the policy sort and the per-request claim machinery; the full
-        # pass runs only on steps where at least one fresh page is needed.
+        if not self.scheduling.preemption or not self._decoding:
+            return self.decoding_requests()
         kv_manager = self.kv_manager
-        for request in decoding:
-            claim = request.context_len + 1
-            if lookahead is not None:
-                claim += lookahead(request)
-            if kv_manager.needs_pages(request.request_id, claim,
-                                      request.shared_kv_pages):
-                break
+        if lookahead is None:
+            crossing = self._pop_crossings()
         else:
-            return decoding
-        survivors: List[Request] = []
-        for request in self.policy.admission_order(decoding):
+            crossing = [r for r in self._decoding if kv_manager.needs_pages(
+                r.request_id, r.context_len + 1 + lookahead(r),
+                r.shared_kv_pages)]
+        for request in self.policy.admission_order(crossing):
             if request.state is not RequestState.DECODING:
                 continue  # preempted as a victim earlier in this pass
             claim = request.context_len + 1
             if lookahead is not None:
                 claim += lookahead(request)
-            preempted_self = False
             while True:
                 deficit = (kv_manager.pages_needed(
                     request.request_id, claim,
@@ -556,12 +603,11 @@ class ContinuousBatchingScheduler:
                     # Unreferenced cached blocks go before any running
                     # request is preempted.
                     continue
-                victim = self._pick_victim(protect=survivors + [request])
+                victim = self._pick_victim(request)
                 if victim is None:
                     # Nothing lower-priority left to evict.
-                    if survivors or len(self.running) > 1:
+                    if len(self.running) > 1:
                         self.preempt(request, now)
-                        preempted_self = True
                         break
                     raise PageAllocationError(
                         f"request {request.request_id} needs "
@@ -569,20 +615,30 @@ class ContinuousBatchingScheduler:
                         f"device holds only "
                         f"{kv_manager.total_pages * kv_manager.page_size}")
                 self.preempt(victim, now)
-            if not preempted_self:
-                if kv_manager.needs_pages(request.request_id, claim,
-                                          request.shared_kv_pages):
-                    kv_manager.allocate(request.request_id, claim,
-                                        request.shared_kv_pages)
-                survivors.append(request)
-        return survivors
+            if request.state is RequestState.DECODING:
+                kv_manager.allocate(request.request_id, claim,
+                                    request.shared_kv_pages)
+                if self._indexed:
+                    self._index_crossing(request)
+        return self.decoding_requests()
 
-    def _pick_victim(self, protect: List[Request]) -> Optional[Request]:
-        protected = {id(r) for r in protect}
-        candidates = [r for r in self.running if id(r) not in protected]
-        if not candidates:
-            return None
-        return self.policy.victim_order(candidates)[0]
+    def _pick_victim(self, request: Request) -> Optional[Request]:
+        """The request to preempt so ``request``'s claim can fit.
+
+        The running request with the highest current admission key, except
+        ``request`` and the decoding requests ranked above it: those already
+        hold their claims this pass.  A decoding request's key cannot change
+        during a pass, so its key now is its rank at pass start.  Keys end
+        in ``request_id``, so they are unique.  One scan suffices: unless
+        ``request`` itself holds the top key, the top-key request ranks
+        below it and is a candidate; if it does, every other decoding
+        request is protected and only prefilling ones remain.
+        """
+        admission_key = self.policy.admission_key
+        victim = max(self.running, key=admission_key)
+        if victim is request:
+            victim = max(self._prefilling, key=admission_key, default=None)
+        return victim
 
     # ------------------------------------------------------------------
     # Decode accounting
@@ -593,64 +649,155 @@ class ContinuousBatchingScheduler:
         """Account generated tokens per decoding request; retire finished ones.
 
         Without ``commits`` every decoding request advances by one token (the
-        plain decode step).  With ``commits`` (speculative decoding) each
-        request advances by its committed token count — accepted draft tokens
-        plus the bonus token, so always >= 1 for participants; requests absent
-        from the mapping are left untouched.  Under optimistic reservation the
-        speculative page claim made by :meth:`prepare_decode` is trimmed back
-        to the tokens actually kept, releasing the rejected tokens' pages
+        plain decode step): the decode counter ticks, and only the requests
+        with an event — a first token or a finish — are touched.  With
+        ``commits`` (speculative decoding) each request advances by its
+        committed token count — accepted draft tokens plus the bonus token,
+        so always >= 1 for participants; requests absent from the mapping
+        are left untouched.  Under optimistic reservation the speculative
+        page claim made by :meth:`prepare_decode` is trimmed back to the
+        tokens actually kept, releasing the rejected tokens' pages
         (conservative reservation never allocated them in the first place).
+        No step grows an allocation: conservative admission reserved the
+        final footprint and :meth:`prepare_decode` claimed the new tokens.
         """
         completed: List[Request] = []
-        survivors: List[Request] = []
-        kv_manager = self.kv_manager
-        for request in self.running:
-            if request.state is not RequestState.DECODING:
-                survivors.append(request)
-                continue
-            if commits is None:
-                tokens = 1
-            else:
-                tokens = commits.get(request.request_id, 0)
+        if commits is not None:
+            for request in list(self._decoding):
+                tokens = min(commits.get(request.request_id, 0),
+                             request.output_len - request.generated)
                 if tokens <= 0:
-                    survivors.append(request)
                     continue
-            request.generated = min(request.output_len,
-                                    request.generated + tokens)
-            if request.first_token_time is None:
-                request.first_token_time = now
-                if self.tracer is not None:
-                    self.tracer.first_token(request, now)
-            if request.finished:
-                request.state = RequestState.FINISHED
-                request.finish_time = now
-                if self.prefix_cache is not None:
-                    self.prefix_cache.release(request.request_id)
-                kv_manager.free(request.request_id)
-                completed.append(request)
-                if self.tracer is not None:
-                    self.tracer.request_finished(request, now)
-            else:
-                # Grow the allocation to cover the newly generated token(s) —
-                # a no-op under conservative reservation and pre-claimed by
-                # prepare_decode under preemption, so the grow call is skipped
-                # unless the new context actually crosses a page boundary.
-                if kv_manager.needs_pages(request.request_id,
-                                          request.context_len,
-                                          request.shared_kv_pages):
-                    kv_manager.allocate(request.request_id,
-                                        request.context_len,
-                                        request.shared_kv_pages)
-                if commits is not None and self.scheduling.preemption:
+                # Written in place: the stored count and the context sum
+                # move together; the event heaps go stale (see below).
+                request._generated += tokens
+                self._context_sum += tokens
+                if self.scheduling.preemption and not request.finished:
                     # Roll back the optimistic speculative claim: pages held
                     # for drafted-but-rejected tokens are released again.
-                    kv_manager.trim(request.request_id,
-                                    request.context_len,
-                                    request.shared_kv_pages)
-                survivors.append(request)
-        self.running = survivors
+                    self.kv_manager.trim(request.request_id,
+                                         request.context_len,
+                                         request.shared_kv_pages)
+                self._advance(request, now, completed)
+            self._indexed = False
+        else:
+            if not self._indexed:
+                self._reindex()
+            self.decode_iterations += 1
+            events = {r._run_seq: r for r in self._fresh
+                      if r._decode_clock is self}
+            self._fresh = []
+            heap = self._finish_heap
+            while heap and heap[0][0] <= self.decode_iterations:
+                _, seq, request = heapq.heappop(heap)
+                if request._decode_clock is self and request._run_seq == seq:
+                    events[seq] = request
+            for seq in sorted(events):
+                self._advance(events[seq], now, completed)
         self.finished.extend(completed)
         return completed
+
+    def _advance(self, request: Request, now: float,
+                 completed: List[Request]) -> None:
+        """Stamp ``request``'s first token and retire it if it is done."""
+        if request.first_token_time is None:
+            request.first_token_time = now
+            if self.tracer is not None:
+                self.tracer.first_token(request, now)
+        if request.finished:
+            self._leave(request)
+            request.state = RequestState.FINISHED
+            request.finish_time = now
+            if self.prefix_cache is not None:
+                self.prefix_cache.release(request.request_id)
+            self.kv_manager.free(request.request_id)
+            _remove(self.running, request)
+            completed.append(request)
+            if self.tracer is not None:
+                self.tracer.request_finished(request, now)
+
+    # ------------------------------------------------------------------
+    # Lazy decode accounting
+    # ------------------------------------------------------------------
+    def _join(self, request: Request) -> None:
+        """Enter the decode batch (the request just became ``DECODING``):
+        from now on ``generated`` counts this scheduler's decode steps."""
+        request._decode_clock = self
+        request._decode_join = self.decode_iterations
+        self._context_sum += (request.prompt_len + request._generated
+                              - request._decode_join)
+        bisect.insort(self._decoding, request, key=_run_seq)
+        if self._indexed:
+            self._index(request)
+
+    def _leave(self, request: Request) -> None:
+        """Leave the decode batch (finish, preemption or export), with the
+        ``generated`` count materialised."""
+        self._context_sum -= (request.prompt_len + request._generated
+                              - request._decode_join)
+        request._generated = request.generated
+        request._decode_clock = None
+        _remove(self._decoding, request)
+        if not self._decoding:
+            self._reindex()  # drops every stale entry at once
+
+    def _reindex(self) -> None:
+        """Rebuild the event structures from the decode batch."""
+        self._fresh, self._finish_heap, self._crossing_heap = [], [], []
+        self._indexed = True
+        for request in self._decoding:
+            self._index(request)
+
+    def _index(self, request: Request) -> None:
+        """Enter a decoding request's first token, finish and next page
+        crossing into the event structures."""
+        if request.first_token_time is None:
+            self._fresh.append(request)
+        finish = (request._decode_join + request.output_len
+                  - request._generated)
+        heapq.heappush(self._finish_heap, (finish, request._run_seq, request))
+        self._index_crossing(request)
+
+    def _crossing_iteration(self, request: Request) -> Optional[int]:
+        """The first decode iteration at which ``request``'s claim of
+        ``context_len + 1`` tokens needs a fresh page.  ``None`` when no
+        claim ever will: conservative admission reserved the final
+        footprint, and a non-paged reservation covers ``max_seq_len``."""
+        kv_manager = self.kv_manager
+        if not self.scheduling.preemption or not kv_manager.system.paged_kv:
+            return None
+        covered = (kv_manager.allocated_tokens_capacity(request.request_id)
+                   + request.shared_kv_pages * kv_manager.page_size)
+        return covered - (request.prompt_len + request._generated
+                          - request._decode_join)
+
+    def _index_crossing(self, request: Request) -> None:
+        crossing = self._crossing_iteration(request)
+        if crossing is not None:
+            heapq.heappush(self._crossing_heap,
+                           (crossing, request._run_seq, request))
+
+    def _pop_crossings(self) -> List[Request]:
+        """Decoding requests whose next claim needs a page this step."""
+        if not self._indexed:
+            self._reindex()
+        crossing: List[Request] = []
+        heap = self._crossing_heap
+        while heap and heap[0][0] <= self.decode_iterations:
+            key, seq, request = heapq.heappop(heap)
+            if (request._decode_clock is self and request._run_seq == seq
+                    and key == self._crossing_iteration(request)):
+                crossing.append(request)
+        return crossing
+
+    def decode_context_len(self) -> int:
+        """:func:`~repro.serving.request.mean_context_len` of the decode
+        batch, in O(1) from the running context sum."""
+        batch = len(self._decoding)
+        if not batch:
+            return 0
+        return int((self._context_sum + batch * self.decode_iterations)
+                   / batch)
 
     # ------------------------------------------------------------------
     @property
@@ -658,7 +805,9 @@ class ContinuousBatchingScheduler:
         return not self.waiting and not self.running
 
     def decoding_requests(self) -> List[Request]:
-        return [r for r in self.running if r.state is RequestState.DECODING]
+        """The decode batch, in running order (a copy)."""
+        return list(self._decoding)
 
     def prefilling_requests(self) -> List[Request]:
-        return [r for r in self.running if r.state is RequestState.PREFILLING]
+        """The requests still prefilling, in running order (a copy)."""
+        return list(self._prefilling)

@@ -373,8 +373,8 @@ def test_cache_aware_policy_prioritizes_warm_requests(llama7b):
     warm = _request(2, [(1, 64), (5, 32)], arrival=1.0)   # later but cached
     assert [r.request_id
             for r in policy.admission_order([cold, warm])] == [2, 1]
-    # Victim order evicts the least-cached request first.
-    assert policy.victim_order([cold, warm])[0] is cold
+    # Preemption takes the highest key: the least-cached request.
+    assert max([cold, warm], key=policy.admission_key) is cold
 
 
 def test_eviction_under_page_pressure_end_to_end(llama7b, monkeypatch):

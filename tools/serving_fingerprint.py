@@ -8,7 +8,8 @@ preemption, prefix-cache chat, a multi-replica cluster, disaggregated
 prefill/decode, speculative decoding, a heterogeneous mixed-precision fleet,
 KV-cache demotion under memory pressure, diurnal multi-tenant traffic with
 tier-aware admission, a flash-crowd autoscaled fleet, a multiplexed
-multi-model fleet and LRU prefix-cache eviction under memory pressure — and
+multi-model fleet, LRU prefix-cache eviction under memory pressure, and
+shortest-job-first and cache-aware admission under preemption — and
 emits a JSON fingerprint in which every float is hex-encoded
 (``float.hex()``: exact, no rounding) and every per-request metrics stream
 is hashed.
@@ -301,6 +302,37 @@ def build_fingerprint() -> Dict[str, object]:
                      scheduling=SCHEDULING_PRESETS["prefix-aware"])
     s = r.prefix_stats
     fp["prefix-evict"] = {
+        "serving": _serving_result(r),
+        "inserted_pages": s.inserted_pages,
+        "deduped_pages": s.deduped_pages,
+        "peak_cached_pages": s.peak_cached_pages,
+    }
+
+    # 13. Shortest-job-first under preemption: the victim and claim order
+    # read each running request's remaining output.
+    from repro.serving import SchedulingConfig
+    engine = ServingEngine(llama7b, A100, system, max_seq_len=4096)
+    capacity = 400 * engine.new_kv_manager().bytes_per_page()
+    engine.kv_capacity_bytes = lambda: capacity
+    wl = make_lognormal_workload(150, arrival_rate=20.0, seed=5)
+    r = engine.serve(wl, max_num_seqs=32, scheduling=SchedulingConfig(
+        policy="sjf", chunked_prefill=True, preemption=True))
+    fp["sjf-preempt"] = _serving_result(r)
+
+    # 14. Cache-aware preemption on a pool so tight that decode page claims
+    # evict cached prefix blocks before they preempt.
+    engine = ServingEngine(llama7b, A100, system, max_seq_len=4096)
+    capacity = 64 * engine.new_kv_manager().bytes_per_page()
+    engine.kv_capacity_bytes = lambda: capacity
+    wl = make_chat_workload(num_sessions=12, turns_per_session=4,
+                            system_prompt_len=192, user_len=32,
+                            assistant_len=64, think_time_s=1.0,
+                            session_rate=2.0, seed=11)
+    r = engine.serve(wl, max_num_seqs=8, scheduling=SchedulingConfig(
+        policy="cache-aware", chunked_prefill=True, preemption=True,
+        prefix_caching=True))
+    s = r.prefix_stats
+    fp["cache-aware-preempt"] = {
         "serving": _serving_result(r),
         "inserted_pages": s.inserted_pages,
         "deduped_pages": s.deduped_pages,
