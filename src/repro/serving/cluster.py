@@ -8,10 +8,10 @@ simulates that tier.  :class:`ClusterEngine` drives N replica
 requests are dispatched in arrival order, every replica is advanced to the
 arrival instant first, and the pluggable :class:`Router` then picks a
 replica using the queue state *at that moment* — exactly the information a
-real load balancer has.  Disaggregated, autoscaled and multiplexed fleets
-(below) run on that same event loop and compose where their meanings do:
-only role-specialised replicas with autoscaling, and multiplexing with
-per-replica systems, are refused.
+real load balancer has.  Disaggregated, autoscaled, mixed-precision and
+multiplexed fleets (below) run on that same event loop and compose where
+their meanings do: only role-specialised replicas with autoscaling are
+refused.
 
 Routers shipped by default:
 
@@ -50,7 +50,9 @@ per-model KV pools, swaps weights LRU when the residency limit is hit, and
 prices each swap-in like an autoscaler cold start — the weights cross the
 host link as a replica-busy window on the shared clock.  Co-resident
 models are serialized on one GPU timeline per replica; prefix caches are
-namespaced by model so no block is ever adopted across models.
+namespaced by model so no block is ever adopted across models.  Under
+per-replica ``systems`` each replica runs every model at its own precision,
+so it carves HBM and prices swap-ins under its own system.
 
 **Disaggregated serving** (DistServe/Splitwise-style) gives each replica a
 *role*: ``prefill`` replicas run prompt processing only and export every
@@ -77,7 +79,8 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Type, Union)
 
 from repro.gpu.specs import GPUSpec, InterconnectSpec, NVLINK
 from repro.model.config import ModelConfig
@@ -130,6 +133,20 @@ REPLICA_ROLES = ("prefill", "decode", "mixed")
 # ----------------------------------------------------------------------
 # Routers
 # ----------------------------------------------------------------------
+def _least_outstanding(hosts: Sequence,
+                       candidates: Optional[Iterable[int]] = None) -> int:
+    """Index of the host with the fewest unfinished requests.
+
+    Searches ``candidates`` (default: every index of ``hosts``); ties break
+    toward the lowest index.  The one least-outstanding rule: every router
+    that degrades to least-outstanding, and the cluster's drain target,
+    call it.
+    """
+    if candidates is None:
+        candidates = range(len(hosts))
+    return min(candidates, key=lambda i: (hosts[i].outstanding_requests, i))
+
+
 class Router(abc.ABC):
     """Chooses the replica each arriving request is dispatched to.
 
@@ -172,8 +189,7 @@ class LeastOutstandingRouter(Router):
     name = "least-outstanding"
 
     def route(self, request: Request, replicas: Sequence[EngineStepper]) -> int:
-        return min(range(len(replicas)),
-                   key=lambda i: (replicas[i].outstanding_requests, i))
+        return _least_outstanding(replicas)
 
 
 class ShortestQueueRouter(Router):
@@ -236,8 +252,7 @@ class PrefixAffinityRouter(Router):
             index = next((i for i, replica in enumerate(replicas)
                           if replica is sticky), None)
         if index is None:
-            index = min(range(len(replicas)),
-                        key=lambda i: (replicas[i].outstanding_requests, i))
+            index = _least_outstanding(replicas)
         if key is not None:
             self._sticky[key] = replicas[index]
         return index
@@ -306,8 +321,7 @@ class PrecisionAwareRouter(Router):
             group = [i for i in range(len(replicas)) if bits[i] == hi]
         else:
             group = [i for i in range(len(replicas)) if bits[i] == lo]
-        return min(group,
-                   key=lambda i: (replicas[i].outstanding_requests, i))
+        return _least_outstanding(replicas, group)
 
 
 class ModelAwareRouter(Router):
@@ -329,8 +343,7 @@ class ModelAwareRouter(Router):
 
     def route(self, request: Request, replicas: Sequence[EngineStepper]) -> int:
         if not hasattr(replicas[0], "swap_cost_s"):
-            return min(range(len(replicas)),
-                       key=lambda i: (replicas[i].outstanding_requests, i))
+            return _least_outstanding(replicas)
         model = replicas[0].resolve_model(request)
         queue_cost = replicas[0].queue_cost_s
         return min(
@@ -399,6 +412,12 @@ class ClusterResult:
     def num_replicas(self) -> int:
         return len(self.replica_results)
 
+    @property
+    def _hosts(self) -> int:
+        """Physical replicas the result slices come from."""
+        return (self.num_replicas if self.physical_replicas is None
+                else self.physical_replicas)
+
     def _sum(self, attr: str) -> int:
         """Sum one numeric field across the per-replica results.
 
@@ -454,6 +473,8 @@ class ClusterResult:
 
         The quantity disaggregation tuning stares at: a prefill:decode ratio
         is right when neither role sits idle while the other saturates.
+        A multiplexed replica's model slices share its one GPU timeline,
+        so busy time is divided by the role's physical replicas.
         """
         roles = self.replica_roles or ["mixed"] * self.num_replicas
         total = self.total_time_s
@@ -462,7 +483,8 @@ class ClusterResult:
             members = [r for r, ro in zip(self.replica_results, roles)
                        if ro == role]
             busy = sum(r.busy_time_s for r in members)
-            out[role] = 0.0 if total == 0 else busy / (len(members) * total)
+            replicas = len(members) * self._hosts / self.num_replicas
+            out[role] = 0.0 if total == 0 else busy / (replicas * total)
         return out
 
     @property
@@ -501,9 +523,7 @@ class ClusterResult:
         """
         if self.autoscale is not None:
             return self.autoscale.gpu_seconds
-        replicas = (self.num_replicas if self.physical_replicas is None
-                    else self.physical_replicas)
-        return replicas * self.gpus_per_replica * self.total_time_s
+        return self._hosts * self.gpus_per_replica * self.total_time_s
 
     @property
     def num_preemptions(self) -> int:
@@ -745,7 +765,7 @@ class ClusterEngine:
     ``systems`` makes the fleet *heterogeneous*: one system preset (name or
     :class:`~repro.serving.precision.SystemConfig`) per replica, so an FP16
     latency tier and a W4A8KV4 throughput tier serve behind one router.
-    Replicas with the same preset share one engine (and its cost-model
+    Replicas with an equal preset share one engine (and its cost-model
     cache); passing a uniform ``systems`` list equal to ``system`` is
     bitwise-identical to omitting it.  Precision changes a replica's page
     geometry (KV bytes per token → KV capacity in pages), its kernel costs,
@@ -775,35 +795,18 @@ class ClusterEngine:
                  ) -> None:
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
+        if systems is not None and len(systems) != num_replicas:
+            raise ValueError(
+                f"systems has {len(systems)} entries for "
+                f"{num_replicas} replicas")
         self.num_replicas = num_replicas
-        self.engine = ServingEngine(model, gpu, system, max_seq_len=max_seq_len,
-                                    parallel=parallel)
-        if systems is None:
-            self.engines: List[ServingEngine] = [self.engine] * num_replicas
-        else:
-            if len(systems) != num_replicas:
-                raise ValueError(
-                    f"systems has {len(systems)} entries for "
-                    f"{num_replicas} replicas")
-            resolved = [get_system(s) if isinstance(s, str) else s
-                        for s in systems]
-            # One engine per distinct preset: replicas with an equal system
-            # share cost-model caches, and a replica matching the base
-            # ``system`` reuses ``self.engine`` itself, so a uniform
-            # ``systems`` list is the homogeneous cluster by construction.
-            # Presets are keyed by value: two configs that only share a
-            # name are different systems.
-            built: Dict[SystemConfig, ServingEngine] = {
-                self.engine.system: self.engine}
-            self.engines = []
-            for sys_config in resolved:
-                engine = built.get(sys_config)
-                if engine is None:
-                    engine = ServingEngine(model, gpu, sys_config,
-                                           max_seq_len=max_seq_len,
-                                           parallel=parallel)
-                    built[sys_config] = engine
-                self.engines.append(engine)
+        self._gpu, self._max_seq_len, self._parallel = gpu, max_seq_len, parallel
+        self._engines: Dict[Tuple[ModelConfig, SystemConfig],
+                            ServingEngine] = {}
+        self.engine = self._engine(model, system)
+        self.engines: List[ServingEngine] = [
+            self._engine(model, get_system(s) if isinstance(s, str) else s)
+            for s in systems or [system] * num_replicas]
         self.roles = list(roles) if roles is not None else \
             ["mixed"] * num_replicas
         if len(self.roles) != num_replicas:
@@ -831,9 +834,22 @@ class ClusterEngine:
                     "to receive migrations from")
         self.transfer_link = transfer_link
         self.transfer_overlap = transfer_overlap
-        #: KV bytes per cached token under this system's KV precision — the
-        #: payload density of a prefill→decode transfer.
-        self.kv_bytes_per_token = self.engine.kv_bytes_per_token()
+
+    def _engine(self, model: ModelConfig, system: SystemConfig
+                ) -> ServingEngine:
+        """The cluster's one engine running ``model`` under ``system``.
+
+        Every replica slot and every multiplexed model asks this table, so
+        equal (model, system) pairs share one engine and its cost-model
+        cache across slots and ``serve()`` calls.  Keys are values: two
+        configs that only share a name get different engines.
+        """
+        engine = self._engines.get((model, system))
+        if engine is None:
+            engine = self._engines[model, system] = ServingEngine(
+                model, self._gpu, system, max_seq_len=self._max_seq_len,
+                parallel=self._parallel)
+        return engine
 
     @property
     def disaggregated(self) -> bool:
@@ -897,9 +913,9 @@ class ClusterEngine:
         ``router="model-aware"`` for warm-first placement) and the result
         carries one slice per (replica, model) plus a
         :class:`~repro.serving.multiplex.MultiplexReport`.  Multiplexing
-        composes with autoscaling and with role-specialised replicas;
-        roles exclude autoscaling, and multiplexing excludes heterogeneous
-        ``systems``.
+        composes with autoscaling, role-specialised replicas and per-replica
+        ``systems`` (each replica runs every model under its own system);
+        only roles exclude autoscaling.
 
         All of these run on one event loop over per-slot replica hosts
         (an :class:`EngineStepper`, or a multiplexed replica serializing
@@ -921,10 +937,6 @@ class ClusterEngine:
             raise ValueError(
                 "autoscaling and role-specialised replicas are mutually "
                 "exclusive; use mixed roles")
-        if self.heterogeneous and multiplex is not None:
-            raise ValueError(
-                "multiplexing and per-replica systems are mutually "
-                "exclusive")
         pool = self.num_replicas
         scaler = None
         if autoscaler is not None:
@@ -965,19 +977,15 @@ class ClusterEngine:
             windows[slot].append([start, None])
             state[slot] = "active" if ready <= start else "starting"
 
-        def least_loaded(targets: List[int]) -> int:
-            return min(targets,
-                       key=lambda s: (hosts[s].outstanding_requests, s))
-
         def drain(slot: int, now: float, targets: List[int]) -> None:
             for stepper in hosts[slot].steppers:
                 exported, waiting = stepper.evacuate(now)
                 for request in exported:
-                    target = hosts[least_loaded(targets)]
+                    target = hosts[_least_outstanding(hosts, targets)]
                     migrations_in[self._migrate(request, stepper, target,
                                                 now)] += 1
                 for request in waiting:
-                    hosts[least_loaded(targets)].submit(request)
+                    hosts[_least_outstanding(hosts, targets)].submit(request)
 
         def tick(now: float) -> None:
             active = slots("active")
@@ -1144,60 +1152,47 @@ class ClusterEngine:
                       ) -> Callable[[int], _Host]:
         """Factory of one serve() run's replica host for a slot index.
 
-        Traced runs give every stepper its own trace process: replica index
-        and role for a plain replica, ``replica<i>/<model>`` for each model
-        of a multiplexed one.  Multiplexed replicas share one engine per
-        model (the cost model is stateless); each owns a
-        :class:`~repro.serving.multiplex.ModelResidency` whose static carve
-        sizes its per-model KV pools.
+        A slot runs one stepper per model on :meth:`_engine` under the
+        slot's own system: the base model alone on a plain replica, every
+        model of ``multiplex`` on a multiplexed one.  A multiplexed replica
+        also owns a :class:`~repro.serving.multiplex.ModelResidency` whose
+        static carve, sized from those engines, sets its per-model KV
+        pools.  Traced runs give every stepper its own trace process:
+        ``replica<i>`` (plain) or ``replica<i>/<model>`` (multiplexed),
+        suffixed with a non-mixed role.
         """
-        def tracer(index: int, name: str) -> Optional[Tracer]:
-            return None if tracing is None else Tracer(
-                tracing, replica_index=index, replica_name=name)
-
-        if multiplex is None:
-            def build(slot: int) -> _Host:
-                role = self.roles[slot]
-                suffix = "" if role == "mixed" else f" ({role})"
-                return EngineStepper(
-                    self.engines[slot], scheduling=scheduling,
-                    max_num_seqs=max_num_seqs,
-                    migrate_out=(role == "prefill"),
-                    speculative=None if role == "prefill" else speculative,
-                    telemetry=tracer(slot, f"replica{slot}{suffix}"))
-            return build
-
-        base = self.engine
-        engines = {
-            model.name: base if model.name == base.model.name
-            else ServingEngine(model, base.gpu, base.system,
-                               max_seq_len=base.max_seq_len,
-                               parallel=base.parallel)
-            for model in multiplex.models}
-        weight = {name: engine.weight_bytes()
-                  for name, engine in engines.items()}
-        workspace = {
-            name: (engine.weight_bytes_per_gpu()
-                   * engine.system.activation_workspace_factor
-                   + 1.0 * (1 << 30)) * engine.tp_degree
-            for name, engine in engines.items()}
+        models = ((self.engine.model,) if multiplex is None
+                  else multiplex.models)
 
         def build(slot: int) -> _Host:
             role = self.roles[slot]
             suffix = "" if role == "mixed" else f" ({role})"
-            residency = ModelResidency(multiplex, base.gpu, weight, workspace,
-                                       tp_degree=base.tp_degree)
-            return _MultiplexReplica(multiplex, [
-                EngineStepper(
-                    engines[model.name], scheduling=scheduling,
-                    max_num_seqs=max_num_seqs,
+            engines = [self._engine(model, self.engines[slot].system)
+                       for model in models]
+            residency = None if multiplex is None else ModelResidency(
+                multiplex, self.engine.gpu,
+                {e.model.name: e.weight_bytes() for e in engines},
+                {e.model.name: e.workspace_bytes_per_gpu() * e.tp_degree
+                 for e in engines},
+                tp_degree=self.engine.tp_degree)
+            steppers = []
+            for j, engine in enumerate(engines):
+                name = None if multiplex is None else engine.model.name
+                label = (f"replica{slot}" if name is None
+                         else f"replica{slot}/{name}")
+                steppers.append(EngineStepper(
+                    engine, scheduling=scheduling, max_num_seqs=max_num_seqs,
                     migrate_out=(role == "prefill"),
                     speculative=None if role == "prefill" else speculative,
-                    telemetry=tracer(slot * len(multiplex.models) + j,
-                                     f"replica{slot}/{model.name}{suffix}"),
-                    model_name=model.name,
-                    kv_capacity_bytes=residency.kv_pool_bytes())
-                for j, model in enumerate(multiplex.models)], residency)
+                    telemetry=None if tracing is None else Tracer(
+                        tracing, replica_index=slot * len(models) + j,
+                        replica_name=label + suffix),
+                    model_name=name,
+                    kv_capacity_bytes=(None if residency is None
+                                       else residency.kv_pool_bytes())))
+            if residency is None:
+                return steppers[0]
+            return _MultiplexReplica(multiplex, steppers, residency)
         return build
 
     # ------------------------------------------------------------------

@@ -319,6 +319,11 @@ class ServingEngine:
         """Per-GPU weight footprint under tensor-parallel sharding."""
         return self.weight_bytes() / self.parallel.tp_degree
 
+    def workspace_bytes_per_gpu(self) -> float:
+        """Per-GPU activation workspace: a share of the weights plus 1 GiB."""
+        return (self.weight_bytes_per_gpu()
+                * self.system.activation_workspace_factor + 1.0 * (1 << 30))
+
     def kv_capacity_bytes(self) -> float:
         """Memory left for KV cache, aggregated across the TP group.
 
@@ -327,7 +332,7 @@ class ServingEngine:
         capacity is the per-GPU leftover times the TP degree.
         """
         weights = self.weight_bytes_per_gpu()
-        workspace = weights * self.system.activation_workspace_factor + 1.0 * (1 << 30)
+        workspace = self.workspace_bytes_per_gpu()
         per_gpu = max(0.0, self.gpu.memory_bytes - weights - workspace)
         return per_gpu * self.parallel.tp_degree
 

@@ -90,7 +90,7 @@ def test_transfer_delay_cost_model(llama7b):
     d_short = cluster.transfer_delay(short)
     d_long = cluster.transfer_delay(long)
     # Raw transfer: payload over the link plus one message latency.
-    expected = (cluster.kv_bytes_per_token * 256
+    expected = (cluster.engine.kv_bytes_per_token() * 256
                 / PCIE_GEN4.bandwidth_bytes_per_s) + PCIE_GEN4.latency_s
     assert d_short == pytest.approx(expected)
     assert d_long > d_short                          # more KV state, more time

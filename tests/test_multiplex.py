@@ -260,6 +260,21 @@ def test_multiplexed_swap_counters_and_spans():
     assert all(e["name"].startswith("swap:") for e in swaps)
 
 
+def test_role_utilization_counts_physical_replicas():
+    # A 1-replica, 2-model fleet fed one burst is busy for its whole
+    # makespan; its two result slices share the one GPU timeline.
+    wl = make_multi_model_workload(
+        16, models=(M7.name, M13.name), weights=(0.5, 0.5),
+        arrival_rate=1000.0, prompt_len=128, output_len=16, seed=2)
+    result = ClusterEngine(M7, A100, SYSTEM, num_replicas=1).serve(
+        wl, max_num_seqs=8,
+        multiplex=MultiplexConfig(models=(M7, M13), max_resident_models=1))
+    busy = sum(r.busy_time_s for r in result.replica_results)
+    utilization = result.role_utilization()["mixed"]
+    assert utilization == pytest.approx(busy / result.total_time_s)
+    assert 0.9 < utilization <= 1.0
+
+
 def test_multiplexed_serving_is_deterministic():
     a, b = _serve_multiplexed(), _serve_multiplexed()
     assert a.multiplex.swap_ins == b.multiplex.swap_ins
@@ -267,14 +282,72 @@ def test_multiplexed_serving_is_deterministic():
     assert a.requests_per_replica == b.requests_per_replica
 
 
-def test_multiplex_mutually_exclusive_modes():
-    wl = make_uniform_workload(num_requests=4, prompt_len=32, output_len=4,
-                               arrival_rate=None, seed=0)
-    config = MultiplexConfig(models=(M7, M13))
-    mixed = ClusterEngine(M7, A100, SYSTEM, num_replicas=2,
-                          systems=["trt-fp16", "qserve-w4a8kv4-chn"])
-    with pytest.raises(ValueError, match="per-replica systems"):
-        mixed.serve(wl, multiplex=config)
+# ----------------------------------------------------------------------
+# Per-replica systems on a multiplexed fleet
+# ----------------------------------------------------------------------
+QSERVE = get_system("qserve-w4a8kv4-chn")
+MIXED_SYSTEMS = (SYSTEM, QSERVE)
+
+
+def _two_model_workload():
+    return make_multi_model_workload(
+        24, models=(M7.name, M13.name), weights=(0.6, 0.4),
+        arrival_rate=12.0, prompt_len=96, output_len=16, seed=7)
+
+
+def _serve_two_models(model, system, requests, num_replicas=1, models=None,
+                      router="round-robin", **kwargs):
+    cluster = ClusterEngine(model, A100, system, num_replicas, **kwargs)
+    config = MultiplexConfig(models=models or (M7, M13),
+                             max_resident_models=1)
+    return cluster.serve(Workload(requests=[r.copy_fresh() for r in requests]),
+                         router=router, max_num_seqs=8, multiplex=config)
+
+
+def _slice_bits(result):
+    """Exact per-slice outcome: float.hex of every timing, plus each
+    finished request's metrics."""
+    return [
+        (r.total_time_s.hex(), r.busy_time_s.hex(), r.generated_tokens,
+         [(m.request_id, m.arrival_time.hex(), m.first_token_time.hex(),
+           m.finish_time.hex(), m.admitted_time.hex(), m.preemptions)
+          for m in sorted(r.metrics.requests, key=lambda m: m.request_id)])
+        for r in result.replica_results]
+
+
+def test_multiplexed_mixed_precision_fleet_matches_one_replica_runs():
+    # Cross-topology oracle: under round-robin every replica of a
+    # multiplexed [FP16, W4A8KV4] fleet serves exactly every other arrival,
+    # so replica i's (replica, model) slices must equal a one-replica
+    # multiplexed fleet under system i serving those arrivals.
+    requests = sorted(_two_model_workload().requests,
+                      key=lambda r: (r.arrival_time, r.request_id))
+    fleet = _serve_two_models(M7, SYSTEM, requests, num_replicas=2,
+                              systems=list(MIXED_SYSTEMS))
+    assert fleet.num_finished == len(requests)
+    assert all(replica.swap_ins > 0 for replica in fleet.multiplex.replicas)
+    assert fleet.replica_systems == [SYSTEM.name] * 2 + [QSERVE.name] * 2
+    slices = _slice_bits(fleet)
+    for i, system in enumerate(MIXED_SYSTEMS):
+        alone = _serve_two_models(M7, system, requests[i::2])
+        assert slices[2 * i:2 * i + 2] == _slice_bits(alone)
+    # Each replica carves HBM under its own system: W4A8KV4 weights leave
+    # a larger KV pool than FP16 weights do.
+    fp16, w4 = fleet.multiplex.replicas
+    assert w4.kv_pool_bytes > fp16.kv_pool_bytes
+    assert w4.weight_budget_bytes < fp16.weight_budget_bytes
+
+
+def test_uniform_systems_on_multiplexed_fleet_is_homogeneous():
+    requests = _two_model_workload().requests
+    base = _serve_two_models(M7, SYSTEM, requests, num_replicas=2,
+                             router="model-aware")
+    uniform = _serve_two_models(M7, SYSTEM, requests, num_replicas=2,
+                                router="model-aware",
+                                systems=[SYSTEM.name] * 2)
+    assert _slice_bits(uniform) == _slice_bits(base)
+    assert uniform.total_time_s.hex() == base.total_time_s.hex()
+    assert uniform.multiplex.to_json() == base.multiplex.to_json()
 
 
 def test_multiplexed_prefill_decode_split():
@@ -302,24 +375,35 @@ def test_multiplexed_prefill_decode_split():
         assert request.migrations == 1
 
 
-def test_renamed_system_is_still_heterogeneous():
-    # Regression: heterogeneity compared preset names, so an FP16 system
-    # renamed to the W4A8KV4 preset's name slipped past the systems x
-    # multiplex guard and both replicas were then served as W4A8KV4.
-    qserve = get_system("qserve-w4a8kv4-chn")
-    renamed = replace(get_system("trt-fp16"), name=qserve.name)
-    cluster = ClusterEngine(M7, A100, qserve, num_replicas=2,
-                            systems=[renamed, qserve])
-    assert cluster.heterogeneous
-    wl = make_uniform_workload(num_requests=4, prompt_len=32, output_len=4,
-                               arrival_rate=None, seed=0)
-    with pytest.raises(ValueError, match="per-replica systems"):
-        cluster.serve(wl, multiplex=MultiplexConfig(models=(M7, M13)))
+def test_renamed_fp16_replica_is_served_as_fp16():
+    # An FP16 system renamed to the W4A8KV4 preset's name is still FP16:
+    # engines are keyed by value, so its replica runs every model at FP16.
+    renamed = replace(SYSTEM, name=QSERVE.name)
+    requests = sorted(_two_model_workload().requests,
+                      key=lambda r: (r.arrival_time, r.request_id))
+    fleet = _serve_two_models(M7, QSERVE, requests, num_replicas=2,
+                              systems=[renamed, QSERVE])
+    fp16 = _serve_two_models(M7, SYSTEM, requests[0::2])
+    assert _slice_bits(fleet)[:2] == _slice_bits(fp16)
+
+
+def test_multiplexed_model_sharing_the_base_name_is_priced_as_itself():
+    # Regression: multiplexed engines were keyed by model name, so a
+    # 16-layer variant called "llama-2-7b" under a 32-layer llama-2-7b base
+    # was priced and sized as the base model.
+    variant = replace(M7, num_layers=16)
+    requests = _two_model_workload().requests
+    under_base = _serve_two_models(M7, SYSTEM, requests,
+                                   models=(variant, M13))
+    as_base = _serve_two_models(variant, SYSTEM, requests,
+                                models=(variant, M13))
+    assert _slice_bits(under_base) == _slice_bits(as_base)
+    assert under_base.multiplex.to_json() == as_base.multiplex.to_json()
 
 
 def test_precision_aware_router_on_multiplexed_fleet():
     # Regression: the router read ``replica.engine``, which a multiplexed
-    # replica does not have.  A multiplexed fleet is homogeneous, so the
+    # replica does not have.  This multiplexed fleet is homogeneous, so the
     # router must route exactly like least-outstanding.
     cluster = ClusterEngine(M7, A100, get_system("qserve-w4a8kv4-chn"), 2)
     wl = make_multi_model_workload(20, models=(M7.name, M13.name),

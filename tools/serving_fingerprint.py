@@ -8,8 +8,9 @@ preemption, prefix-cache chat, a multi-replica cluster, disaggregated
 prefill/decode, speculative decoding, a heterogeneous mixed-precision fleet,
 KV-cache demotion under memory pressure, diurnal multi-tenant traffic with
 tier-aware admission, a flash-crowd autoscaled fleet, a multiplexed
-multi-model fleet, LRU prefix-cache eviction under memory pressure, and
-shortest-job-first and cache-aware admission under preemption — and
+multi-model fleet, LRU prefix-cache eviction under memory pressure,
+shortest-job-first and cache-aware admission under preemption, and a
+multiplexed mixed-precision fleet — and
 emits a JSON fingerprint in which every float is hex-encoded
 (``float.hex()``: exact, no rounding) and every per-request metrics stream
 is hashed.
@@ -337,6 +338,31 @@ def build_fingerprint() -> Dict[str, object]:
         "inserted_pages": s.inserted_pages,
         "deduped_pages": s.deduped_pages,
         "peak_cached_pages": s.peak_cached_pages,
+    }
+
+    # 15. Multiplexed mixed-precision fleet: each replica carves HBM and
+    # prices swap-ins under its own system, behind the precision router.
+    cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS["trt-fp16"],
+                            num_replicas=2, max_seq_len=4096,
+                            systems=["trt-fp16", "qserve-w4a8kv4-chn"])
+    wl = make_multi_model_workload(
+        120, models=("llama-2-7b", "llama-2-13b"), weights=(0.7, 0.3),
+        arrival_rate=12.0, seed=13)
+    r = cluster.serve(wl, router="precision-aware", max_num_seqs=16,
+                      multiplex=MultiplexConfig(
+                          models=(llama7b, llama13b),
+                          max_resident_models=1))
+    fp["multiplexed-hetero"] = {
+        "cluster": _cluster_result(r),
+        "replica_systems": r.replica_systems,
+        "gpu_seconds": _hx(r.gpu_seconds),
+        "swap_ins": r.multiplex.swap_ins,
+        "swap_in_s": _hx(r.multiplex.swap_in_s),
+        "requests_by_model": {m: n for m, n in
+                              sorted(r.multiplex.requests_by_model.items())},
+        "kv_pool_bytes": [_hx(s.kv_pool_bytes) for s in r.multiplex.replicas],
+        "weight_budget_bytes": [_hx(s.weight_budget_bytes)
+                                for s in r.multiplex.replicas],
     }
 
     return fp
