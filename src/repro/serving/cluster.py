@@ -1003,7 +1003,7 @@ class ClusterEngine:
                 now=now,
                 num_active=len(active),
                 num_starting=state.count("starting"),
-                queue_depth=sum(len(st.scheduler.waiting)
+                queue_depth=sum(st.scheduler.num_waiting
                                 for s in active for st in hosts[s].steppers),
                 outstanding=sum(hosts[s].outstanding_requests
                                 for s in active),

@@ -49,7 +49,6 @@ bitwise-identical.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -695,7 +694,7 @@ class EngineStepper:
         self.scheduler = ContinuousBatchingScheduler(
             kv_manager=kv_manager,
             scheduling=self.scheduling,
-            max_num_seqs=max_num_seqs or 10**9,
+            max_num_seqs=max_num_seqs,
             prefix_cache=self.prefix_cache,
             tracer=self.tracer,
             model_name=model_name)
@@ -723,13 +722,13 @@ class EngineStepper:
     @property
     def outstanding_requests(self) -> int:
         """Requests accepted but not yet finished (waiting + running)."""
-        return len(self.scheduler.waiting) + len(self.scheduler.running)
+        return self.scheduler.num_waiting + len(self.scheduler.running)
 
     @property
     def pending_prefill_tokens(self) -> int:
         """Prefill (or recompute) tokens still owed to queued/prefilling requests."""
         scheduler = self.scheduler
-        return (sum(r.prefill_remaining for r in scheduler.waiting)
+        return (sum(r.prefill_remaining for r in scheduler.queued())
                 + sum(r.prefill_remaining for r in scheduler.prefilling_requests()))
 
     def cached_prefix_tokens(self, request: Request) -> int:
@@ -792,11 +791,10 @@ class EngineStepper:
         this to pick which model's stepper owns the GPU next.
         """
         scheduler = self.scheduler
-        if scheduler.running:
+        if scheduler.running or scheduler.ready:
             return self.now
-        if not scheduler.waiting:
-            return None
-        return max(self.now, scheduler.waiting[0].available_time)
+        available = scheduler.next_available_time()
+        return None if available is None else max(self.now, available)
 
     # -- cluster host interface -----------------------------------------
     @property
@@ -823,8 +821,7 @@ class EngineStepper:
             scheduler.export_request(request, now)
         for request in scheduler.prefilling_requests():
             scheduler.preempt(request, now)
-        waiting, scheduler.waiting = scheduler.waiting, []
-        return exported, waiting
+        return exported, scheduler.take_waiting()
 
     # ------------------------------------------------------------------
     def step(self, horizon: Optional[float] = None) -> bool:
@@ -868,15 +865,12 @@ class EngineStepper:
             # and report the stuck requests as unserved.  This applies with
             # or without a running batch: an arrived request that can never
             # be admitted (larger than the whole KV cache) strands only
-            # itself, not every later arrival.  The scheduler keeps
-            # ``waiting`` sorted by availability, so that arrival is a
-            # bisect away — no full-queue scan.
-            waiting = scheduler.waiting
-            index = bisect_right(waiting, self.now,
-                                 key=lambda r: r.available_time)
-            if index == len(waiting):
+            # itself, not every later arrival.  Admission just moved every
+            # request available by ``now`` out of the pending queue, so that
+            # arrival is the pending head.
+            jump = scheduler.next_available_time()
+            if jump is None:
                 return False
-            jump = waiting[index].available_time
             if horizon is not None and jump > horizon:
                 return False
             self.now = jump

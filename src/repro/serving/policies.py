@@ -82,6 +82,10 @@ class SchedulerPolicy(abc.ABC):
     #: May a request blocked on pages (or the sequence cap) be overtaken by a
     #: later request in admission order?
     allow_bypass: bool = True
+    #: Is a waiting request's admission key fixed while it waits?  Then the
+    #: scheduler keeps its ready queue in key order across admission passes;
+    #: otherwise (the default) it re-sorts the queue on every pass.
+    static_key: bool = False
 
     @abc.abstractmethod
     def admission_key(self, request: Request) -> Tuple:
@@ -104,6 +108,7 @@ class FCFSPolicy(SchedulerPolicy):
 
     name = "fcfs"
     allow_bypass = True
+    static_key = True
 
     def admission_key(self, request: Request) -> Tuple:
         return (request.arrival_time, request.request_id)
@@ -121,6 +126,7 @@ class ShortestJobFirstPolicy(SchedulerPolicy):
 
     name = "sjf"
     allow_bypass = True
+    static_key = True  # remaining work is fixed while a request waits
 
     def admission_key(self, request: Request) -> Tuple:
         remaining = (request.prefill_target - request.prefilled) + (
@@ -135,7 +141,8 @@ class CacheAwarePolicy(SchedulerPolicy):
     enabled; unbound (or with a cold cache) the policy degrades to plain
     FCFS.  Victim selection inherits the reversed admission order, so under
     preemption the *least*-cached running request is evicted first — the one
-    whose recompute costs the most cache-able prefill.
+    whose recompute costs the most cache-able prefill.  The key reads live
+    cache state, so ``static_key`` stays off.
     """
 
     name = "cache-aware"

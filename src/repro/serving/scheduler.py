@@ -49,8 +49,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
+import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationError
 from repro.serving.policies import (LEGACY_SCHEDULING, SchedulerPolicy,
@@ -62,11 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.serving.telemetry import Tracer
 
 __all__ = ["ContinuousBatchingScheduler"]
-
-
-def _availability(request: Request) -> float:
-    """Sort key component shared by every waiting-queue ordering."""
-    return request.available_time
 
 
 def _waiting_key(request: Request):
@@ -100,13 +98,14 @@ class ContinuousBatchingScheduler:
 
     Every setting comes from ``scheduling``: the admission/eviction policy
     (``cache-aware`` is bound to ``prefix_cache``), optimistic reservation
-    with preemption, and tier-aware admission.  The fields after
-    ``model_name`` are the built policy and run state.
+    with preemption, and tier-aware admission.  ``max_num_seqs`` caps the
+    running batch: a positive integer, or ``None`` for no cap.  The fields
+    after ``model_name`` are the built policy and run state.
     """
 
     kv_manager: PagedKVCacheManager
     scheduling: SchedulingConfig = LEGACY_SCHEDULING
-    max_num_seqs: int = 256
+    max_num_seqs: Optional[int] = 256
     prefix_cache: Optional[PrefixCache] = None
     #: Optional telemetry recorder (:class:`~repro.serving.telemetry.Tracer`).
     #: Every hook below sits behind an ``is not None`` guard, so an untraced
@@ -119,7 +118,17 @@ class ContinuousBatchingScheduler:
     #: so a mistagged request would silently produce another model's tokens.
     model_name: Optional[str] = None
     policy: SchedulerPolicy = field(init=False)
-    waiting: List[Request] = field(init=False, default_factory=list)
+    #: The waiting requests, in two queues (``docs/PERFORMANCE.md``, "The
+    #: two waiting queues").  ``pending`` is a min-heap of
+    #: ``(available_time, request_id, submit seq, request)`` over requests
+    #: not yet available; ``ready`` holds the available ones, in admission
+    #: key order when the policy's key is static.  Each :meth:`admit` first
+    #: moves the pending requests that have become available to ``ready``.
+    ready: List[Request] = field(init=False, default_factory=list)
+    pending: List[Tuple[float, int, int, Request]] = field(
+        init=False, default_factory=list)
+    _submit_seq: Iterator[int] = field(init=False,
+                                       default_factory=itertools.count)
     running: List[Request] = field(init=False, default_factory=list)
     finished: List[Request] = field(init=False, default_factory=list)
     num_preemptions: int = field(init=False, default=0)
@@ -173,13 +182,21 @@ class ContinuousBatchingScheduler:
     _indexed: bool = field(init=False, default=True)
 
     def __post_init__(self) -> None:
+        if self.max_num_seqs is None:
+            self.max_num_seqs = 10**9
+        elif (isinstance(self.max_num_seqs, bool)
+              or not isinstance(self.max_num_seqs, numbers.Integral)
+              or self.max_num_seqs <= 0):
+            raise ValueError(
+                f"max_num_seqs must be a positive integer or None (no cap), "
+                f"got {self.max_num_seqs!r}")
         self.policy = self.scheduling.build_policy()
         if hasattr(self.policy, "prefix_cache"):
             # Cache-aware policies rank by live cache state.
             self.policy.prefix_cache = self.prefix_cache
 
     def submit(self, requests: List[Request]) -> None:
-        """Add requests to the waiting queue (sorted by availability time).
+        """Add requests to the pending queue (ordered by availability time).
 
         For ordinary requests availability is the arrival time; migrated
         requests additionally wait for their KV transfer to land
@@ -196,13 +213,44 @@ class ContinuousBatchingScheduler:
         if self.tracer is not None:
             for request in requests:
                 self.tracer.request_queued(request)
-        if len(requests) == 1 and self.waiting:
-            # Incremental feed (the cluster submits per arrival): a binary
-            # insertion keeps the queue sorted without an O(n log n) pass.
-            bisect.insort(self.waiting, requests[0], key=_waiting_key)
-            return
-        self.waiting.extend(requests)
-        self.waiting.sort(key=_waiting_key)
+        for request in requests:
+            heapq.heappush(self.pending, (
+                request.available_time, request.request_id,
+                next(self._submit_seq), request))
+
+    def queued(self) -> Iterator[Request]:
+        """Every waiting request: the ready queue, then the pending heap."""
+        return itertools.chain(self.ready,
+                               (entry[-1] for entry in self.pending))
+
+    @property
+    def waiting(self) -> List[Request]:
+        """Every waiting request in availability order: a sorted copy, for
+        tests and cold paths only."""
+        return sorted(self.queued(), key=_waiting_key)
+
+    @property
+    def num_waiting(self) -> int:
+        """Requests in both queues."""
+        return len(self.ready) + len(self.pending)
+
+    def next_available_time(self) -> Optional[float]:
+        """When the earliest pending request becomes available (``None``
+        with nothing pending)."""
+        return self.pending[0][0] if self.pending else None
+
+    def take_waiting(self) -> List[Request]:
+        """Empty both queues; returns their requests in availability order."""
+        waiting = self.waiting
+        self.ready, self.pending = [], []
+        return waiting
+
+    def _make_ready(self, request: Request) -> None:
+        """Queue an available request for admission."""
+        if self.policy.static_key:
+            bisect.insort(self.ready, request, key=self.policy.admission_key)
+        else:
+            self.ready.append(request)  # admit() sorts the queue
 
     # ------------------------------------------------------------------
     # Admission
@@ -236,26 +284,29 @@ class ContinuousBatchingScheduler:
         immediately without walking the queue, and the scan loop stops the
         moment the cap is hit or a no-bypass policy blocks.  Every fast path
         is a pure short-circuit of the full scan: the admissions it returns
-        and the queue it leaves behind are identical, step for step.
+        and the queue it leaves behind are identical, step for step.  The
+        scan walks the ready queue in place, which a static policy key keeps
+        in admission order between passes, so a pass costs the requests it
+        moves or scans, not the backlog.
         """
+        pending = self.pending
+        while pending and pending[0][0] <= now:
+            self._make_ready(heapq.heappop(pending)[-1])
         scheduling = self.scheduling
         tier_admission = scheduling.tier_admission
+        ready = self.ready
         if (tier_admission and scheduling.free_tier_drop_after_s is not None
-                and self.waiting):
+                and ready):
             self._shed_free_tier(now)
-        waiting = self.waiting
-        if not waiting:
+        if not ready and not pending:
             return []
         if len(self.running) >= self.max_num_seqs:
             # Cap reached before anything could be admitted: the full scan
-            # would block every arrived request and leave the (sorted) queue
+            # would block every arrived request and leave the queues
             # unchanged.
             self.admission_fast_skips += 1
             return []
-        # The queue is kept sorted by (available_time, request_id), so the
-        # arrived/pending split is a binary search, not a full partition.
-        split = bisect.bisect_right(waiting, now, key=_availability)
-        if split == 0:
+        if not ready:
             self.admission_fast_skips += 1
             return []  # nothing has arrived yet
         if self.prefix_cache is None and self.kv_manager.free_pages <= 0:
@@ -264,12 +315,12 @@ class ContinuousBatchingScheduler:
             # no allocation), so the scan would block all of them.
             self.admission_fast_skips += 1
             return []
-        arrived = waiting[:split]
-        pending = waiting[split:]
 
         admitted: List[Request] = []
         kv_manager = self.kv_manager
-        order = self.policy.admission_order(arrived)
+        if not self.policy.static_key:
+            ready.sort(key=self.policy.admission_key)
+        order = ready
         if tier_admission:
             # Paid tier first; a free-tier request past the aging floor
             # counts as paid (stable sort keeps the policy order within each
@@ -277,7 +328,8 @@ class ContinuousBatchingScheduler:
             # what a priority tier *is* — so even strict-FCFS reorders across
             # tiers when this mode is on.
             order = sorted(order, key=lambda r: self._tier_rank(r, now))
-        for request in order:
+        last = 0  # the position in ``order`` of the last admission
+        for position, request in enumerate(order):
             if (tier_admission and self._tier_rank(request, now)
                     and self._tier_pressure(len(admitted))):
                 # Deferred free-tier request: a constant-time pre-screen, not
@@ -352,18 +404,17 @@ class ContinuousBatchingScheduler:
                 self._next_seq += 1
                 self._begin_prefill(request, now)
                 admitted.append(request)
+                last = position
             elif not self.policy.allow_bypass:
                 break
         if not admitted:
             return []  # every arrived request stayed blocked; queue unchanged
-        # The blocked requests re-queue in their original order: ``arrived``
-        # is already sorted by (available_time, request_id) and filtering
-        # preserves that, so no re-sort is needed to restore the queue's
-        # global ordering (every blocked request arrived, every pending one
-        # has not).
+        # Drop the admitted requests from the ready queue; the blocked ones
+        # keep their order.  Without the tier sort every admission lies in
+        # the scanned prefix ``ready[:last + 1]``.
+        end = len(ready) if tier_admission else last + 1
         admitted_ids = {id(r) for r in admitted}
-        self.waiting = [r for r in arrived
-                        if id(r) not in admitted_ids] + pending
+        ready[:end] = [r for r in ready[:end] if id(r) not in admitted_ids]
         self.running.extend(admitted)
         return [r for r in admitted if r.state is RequestState.PREFILLING]
 
@@ -406,9 +457,8 @@ class ContinuousBatchingScheduler:
             return
         cutoff = self.scheduling.free_tier_drop_after_s
         kept: List[Request] = []
-        for request in self.waiting:
+        for request in self.ready:
             if (request.tier == "free" and request.admitted_time is None
-                    and request.available_time <= now
                     and now - request.available_time > cutoff):
                 request.state = RequestState.DROPPED
                 request.drop_time = now
@@ -419,8 +469,8 @@ class ContinuousBatchingScheduler:
                     self.tracer.request_dropped(request, now)
             else:
                 kept.append(request)
-        if len(kept) != len(self.waiting):
-            self.waiting = kept
+        if len(kept) != len(self.ready):
+            self.ready[:] = kept
 
     def _begin_prefill(self, request: Request, now: float) -> None:
         if request.kv_ready:
@@ -526,7 +576,7 @@ class ContinuousBatchingScheduler:
         # rest, so it falls back to local recompute like any other victim.
         request.prefill_target = request.context_len
         request.kv_ready = False
-        bisect.insort(self.waiting, request, key=_waiting_key)
+        self._make_ready(request)
         self.num_preemptions += 1
         if self.tracer is not None:
             self.tracer.request_preempted(request, now)
@@ -802,7 +852,7 @@ class ContinuousBatchingScheduler:
     # ------------------------------------------------------------------
     @property
     def all_done(self) -> bool:
-        return not self.waiting and not self.running
+        return not self.ready and not self.pending and not self.running
 
     def decoding_requests(self) -> List[Request]:
         """The decode batch, in running order (a copy)."""

@@ -199,7 +199,7 @@ def collect_counters(stepper) -> CounterRegistry:
     reg.set("scheduler_recomputed_prefill_tokens_total",
             scheduler.recomputed_prefill_tokens)
     reg.set("scheduler_finished_requests_total", len(scheduler.finished))
-    reg.set("scheduler_waiting_requests", len(scheduler.waiting), kind="gauge")
+    reg.set("scheduler_waiting_requests", scheduler.num_waiting, kind="gauge")
     reg.set("scheduler_running_requests", len(scheduler.running), kind="gauge")
     reg.set("scheduler_tier_deferrals_total", scheduler.tier_deferrals)
     reg.set("scheduler_dropped_requests_total", len(scheduler.dropped))
@@ -399,10 +399,10 @@ class Tracer:
             kv = scheduler.kv_manager
             self.iterations.append((
                 t0, t1, prefill_tokens, num_chunks, decode_batch, committed,
-                kv.free_pages, kv.utilization(), len(scheduler.waiting)))
+                kv.free_pages, kv.utilization(), scheduler.num_waiting))
         if self.config.timeseries and t1 >= self._next_sample:
             kv = scheduler.kv_manager
-            self.series.append((t1, len(scheduler.waiting),
+            self.series.append((t1, scheduler.num_waiting,
                                 len(scheduler.running), kv.utilization(),
                                 kv.free_pages, self._finished))
             interval = self.config.sample_interval_s

@@ -7,13 +7,15 @@ tests pin that down by running identical workloads with the cost cache on and
 off and comparing every float with ``float.hex()`` (no tolerance), and they
 lock in the perf properties themselves: cache hit rates on steady decode
 loops, admission-scan work staying far below the naive rescan-everything
-count, and the sorted-waiting-queue invariant the fast paths rely on.
+count, and the two waiting queues the fast paths rely on (pending by
+availability, ready in admission-key order).
 
 "Cache off" is a test-local :class:`CostModelCache` whose store never
 retains an entry, so every lookup recomputes the price from scratch.
 """
 
 import contextlib
+import math
 
 import pytest
 
@@ -21,11 +23,15 @@ from repro.gpu import A100
 from repro.model import get_config
 from repro.serving import engine as engine_module
 from repro.serving import (
+    ClusterEngine,
     ContinuousBatchingScheduler,
     CostModelCache,
+    EngineStepper,
+    FCFSPolicy,
     Request,
     SCHEDULING_PRESETS,
     SYSTEM_PRESETS,
+    SchedulingConfig,
     ServingEngine,
     SpeculativeConfig,
     make_chat_workload,
@@ -250,3 +256,129 @@ def test_waiting_queue_stays_sorted():
         assert keys == sorted(keys)
     stepper.run()
     assert stepper.scheduler.all_done
+
+
+# ----------------------------------------------------------------------
+# The two waiting queues: pending by availability, ready in policy order
+# ----------------------------------------------------------------------
+def _availability_order(requests):
+    return sorted(requests, key=lambda r: (r.available_time, r.request_id))
+
+
+def _assert_queues(scheduler):
+    """The ready queue is in admission-key order (for a static key), and
+    ``waiting`` is the availability-sorted union of both queues."""
+    ready, policy = scheduler.ready, scheduler.policy
+    if policy.static_key:
+        assert ready == sorted(ready, key=policy.admission_key)
+    queued = list(scheduler.queued())
+    assert len({id(r) for r in queued}) == len(queued)
+    assert scheduler.waiting == _availability_order(queued)
+
+
+@pytest.fixture
+def checked_admit(monkeypatch):
+    """Check both queues right after every admit(): in particular, no
+    pending request is available by the admission time."""
+    admit = ContinuousBatchingScheduler.admit
+
+    def checked(self, now):
+        admitted = admit(self, now)
+        assert all(entry[0] > now for entry in self.pending)
+        _assert_queues(self)
+        return admitted
+
+    monkeypatch.setattr(ContinuousBatchingScheduler, "admit", checked)
+
+
+def _queue_study_config(policy, preemption, tier):
+    return SchedulingConfig(
+        policy=policy, chunked_prefill=preemption, preemption=preemption,
+        prefix_caching=policy == "cache-aware", tier_admission=tier,
+        free_tier_drop_after_s=1.0 if tier else None)
+
+
+def _queue_study_workload():
+    workload = make_chat_workload(num_sessions=6, turns_per_session=5,
+                                  think_time_s=0.5, session_rate=4.0, seed=5)
+    for request in workload.requests:
+        request.tier = "free" if request.request_id % 2 else "paid"
+    return workload
+
+
+@pytest.mark.parametrize("tier", [False, True], ids=["untiered", "tiered"])
+@pytest.mark.parametrize("preemption", [False, True],
+                         ids=["conservative", "preemptive"])
+@pytest.mark.parametrize("policy",
+                         ["fcfs", "strict-fcfs", "sjf", "cache-aware"])
+def test_ready_queue_order_oracle(checked_admit, policy, preemption, tier):
+    """Step by step with one-at-a-time submits, on a KV pool small enough
+    to block admissions (and, optimistically, to preempt)."""
+    stepper = EngineStepper(
+        _engine(), scheduling=_queue_study_config(policy, preemption, tier),
+        max_num_seqs=6, kv_capacity_bytes=0.4 * (1 << 30))
+    scheduler = stepper.scheduler
+
+    def check(submitted):
+        _assert_queues(scheduler)
+        # Every submitted request sits in exactly one place.
+        assert submitted == (scheduler.num_waiting + len(scheduler.running)
+                             + len(scheduler.finished)
+                             + len(scheduler.dropped))
+
+    requests = _queue_study_workload().requests
+    for submitted, request in enumerate(requests, 1):
+        stepper.submit(request)
+        stepper.step()
+        check(submitted)
+    while stepper.step():
+        check(len(requests))
+    assert scheduler.all_done
+    assert scheduler.admission_scanned_requests > len(scheduler.finished)
+    if preemption and not tier:
+        assert scheduler.num_preemptions > 0
+
+
+@pytest.mark.parametrize("policy",
+                         ["fcfs", "strict-fcfs", "sjf", "cache-aware"])
+def test_ready_queue_order_oracle_disaggregated(checked_admit, policy):
+    """Migrants reach the decode replica with ``available_time`` (their KV
+    transfer's landing) after their ``arrival_time`` (the admission key's
+    FCFS field), so the two queue orders differ there."""
+    cluster = ClusterEngine(LLAMA7B, A100, QSERVE, num_replicas=2,
+                            max_seq_len=4096, roles=["prefill", "decode"])
+    workload = _queue_study_workload()
+    result = cluster.serve(
+        workload, max_num_seqs=6,
+        scheduling=_queue_study_config(policy, preemption=True, tier=False))
+    assert result.num_finished == len(workload.requests)
+    assert any(r.available_time > r.arrival_time for r in workload.requests)
+
+
+class _CountingFCFS(FCFSPolicy):
+    """FCFS that counts its admission-key calls."""
+
+    def __init__(self) -> None:
+        self.key_calls = 0
+
+    def admission_key(self, request):
+        self.key_calls += 1
+        return super().admission_key(request)
+
+
+def test_admission_key_calls_bounded_by_events():
+    """A deep backlog costs admission O(log n) key calls per event, not a
+    re-sort of the backlog on every admitting pass: 600 requests arrive at
+    t=0 against a 16-seat cap."""
+    stepper = EngineStepper(_engine(),
+                            scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                            max_num_seqs=16)
+    policy = stepper.scheduler.policy = _CountingFCFS()
+    stepper.submit(list(make_lognormal_workload(600, seed=0).requests))
+    stepper.run()
+    scheduler = stepper.scheduler
+    assert len(scheduler.finished) == 600
+    admissions = len(scheduler.finished) + scheduler.num_preemptions
+    bound = (4 * (admissions + scheduler.num_preemptions)
+             * math.ceil(math.log2(600)))
+    assert policy.key_calls <= bound

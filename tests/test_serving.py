@@ -200,6 +200,26 @@ def test_scheduling_config_rejects_bad_settings(kwargs, match):
         SchedulingConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 1.5, float("nan"), True])
+def test_serve_rejects_bad_max_num_seqs(llama7b, bad):
+    """Only ``None`` (no cap) or a positive integer caps the batch: ``0``
+    and NaN used to mean "no cap", ``-1`` stranded every request, ``1.5``
+    capped at 2 and ``True`` at 1."""
+    from repro.serving import ClusterEngine
+    system = SYSTEM_PRESETS["qserve-w4a8kv4-chn"]
+    workload = make_uniform_workload(4, prompt_len=64, output_len=8)
+    engine = ServingEngine(llama7b, A100, system, max_seq_len=160)
+    with pytest.raises(ValueError, match="max_num_seqs"):
+        engine.serve(workload.copy_fresh(), max_num_seqs=bad)
+    cluster = ClusterEngine(llama7b, A100, system, num_replicas=2,
+                            max_seq_len=160)
+    with pytest.raises(ValueError, match="max_num_seqs"):
+        cluster.serve(workload.copy_fresh(), max_num_seqs=bad)
+    for cap in (None, 1, np.int64(2)):
+        assert engine.serve(workload.copy_fresh(),
+                            max_num_seqs=cap).num_finished == 4
+
+
 def test_legacy_preset_matches_default(llama7b):
     engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
                            max_seq_len=160)
