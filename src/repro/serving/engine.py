@@ -34,8 +34,11 @@ throughput.
 
 The loop is exposed at two granularities: :meth:`ServingEngine.serve` runs a
 workload to completion, while :class:`EngineStepper` advances the same loop
-one iteration at a time — the hook :class:`repro.serving.cluster.ClusterEngine`
-uses to run several replica engines against one shared clock.
+one iteration per ``step`` or up to a time with ``run_until`` — the hook
+:class:`repro.serving.cluster.ClusterEngine` uses to run several replica
+engines against one shared clock.  ``run_until`` coasts through the plain
+decode iterations that hold no event, so a run pays per event, not per
+iteration.
 
 With a :class:`repro.serving.speculative.SpeculativeConfig` attached, decode
 iterations run speculatively: a draft engine proposes ``k`` tokens per
@@ -49,6 +52,7 @@ bitwise-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -617,11 +621,12 @@ class EngineStepper:
     """Incremental driver of one engine's continuous-batching loop.
 
     Owns the scheduler, planner and simulated clock of a single serving run
-    and advances them one iteration per :meth:`step`.
-    :meth:`ServingEngine.serve` simply drives a stepper to completion;
-    :class:`repro.serving.cluster.ClusterEngine` instead interleaves several
-    steppers so that routing decisions observe each replica's queue state at
-    the moment a request arrives.
+    and advances them one iteration per :meth:`step`; :meth:`run_until`
+    (and :meth:`run`) add a coast through the event-free decode iterations
+    between steps.  :meth:`ServingEngine.serve` simply drives a stepper to
+    completion; :class:`repro.serving.cluster.ClusterEngine` instead
+    interleaves several steppers so that routing decisions observe each
+    replica's queue state at the moment a request arrives.
 
     Unlike :meth:`ServingEngine.serve`, requests may be submitted
     incrementally between steps (arrival times must not precede work already
@@ -934,8 +939,7 @@ class EngineStepper:
 
     def run(self) -> None:
         """Step until no further progress is possible."""
-        while self.step():
-            pass
+        self.run_until(math.inf)
 
     def run_until(self, t: float) -> bool:
         """Advance the clock to (at least) ``t`` or until progress stops.
@@ -944,14 +948,75 @@ class EngineStepper:
         idle replica never *jumps* past it: a replica whose only pending
         work becomes available after ``t`` (e.g. a migrated request with an
         in-flight KV transfer) keeps its clock and waits for a later call.
-        Returns whether any step ran (an iteration or an idle jump).
+        Each :meth:`step` is followed by a coast through the quiet decode
+        iterations after it (:meth:`_coast`), so a run pays per event, not
+        per iteration.  Returns whether any step ran (an iteration or an
+        idle jump).
         """
         stepped = False
         while not self.done and self.now < t:
             if not self.step(horizon=t):
                 break
             stepped = True
+            self._coast(t)
         return stepped
+
+    def _coast(self, t: float) -> None:
+        """Run the plain decode iterations that provably hold no event,
+        while the clock is before ``t``.
+
+        Each one is exactly the iteration :meth:`step` would run: admission
+        is a no-op (nothing pending is available yet, and the ready queue is
+        empty or blocked by the cap or a full pool — see
+        :meth:`~ContinuousBatchingScheduler.admission_skips`), nothing
+        prefills, and no first token or finish falls due
+        (:meth:`~ContinuousBatchingScheduler.decode_window`).  A page
+        crossing is claimed through ``prepare_decode`` when at least one
+        page per decoder is free — a plain crossing claims one page, so the
+        pass cannot evict or preempt — and otherwise ends the coast.  Every
+        iteration is priced by the same ``mixed_step`` call and added to the
+        clock one at a time, so results are bitwise those of stepping.
+        A speculative stepper never coasts, since its commits vary per
+        request; a prefill-role stepper exports each finished prefill
+        within its step, so it never holds a batch to coast.
+        """
+        scheduler = self.scheduler
+        quiet, claim = scheduler.decode_window()
+        if quiet <= 0 or self.spec is not None:
+            return
+        skips = scheduler.admission_skips()
+        if skips is None or (self.scheduling.free_tier_drop_after_s
+                             is not None and scheduler.ready):
+            return  # admission would scan, or shed by the clock
+        arrival = scheduler.next_available_time()
+        if arrival is not None and arrival < t:
+            t = arrival  # the admission pass at ``arrival`` is an event
+        batch = len(scheduler.running)  # nothing prefills: all decode
+        kv = scheduler.kv_manager
+        mixed_step, tracer = self.engine.mixed_step, self.tracer
+        while quiet > 0 and self.now < t:
+            if claim <= 0:
+                if kv.free_pages < batch:
+                    break
+                scheduler.prepare_decode(self.now)
+                self.kv_utilization_peak = max(self.kv_utilization_peak,
+                                               kv.utilization())
+                quiet, claim = scheduler.decode_window()
+            latency = mixed_step((), batch,
+                                 scheduler.decode_context_len()).total
+            t0 = self.now
+            self.now += latency
+            self.busy_s += latency
+            self.iterations += 1
+            self.generated += batch
+            # A plain decode step with no event is the counter's tick.
+            scheduler.decode_iterations += 1
+            scheduler.admission_fast_skips += skips
+            if tracer is not None:
+                tracer.iteration(t0, self.now, 0, 0, batch, batch, self)
+            quiet -= 1
+            claim -= 1
+            self.peak_batch = max(self.peak_batch, batch)
 
     # ------------------------------------------------------------------
     def result(self, workload: Workload) -> ServingResult:

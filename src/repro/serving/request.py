@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -163,6 +164,10 @@ class Request:
     def __post_init__(self) -> None:
         if self.prompt_len <= 0 or self.output_len <= 0:
             raise ValueError("prompt_len and output_len must be positive")
+        # A chained comparison: NaN fails it like a negative value.
+        if not 0.0 <= self.arrival_time < math.inf:
+            raise ValueError(f"arrival_time must be non-negative and finite, "
+                             f"got {self.arrival_time!r}")
         if self.prompt_segments is not None:
             self.prompt_segments = tuple(
                 (int(cid), int(length)) for cid, length in self.prompt_segments)

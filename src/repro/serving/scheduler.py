@@ -42,7 +42,9 @@ A plain decode step costs O(events), not O(batch): decoding requests count
 their tokens off the scheduler's decode-iteration counter, and heaps keyed
 on the iteration at which each request finishes or next needs a KV page
 pick out the few requests a step changes (``docs/PERFORMANCE.md``, "Lazy
-decode accounting").
+decode accounting").  The heads of those heaps bound how many plain steps in
+a row hold no event at all (:meth:`ContinuousBatchingScheduler.decode_window`),
+which the engine runs without a step apiece.
 """
 
 from __future__ import annotations
@@ -298,22 +300,9 @@ class ContinuousBatchingScheduler:
         if (tier_admission and scheduling.free_tier_drop_after_s is not None
                 and ready):
             self._shed_free_tier(now)
-        if not ready and not pending:
-            return []
-        if len(self.running) >= self.max_num_seqs:
-            # Cap reached before anything could be admitted: the full scan
-            # would block every arrived request and leave the queues
-            # unchanged.
-            self.admission_fast_skips += 1
-            return []
-        if not ready:
-            self.admission_fast_skips += 1
-            return []  # nothing has arrived yet
-        if self.prefix_cache is None and self.kv_manager.free_pages <= 0:
-            # No free page and no shared pool to evict from: every waiting
-            # request needs at least one fresh page (waiting requests hold
-            # no allocation), so the scan would block all of them.
-            self.admission_fast_skips += 1
+        skips = self.admission_skips()
+        if skips is not None:
+            self.admission_fast_skips += skips
             return []
 
         admitted: List[Request] = []
@@ -417,6 +406,27 @@ class ContinuousBatchingScheduler:
         ready[:end] = [r for r in ready[:end] if id(r) not in admitted_ids]
         self.running.extend(admitted)
         return [r for r in admitted if r.state is RequestState.PREFILLING]
+
+    def admission_skips(self) -> Optional[int]:
+        """The fast skips an :meth:`admit` pass adds when it provably admits
+        nothing, with every available request already in the ready queue:
+        0 with both queues empty, 1 when the sequence cap is reached,
+        nothing has arrived yet, or (without a prefix cache) the KV cache
+        has no free page.  ``None`` when the pass must scan."""
+        if not self.ready:
+            # Nothing has arrived yet (a skip), or nothing waits at all.
+            return 1 if self.pending else 0
+        if len(self.running) >= self.max_num_seqs:
+            # Cap reached before anything could be admitted: the full scan
+            # would block every arrived request and leave the queues
+            # unchanged.
+            return 1
+        if self.prefix_cache is None and self.kv_manager.free_pages <= 0:
+            # No free page and no shared pool to evict from: every waiting
+            # request needs at least one fresh page (waiting requests hold
+            # no allocation), so the scan would block all of them.
+            return 1
+        return None
 
     # ------------------------------------------------------------------
     # Tier-aware admission (multi-tenant SLO tiers)
@@ -839,6 +849,26 @@ class ContinuousBatchingScheduler:
                     and key == self._crossing_iteration(request)):
                 crossing.append(request)
         return crossing
+
+    def decode_window(self) -> Tuple[int, int]:
+        """How far plain decoding can run from here without an event.
+
+        Returns ``(quiet, claim)``: the next ``quiet`` plain decode
+        iterations stamp no first token and retire no request, and the
+        next ``claim`` of them claim no page, so :meth:`prepare_decode`
+        and :meth:`record_decode_step` would change nothing on them beyond
+        the decode counter.  ``quiet`` is 0 while a request prefills, a
+        decoder awaits its first token, or the event heaps are stale.
+        O(1): reads the heads of the event structures; a stale head only
+        ends the window early.
+        """
+        if (self._prefilling or self._fresh or not self._indexed
+                or not self._decoding):
+            return 0, 0
+        done = self.decode_iterations
+        quiet = self._finish_heap[0][0] - done - 1
+        crossings = self._crossing_heap
+        return quiet, crossings[0][0] - done if crossings else quiet
 
     def decode_context_len(self) -> int:
         """:func:`~repro.serving.request.mean_context_len` of the decode

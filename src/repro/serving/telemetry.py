@@ -51,6 +51,7 @@ Two consumers ship with the tracer:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -97,8 +98,10 @@ class TelemetryConfig:
     sample_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
+        # A chained comparison: NaN fails it like a non-positive value.
+        if not 0.0 < self.sample_interval_s < math.inf:
+            raise ValueError(f"sample_interval_s must be positive and finite, "
+                             f"got {self.sample_interval_s!r}")
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,239 @@
+"""Coast ≡ step oracle: coasting through quiet decode iterations is exact.
+
+``EngineStepper.run_until`` follows every ``step`` with a coast through the
+plain decode iterations that provably hold no event.  Each scenario below
+runs twice — as shipped, and with the coast patched to a no-op, which drives
+the loop one ``step`` per iteration — and asserts the two runs agree bit for
+bit: the ``tools/serving_fingerprint.py`` encoding of the result (hex
+floats), the counter registry, and for the traced run the Chrome trace.
+
+The scenarios cover the exactness conditions one by one: pending arrivals
+and the sequence cap (legacy, prefix-aware chat), windows that end at a page
+crossing for lack of pages (chunked prefill with preemption on small pools,
+one where a whole batch crosses on the same iteration), tier-aware admission
+with and without shedding, KV demotion under preemption, a disaggregated
+fleet and an autoscaled fleet that drains.  A speculating stepper must
+never coast; the last test builds the state in which its heaps look quiet.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from repro.gpu import A100
+from repro.model import get_config
+from repro.serving import (
+    AutoscalerConfig,
+    ClusterEngine,
+    EngineStepper,
+    Request,
+    SCHEDULING_PRESETS,
+    SchedulingConfig,
+    ServingEngine,
+    SpeculativeConfig,
+    get_system,
+    make_chat_workload,
+    make_flash_crowd_workload,
+    make_lognormal_workload,
+    make_router_study_workload,
+    make_uniform_workload,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+MODEL = get_config("llama-2-7b")
+QSERVE = get_system("qserve-w4a8kv4-chn")
+
+
+def _load_fingerprint_tool():
+    spec = importlib.util.spec_from_file_location(
+        "serving_fingerprint", ROOT / "tools" / "serving_fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FINGERPRINT = _load_fingerprint_tool()
+
+
+def _engine(system=QSERVE, pages=None):
+    engine = ServingEngine(MODEL, A100, system, max_seq_len=4096)
+    if pages is not None:
+        capacity = pages * engine.new_kv_manager().bytes_per_page()
+        engine.kv_capacity_bytes = lambda: capacity
+    return engine
+
+
+def _flash_crowd():
+    return make_flash_crowd_workload(160, base_rate=4.0,
+                                     spikes=((2.0, 3.0, 10.0),),
+                                     prompt_len=256, output_len=96,
+                                     tenants=4, free_fraction=0.5, seed=3)
+
+
+def _legacy():
+    return _engine().serve(
+        make_uniform_workload(48, prompt_len=256, output_len=64,
+                              arrival_rate=20.0, seed=1), max_num_seqs=8)
+
+
+def _chunked_preempt():
+    result = _engine(pages=200).serve(
+        make_lognormal_workload(80, arrival_rate=20.0, seed=2),
+        max_num_seqs=16, scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+    assert result.num_preemptions > 0
+    return result
+
+
+def _lockstep_crossings():
+    """Identical requests cross pages on the same iteration, and the pool
+    runs out partway through one such crossing."""
+    result = _engine(pages=150).serve(
+        make_uniform_workload(8, prompt_len=120, output_len=200),
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+    assert result.num_preemptions > 0
+    return result
+
+
+def _prefix_aware_chat():
+    result = _engine().serve(
+        make_chat_workload(num_sessions=8, turns_per_session=4,
+                           think_time_s=0.5, session_rate=4.0, seed=5),
+        max_num_seqs=4, scheduling=SCHEDULING_PRESETS["prefix-aware"])
+    assert result.peak_batch == 4
+    return result
+
+
+def _tiered():
+    return _engine().serve(_flash_crowd(), max_num_seqs=8,
+                           scheduling=SCHEDULING_PRESETS["tiered"])
+
+
+def _tiered_shed():
+    config = SchedulingConfig(chunked_prefill=True, preemption=True,
+                              tier_admission=True, free_tier_drop_after_s=1.0)
+    result = _engine().serve(_flash_crowd(), max_num_seqs=8,
+                             scheduling=config)
+    assert result.num_dropped > 0
+    return result
+
+
+def _prefix_demote_preempt():
+    result = _engine(get_system("trt-fp16"), pages=72).serve(
+        make_chat_workload(num_sessions=8, turns_per_session=4,
+                           system_prompt_len=192, user_len=32,
+                           assistant_len=64, think_time_s=1.0,
+                           session_rate=2.0, seed=11),
+        max_num_seqs=8, scheduling=SCHEDULING_PRESETS["prefix-demote-preempt"])
+    assert result.num_preemptions > 0
+    return result
+
+
+def _disaggregated():
+    cluster = ClusterEngine(MODEL, A100, QSERVE, num_replicas=3,
+                            max_seq_len=4096,
+                            roles=["prefill", "decode", "decode"])
+    result = cluster.serve(make_router_study_workload(60, seed=1),
+                           router="disaggregated", max_num_seqs=12,
+                           scheduling=SCHEDULING_PRESETS["chunked"])
+    assert sum(result.migrations_per_replica) > 0
+    return result
+
+
+def _autoscaled():
+    cluster = ClusterEngine(MODEL, A100, QSERVE, num_replicas=4,
+                            max_seq_len=4096)
+    result = cluster.serve(
+        _flash_crowd(), max_num_seqs=8,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=4, interval_s=1.0,
+            scale_up_queue_depth=2.0, up_cooldown_s=1.0,
+            down_cooldown_s=2.0, scale_down_outstanding=6.0))
+    assert any(e.action == "down" for e in result.autoscale.events)
+    assert result.num_migrations > 0
+    return result
+
+
+SCENARIOS = {
+    "legacy": _legacy,
+    "chunked-preempt": _chunked_preempt,
+    "lockstep-crossings": _lockstep_crossings,
+    "prefix-aware-chat": _prefix_aware_chat,
+    "tiered": _tiered,
+    "tiered-shed": _tiered_shed,
+    "prefix-demote-preempt": _prefix_demote_preempt,
+    "disaggregated": _disaggregated,
+    "autoscaled": _autoscaled,
+}
+
+
+def _encode(result):
+    """Hex-float fingerprint encoding plus the counter registry."""
+    if hasattr(result, "replica_results"):
+        return (FINGERPRINT._cluster_result(result),
+                result.counters().as_dict())
+    return FINGERPRINT._serving_result(result), result.counters.as_dict()
+
+
+def _run(scenario, coast):
+    """Run ``scenario``; returns its result and the iterations coasted."""
+    coasted = [0]
+    plain_coast = EngineStepper._coast
+
+    def counted_coast(self, t):
+        before = self.iterations
+        if coast:
+            plain_coast(self, t)
+        coasted[0] += self.iterations - before
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EngineStepper, "_coast", counted_coast)
+        result = scenario()
+    return result, coasted[0]
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_coasting_matches_stepping(name):
+    coasted, quiet = _run(SCENARIOS[name], coast=True)
+    stepped, none = _run(SCENARIOS[name], coast=False)
+    assert quiet > 0 and none == 0
+    assert _encode(coasted) == _encode(stepped)
+
+
+def test_coasting_keeps_chrome_trace_identical():
+    def traced():
+        return _engine(pages=200).serve(
+            make_lognormal_workload(80, arrival_rate=20.0, seed=2),
+            max_num_seqs=16, scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+            telemetry=True)
+
+    coasted, quiet = _run(traced, coast=True)
+    stepped, _ = _run(traced, coast=False)
+    assert quiet > 0
+    assert _encode(coasted) == _encode(stepped)
+    assert (json.dumps(coasted.chrome_trace(), sort_keys=True)
+            == json.dumps(stepped.chrome_trace(), sort_keys=True))
+
+
+def test_speculative_stepper_never_coasts():
+    """Speculative commits vary per request, so a speculating stepper must
+    not coast even when the event heaps are fresh: here a preempted request,
+    which already has its first token, re-prefills into an empty batch."""
+    stepper = EngineStepper(
+        _engine(), scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        speculative=SpeculativeConfig(draft_model=get_config("llama-160m"),
+                                      lookahead=2))
+    request = Request(request_id=0, prompt_len=64, output_len=64)
+    stepper.submit(request)
+    stepper.step()                      # prefill
+    stepper.step()                      # first speculative decode
+    assert request.first_token_time is not None
+    stepper.scheduler.preempt(request, stepper.now)
+    stepper.step()                      # recompute: rejoins the decode batch
+    assert stepper.scheduler.decode_window()[0] > 0
+    iterations = stepper.iterations
+    stepper._coast(math.inf)
+    assert stepper.iterations == iterations

@@ -5,11 +5,12 @@
   on every serving path: legacy stall prefill, chunked prefill with
   preemption, prefix caching with KV demotion under preemption,
   speculative decoding and a disaggregated prefill/decode fleet.
-* **Lazy invariants** — after every :meth:`EngineStepper.step`, the
-  scheduler's running-sum mean context equals the mean recomputed from the
-  decode batch, and no decoding request lacks a page for the tokens it
-  holds; the same holds, with exact token counts, when speculative commits
-  and plain steps interleave on one scheduler.
+* **Lazy invariants** — after every :meth:`EngineStepper.step` and every
+  coast through quiet decode iterations, the scheduler's running-sum mean
+  context equals the mean recomputed from the decode batch, and no
+  decoding request lacks a page for the tokens it holds; the same holds,
+  with exact token counts, when speculative commits and plain steps
+  interleave on one scheduler.
 * **Hook order** — the order and timestamps of the ``first_token``,
   ``request_finished`` and ``request_preempted`` trace hooks of one
   preempting chunked-prefill run, pinned against
@@ -139,10 +140,10 @@ def test_token_conservation(name):
 def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
     steps = [0]
     plain_step = EngineStepper.step
+    plain_coast = EngineStepper._coast
 
-    def checked_step(self, horizon=None):
-        progressed = plain_step(self, horizon)
-        scheduler = self.scheduler
+    def check(stepper):
+        scheduler = stepper.scheduler
         decoding = scheduler.decoding_requests()
         assert decoding == [r for r in scheduler.running
                             if r.state is RequestState.DECODING]
@@ -151,10 +152,20 @@ def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
         for request in decoding:
             assert not kv.needs_pages(request.request_id, request.context_len,
                                       request.shared_kv_pages)
+
+    def checked_step(self, horizon=None):
+        progressed = plain_step(self, horizon)
+        check(self)
         steps[0] += 1
         return progressed
 
+    def checked_coast(self, t):
+        # Coasted iterations run no step(); check after each window too.
+        plain_coast(self, t)
+        check(self)
+
     monkeypatch.setattr(EngineStepper, "step", checked_step)
+    monkeypatch.setattr(EngineStepper, "_coast", checked_coast)
     RUNS[name]()
     assert steps[0] > 0
 

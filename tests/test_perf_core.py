@@ -7,8 +7,9 @@ tests pin that down by running identical workloads with the cost cache on and
 off and comparing every float with ``float.hex()`` (no tolerance), and they
 lock in the perf properties themselves: cache hit rates on steady decode
 loops, admission-scan work staying far below the naive rescan-everything
-count, and the two waiting queues the fast paths rely on (pending by
-availability, ready in admission-key order).
+count, the two waiting queues the fast paths rely on (pending by
+availability, ready in admission-key order), and ``step`` calls scaling
+with events rather than iterations once quiet decodes coast.
 
 "Cache off" is a test-local :class:`CostModelCache` whose store never
 retains an entry, so every lookup recomputes the price from scratch.
@@ -382,3 +383,28 @@ def test_admission_key_calls_bounded_by_events():
     bound = (4 * (admissions + scheduler.num_preemptions)
              * math.ceil(math.log2(600)))
     assert policy.key_calls <= bound
+
+
+# ----------------------------------------------------------------------
+# Coasting: quiet decode iterations cost no step
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scheduling", ["legacy", "chunked-preempt"])
+def test_quiet_decode_costs_one_step_per_event(monkeypatch, scheduling):
+    """4 requests (prompt 128, output 200) at t=0 run 201 iterations: one
+    prefill and 200 decodes, of which only the first (first tokens) and the
+    last (finishes) hold an event.  Stepping every iteration took 202
+    ``step`` calls; coasting through the quiet ones takes at most 4."""
+    calls = [0]
+    plain_step = EngineStepper.step
+
+    def counted_step(self, horizon=None):
+        calls[0] += 1
+        return plain_step(self, horizon)
+
+    monkeypatch.setattr(EngineStepper, "step", counted_step)
+    result = _engine().serve(
+        make_uniform_workload(4, prompt_len=128, output_len=200),
+        scheduling=SCHEDULING_PRESETS[scheduling])
+    assert result.num_finished == 4
+    assert result.num_iterations == 201
+    assert calls[0] <= 4

@@ -624,6 +624,20 @@ def test_request_metrics_math():
     assert one_token.tpot == 0.0
 
 
+@pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -1.0])
+def test_request_rejects_bad_arrival_time(arrival):
+    """A NaN arrival would wedge the serving clock, and an infinite one
+    would finish at t=inf; both fail at construction, like a negative one."""
+    with pytest.raises(ValueError, match="arrival_time"):
+        Request(request_id=0, prompt_len=16, output_len=4,
+                arrival_time=arrival)
+
+
+def test_workload_generator_rejects_nan_arrival_rate():
+    with pytest.raises(ValueError, match="arrival_time"):
+        make_uniform_workload(3, 16, 4, arrival_rate=float("nan"))
+
+
 def test_slo_attainment_and_goodput():
     metrics = ServingMetrics(requests=[
         RequestMetrics(0, 10, 11, 0.0, 0.5, 2.0),   # ttft 0.5, tpot 0.15

@@ -325,6 +325,9 @@ def test_cluster_result_to_json(llama7b):
 def test_telemetry_config_validation(llama7b):
     with pytest.raises(ValueError):
         TelemetryConfig(sample_interval_s=0.0)
+    for interval in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sample_interval_s"):
+            TelemetryConfig(sample_interval_s=interval)
     with pytest.raises(TypeError):
         _traced_run(llama7b, telemetry="yes")
     # Recorder toggles: spans off -> no events, series off -> no samples.
