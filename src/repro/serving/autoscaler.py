@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.gpu.specs import InterconnectSpec, PCIE_GEN4
+from repro.serving.metrics import fold_sum
 
 __all__ = [
     "weight_transfer_s",
@@ -287,8 +288,8 @@ class AutoscaleReport:
     @property
     def replica_seconds(self) -> float:
         """Total provisioned replica-time across all windows."""
-        return sum(end - start
-                   for slot in self.windows for start, end in slot)
+        return fold_sum(end - start
+                        for slot in self.windows for start, end in slot)
 
     @property
     def gpu_seconds(self) -> float:

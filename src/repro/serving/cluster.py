@@ -92,7 +92,7 @@ from repro.serving.autoscaler import (
     ScalingEvent,
 )
 from repro.serving.engine import EngineStepper, ServingEngine, ServingResult
-from repro.serving.metrics import LatencySummary, ServingMetrics
+from repro.serving.metrics import LatencySummary, ServingMetrics, fold_sum
 from repro.serving.multiplex import (
     ModelResidency,
     MultiplexConfig,
@@ -482,7 +482,7 @@ class ClusterResult:
         for role in sorted(set(roles)):
             members = [r for r, ro in zip(self.replica_results, roles)
                        if ro == role]
-            busy = sum(r.busy_time_s for r in members)
+            busy = fold_sum(r.busy_time_s for r in members)
             replicas = len(members) * self._hosts / self.num_replicas
             out[role] = 0.0 if total == 0 else busy / (replicas * total)
         return out

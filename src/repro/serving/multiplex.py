@@ -35,12 +35,15 @@ it without cycles.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.specs import GPUSpec, InterconnectSpec, PCIE_GEN4
 from repro.model.config import ModelConfig
 from repro.serving.autoscaler import weight_transfer_s
+from repro.serving.metrics import fold_sum
 
 __all__ = [
     "MultiplexConfig",
@@ -85,14 +88,18 @@ class MultiplexConfig:
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate model names: {names}")
-        if self.max_resident_models is not None \
-                and not 1 <= self.max_resident_models <= len(self.models):
-            raise ValueError("max_resident_models must be in "
-                             f"[1, {len(self.models)}]")
-        if self.provision_s < 0:
-            raise ValueError("provision_s must be non-negative")
-        if self.queue_cost_s < 0:
-            raise ValueError("queue_cost_s must be non-negative")
+        cap = self.max_resident_models
+        if cap is not None and (
+                isinstance(cap, bool) or not isinstance(cap, numbers.Integral)
+                or not 1 <= cap <= len(self.models)):
+            raise ValueError(f"max_resident_models must be an integer in "
+                             f"[1, {len(self.models)}], got {cap!r}")
+        # Chained comparisons: NaN fails them like a negative value.
+        for name in ("provision_s", "queue_cost_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value!r}")
         if self.preload is not None:
             unknown = [n for n in self.preload if n not in names]
             if unknown:
@@ -186,7 +193,7 @@ class ModelResidency:
         footprints = sorted((self.footprint_bytes(name)
                              for name in config.model_names), reverse=True)
         self.weight_budget_bytes = float(
-            sum(footprints[:config.resident_limit]))
+            fold_sum(footprints[:config.resident_limit]))
         kv_total = self.hbm_capacity_bytes - self.weight_budget_bytes
         if kv_total <= 0:
             raise ValueError(
@@ -210,7 +217,7 @@ class ModelResidency:
 
     def resident_bytes(self) -> float:
         """HBM currently held by resident weights + workspace."""
-        return float(sum(self.footprint_bytes(m) for m in self.resident))
+        return float(fold_sum(self.footprint_bytes(m) for m in self.resident))
 
     def kv_pool_bytes(self) -> float:
         """Per-model KV page-pool capacity under the static carve."""
@@ -301,7 +308,7 @@ class MultiplexReport:
 
     @property
     def swap_in_s(self) -> float:
-        return float(sum(r.swap_in_s for r in self.replicas))
+        return float(fold_sum(r.swap_in_s for r in self.replicas))
 
     def to_json(self) -> Dict:
         return {

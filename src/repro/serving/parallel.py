@@ -22,6 +22,7 @@ and every latency/memory quantity bitwise equal to the single-GPU engine.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from repro.gpu.specs import InterconnectSpec, NVLINK
@@ -48,8 +49,11 @@ class ParallelConfig:
     interconnect: InterconnectSpec = field(default=NVLINK)
 
     def __post_init__(self) -> None:
-        if self.tp_degree < 1:
-            raise ValueError("tp_degree must be >= 1")
+        if (isinstance(self.tp_degree, bool)
+                or not isinstance(self.tp_degree, numbers.Integral)
+                or self.tp_degree < 1):
+            raise ValueError(
+                f"tp_degree must be an integer >= 1, got {self.tp_degree!r}")
 
     @property
     def is_parallel(self) -> bool:

@@ -86,6 +86,13 @@ class SchedulerPolicy(abc.ABC):
     #: scheduler keeps its ready queue in key order across admission passes;
     #: otherwise (the default) it re-sorts the queue on every pass.
     static_key: bool = False
+    #: Is a request's admission key fixed for its whole life, running
+    #: included?  Then, under preemption, the scheduler also keeps the
+    #: running requests in key order and reads each victim off the end
+    #: instead of scanning the batch.  SJF's key falls as a request
+    #: progresses and cache-aware's reads live cache state, so both leave
+    #: it off.
+    lifetime_key: bool = False
 
     @abc.abstractmethod
     def admission_key(self, request: Request) -> Tuple:
@@ -109,6 +116,7 @@ class FCFSPolicy(SchedulerPolicy):
     name = "fcfs"
     allow_bypass = True
     static_key = True
+    lifetime_key = True  # arrival time and id never change
 
     def admission_key(self, request: Request) -> Tuple:
         return (request.arrival_time, request.request_id)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -156,14 +157,27 @@ class Request:
     # reads the stored ``_generated`` plus the decode iterations that
     # scheduler (``_decode_clock``) ran since ``_decode_join``.
     # ``_run_seq`` is the request's position in its scheduler's running
-    # order.
+    # order, and ``_page_demand`` the pages its admission needs before any
+    # prefix hit, stamped when it joins a scheduler's ready queue (``None``:
+    # it can never fit).
     _decode_clock = None
     _decode_join = 0
     _run_seq = 0
+    _page_demand = 0
 
     def __post_init__(self) -> None:
-        if self.prompt_len <= 0 or self.output_len <= 0:
-            raise ValueError("prompt_len and output_len must be positive")
+        # Token counts must be true integers (numpy's count): admission
+        # derives a request's page demand from them once, when it joins a
+        # ready queue.  The exact-type test spares the common case the
+        # slower ABC check.
+        for name, value in (("prompt_len", self.prompt_len),
+                            ("output_len", self.output_len)):
+            if ((type(value) is not int
+                 and (isinstance(value, bool)
+                      or not isinstance(value, numbers.Integral)))
+                    or value <= 0):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
         # A chained comparison: NaN fails it like a negative value.
         if not 0.0 <= self.arrival_time < math.inf:
             raise ValueError(f"arrival_time must be non-negative and finite, "

@@ -167,6 +167,14 @@ class ContinuousBatchingScheduler:
     #: ``_next_seq`` at admission).
     _decoding: List[Request] = field(init=False, default_factory=list)
     _prefilling: List[Request] = field(init=False, default_factory=list)
+    #: The victim index: ``(admission key, request)`` for every running
+    #: request, in key order, kept only while :meth:`_victim_index_on`
+    #: holds, so a preemption victim is read off the end instead of
+    #: scanning the batch.  Keys are unique, so entries compare by key
+    #: alone, and each request's key is computed once on entry and once
+    #: on exit.
+    _by_key: List[Tuple[Tuple, Request]] = field(init=False,
+                                                 default_factory=list)
     _next_seq: int = field(init=False, default=0)
     #: Sum over the decode batch of ``context_len - decode_iterations``.
     _context_sum: int = field(init=False, default=0)
@@ -248,7 +256,23 @@ class ContinuousBatchingScheduler:
         return waiting
 
     def _make_ready(self, request: Request) -> None:
-        """Queue an available request for admission."""
+        """Queue an available request for admission, stamping its page
+        demand.
+
+        This is the one way into ``ready``.  A waiting request holds no
+        private pages (preemption, export and evacuation free them; new
+        arrivals and migrants hold none) and its reservation is fixed while
+        it waits, so the pages its admission needs before any prefix-cache
+        hit are known here once: ``None`` when optimistic admission must
+        refuse it outright (see :meth:`admit`).
+        """
+        kv_manager = self.kv_manager
+        if self.scheduling.preemption and kv_manager.pages_for_tokens(
+                request.prompt_len + request.output_len) > kv_manager.total_pages:
+            request._page_demand = None
+        else:
+            request._page_demand = kv_manager.pages_for_tokens(
+                self._reservation_tokens(request))
         if self.policy.static_key:
             bisect.insort(self.ready, request, key=self.policy.admission_key)
         else:
@@ -289,7 +313,10 @@ class ContinuousBatchingScheduler:
         and the queue it leaves behind are identical, step for step.  The
         scan walks the ready queue in place, which a static policy key keeps
         in admission order between passes, so a pass costs the requests it
-        moves or scans, not the backlog.
+        moves or scans, not the backlog.  A scanned request costs a few
+        comparisons: its page demand was stamped when it became ready
+        (:meth:`_make_ready`), and free pages are read again only after an
+        admission or a prefix eviction.
         """
         pending = self.pending
         while pending and pending[0][0] <= now:
@@ -307,6 +334,8 @@ class ContinuousBatchingScheduler:
 
         admitted: List[Request] = []
         kv_manager = self.kv_manager
+        prefix_cache = self.prefix_cache
+        allow_bypass = self.policy.allow_bypass
         if not self.policy.static_key:
             ready.sort(key=self.policy.admission_key)
         order = ready
@@ -317,6 +346,10 @@ class ContinuousBatchingScheduler:
             # what a priority tier *is* — so even strict-FCFS reorders across
             # tiers when this mode is on.
             order = sorted(order, key=lambda r: self._tier_rank(r, now))
+        # Free pages move only when this pass admits or evicts, so they are
+        # read again only then; the running batch grows only after the pass.
+        free = kv_manager.free_pages
+        seats = self.max_num_seqs - len(self.running)
         last = 0  # the position in ``order`` of the last admission
         for position, request in enumerate(order):
             if (tier_admission and self._tier_rank(request, now)
@@ -328,27 +361,25 @@ class ContinuousBatchingScheduler:
                 self.tier_deferrals += 1
                 continue
             self.admission_scanned_requests += 1
-            if len(self.running) + len(admitted) >= self.max_num_seqs:
+            if len(admitted) >= seats:
                 # The cap blocks this and every later request (nothing below
                 # can admit once it is reached), so stop scanning.
                 break
-            if scheduling.preemption and kv_manager.pages_for_tokens(
-                    request.prompt_len + request.output_len) > kv_manager.total_pages:
+            need = request._page_demand
+            if need is None:
                 # Optimistic admission still refuses requests whose *final*
                 # footprint exceeds the whole cache: no amount of preemption
                 # could ever finish them, so admitting would end in a
                 # mid-decode allocation failure instead of a clean
                 # never-admitted report.
-                if not self.policy.allow_bypass:
+                if not allow_bypass:
                     break
                 continue
-            tokens = self._reservation_tokens(request)
             cached_nodes: List = []
             shared_pages = 0
             pinned = False
-            promote_need = 0
-            if self.prefix_cache is not None:
-                pinned = self.prefix_cache.is_pinned(request.request_id)
+            if prefix_cache is not None:
+                pinned = prefix_cache.is_pinned(request.request_id)
                 if pinned:
                     # An in-flight migration pinned its prefix when the
                     # transfer was priced; reuse those references (matching
@@ -356,46 +387,47 @@ class ContinuousBatchingScheduler:
                     # referenced, so the eviction pass cannot touch them.
                     shared_pages = request.shared_kv_pages
                 else:
-                    cached_nodes, _ = self.prefix_cache.match(request)
+                    cached_nodes, _ = prefix_cache.match(request)
                     shared_pages = len(cached_nodes)
                     # Hitting demoted blocks restores them to full precision
                     # at acquire time, which consumes the capacity demotion
                     # reclaimed — budget those pages alongside the cold
                     # suffix so the promotions are pre-funded.  Always zero
                     # with demotion off.
-                    promote_need = self.prefix_cache.promotion_page_need(
-                        cached_nodes)
-            need = kv_manager.pages_needed(
-                request.request_id, tokens, shared_pages) + promote_need
-            shortfall = need - kv_manager.free_pages
-            if (shortfall > 0 and self.prefix_cache is not None
-                    and shortfall
-                    <= self.prefix_cache.evictable_pages(cached_nodes)):
-                # Reclaim unreferenced cached blocks before refusing
-                # admission, shielding the blocks this request matched.
-                # When even a full eviction pass could not cover the
-                # shortfall (e.g. a request larger than the whole cache) the
-                # shared blocks are left alone: flushing them would not
-                # admit this request but would destroy every other request's
-                # reuse.
-                self.prefix_cache.evict(shortfall, protect=cached_nodes)
-            if need <= kv_manager.free_pages:
-                if request.kv_ready:
-                    # The uncached pages' contents arrive via KV transfer.
-                    kv_manager.adopt(request.request_id, tokens, shared_pages)
-                else:
-                    kv_manager.allocate(request.request_id, tokens,
-                                        shared_pages)
-                if self.prefix_cache is not None and not pinned:
-                    self.prefix_cache.acquire(request, cached_nodes,
-                                              count_stats=not request.kv_ready)
-                request._run_seq = self._next_seq
-                self._next_seq += 1
-                self._begin_prefill(request, now)
-                admitted.append(request)
-                last = position
-            elif not self.policy.allow_bypass:
-                break
+                    need += prefix_cache.promotion_page_need(cached_nodes)
+                need -= shared_pages
+                shortfall = need - free
+                if 0 < shortfall <= prefix_cache.evictable_pages(cached_nodes):
+                    # Reclaim unreferenced cached blocks before refusing
+                    # admission, shielding the blocks this request matched.
+                    # When even a full eviction pass could not cover the
+                    # shortfall (e.g. a request larger than the whole cache)
+                    # the shared blocks are left alone: flushing them would
+                    # not admit this request but would destroy every other
+                    # request's reuse.
+                    prefix_cache.evict(shortfall, protect=cached_nodes)
+                    free = kv_manager.free_pages
+            if need > free:
+                if not allow_bypass:
+                    break
+                continue
+            tokens = self._reservation_tokens(request)
+            if request.kv_ready:
+                # The uncached pages' contents arrive via KV transfer.
+                kv_manager.adopt(request.request_id, tokens, shared_pages)
+            else:
+                kv_manager.allocate(request.request_id, tokens, shared_pages)
+            if prefix_cache is not None and not pinned:
+                prefix_cache.acquire(request, cached_nodes,
+                                     count_stats=not request.kv_ready)
+            request._run_seq = self._next_seq
+            self._next_seq += 1
+            self._begin_prefill(request, now)
+            admitted.append(request)
+            last = position
+            # The allocation, any promotions on acquire, and a migrant's
+            # deduplicating insert all move the free count.
+            free = kv_manager.free_pages
         if not admitted:
             return []  # every arrived request stayed blocked; queue unchanged
         # Drop the admitted requests from the ready queue; the blocked ones
@@ -405,6 +437,10 @@ class ContinuousBatchingScheduler:
         admitted_ids = {id(r) for r in admitted}
         ready[:end] = [r for r in ready[:end] if id(r) not in admitted_ids]
         self.running.extend(admitted)
+        if self._victim_index_on():
+            admission_key = self.policy.admission_key
+            for request in admitted:
+                bisect.insort(self._by_key, (admission_key(request), request))
         return [r for r in admitted if r.state is RequestState.PREFILLING]
 
     def admission_skips(self) -> Optional[int]:
@@ -565,7 +601,28 @@ class ContinuousBatchingScheduler:
         request.shared_kv_pages = 0
         request.demoted_hit_tokens = 0
         self.kv_manager.free(request.request_id)
+        self._stop_running(request)
+
+    def _stop_running(self, request: Request) -> None:
+        """Take ``request`` out of ``running`` and the victim index."""
         _remove(self.running, request)
+        if self._victim_index_on():
+            by_key = self._by_key
+            # ``(key,)`` sorts just before ``(key, request)``.
+            index = bisect.bisect_left(
+                by_key, (self.policy.admission_key(request),))
+            if index == len(by_key) or by_key[index][1] is not request:
+                raise ValueError(
+                    f"request {request.request_id} is not indexed")
+            del by_key[index]
+
+    def _victim_index_on(self) -> bool:
+        """Is the victim index kept?  Only under preemption (nothing else
+        picks a victim) and for a policy whose key is fixed for a request's
+        whole life (:attr:`SchedulerPolicy.lifetime_key`).  Read through
+        ``self.policy`` on every use, so a policy swapped in before the run
+        is honoured."""
+        return self.scheduling.preemption and self.policy.lifetime_key
 
     def preempt(self, request: Request, now: float) -> None:
         """Reclaim a running request's private pages and return it to the
@@ -689,13 +746,18 @@ class ContinuousBatchingScheduler:
         ``request`` and the decoding requests ranked above it: those already
         hold their claims this pass.  A decoding request's key cannot change
         during a pass, so its key now is its rank at pass start.  Keys end
-        in ``request_id``, so they are unique.  One scan suffices: unless
+        in ``request_id``, so they are unique.  One look suffices: unless
         ``request`` itself holds the top key, the top-key request ranks
         below it and is a candidate; if it does, every other decoding
-        request is protected and only prefilling ones remain.
+        request is protected and only prefilling ones remain.  With the
+        victim index on, the top key is the index's last entry; otherwise
+        it takes a scan.
         """
         admission_key = self.policy.admission_key
-        victim = max(self.running, key=admission_key)
+        if self._victim_index_on():
+            victim = self._by_key[-1][1]
+        else:
+            victim = max(self.running, key=admission_key)
         if victim is request:
             victim = max(self._prefilling, key=admission_key, default=None)
         return victim
@@ -771,7 +833,7 @@ class ContinuousBatchingScheduler:
             if self.prefix_cache is not None:
                 self.prefix_cache.release(request.request_id)
             self.kv_manager.free(request.request_id)
-            _remove(self.running, request)
+            self._stop_running(request)
             completed.append(request)
             if self.tracer is not None:
                 self.tracer.request_finished(request, now)

@@ -50,6 +50,7 @@ speculates deeper.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
@@ -222,6 +223,11 @@ class SpeculativeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("lookahead", "min_lookahead", "max_lookahead"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lookahead < 1:
             raise ValueError("lookahead must be >= 1")
         if not 1 <= self.min_lookahead <= self.max_lookahead:

@@ -38,6 +38,7 @@ from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.model.config import MODEL_REGISTRY
+from repro.serving.metrics import fold_sum
 from repro.serving.request import (
     _OUTPUT_LOGNORMAL,
     _PROMPT_LOGNORMAL,
@@ -299,7 +300,7 @@ def make_multi_model_workload(num_requests: int,
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ValueError("weights must be non-negative with a "
                              "positive sum")
-        total = float(sum(weights))
+        total = float(fold_sum(weights))
         probs = [w / total for w in weights]
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / arrival_rate, num_requests))

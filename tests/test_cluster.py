@@ -73,6 +73,9 @@ def test_get_interconnect():
 def test_parallel_config_validation(llama7b):
     with pytest.raises(ValueError):
         ParallelConfig(tp_degree=0)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="tp_degree"):
+            ParallelConfig(tp_degree=bad)
     ParallelConfig(tp_degree=2).validate_for(llama7b)   # 32 heads: fine
     with pytest.raises(ValueError):
         ParallelConfig(tp_degree=3).validate_for(llama7b)

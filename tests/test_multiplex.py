@@ -58,6 +58,13 @@ def test_config_validation():
         MultiplexConfig(models=(M7,), preload=("nope",))
     with pytest.raises(ValueError):
         MultiplexConfig(models=(M7, M13), queue_cost_s=-1.0)
+    for field in ("provision_s", "queue_cost_s"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                MultiplexConfig(models=(M7, M13), **{field: bad})
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="max_resident_models"):
+            MultiplexConfig(models=(M7, M13), max_resident_models=bad)
 
 
 def test_config_defaults():

@@ -24,6 +24,7 @@ from repro.gpu import A100
 from repro.model import get_config
 from repro.serving import engine as engine_module
 from repro.serving import (
+    AutoscalerConfig,
     ClusterEngine,
     ContinuousBatchingScheduler,
     CostModelCache,
@@ -36,6 +37,7 @@ from repro.serving import (
     ServingEngine,
     SpeculativeConfig,
     make_chat_workload,
+    make_flash_crowd_workload,
     make_lognormal_workload,
     make_uniform_workload,
 )
@@ -266,22 +268,49 @@ def _availability_order(requests):
     return sorted(requests, key=lambda r: (r.available_time, r.request_id))
 
 
+def _expected_demand(scheduler, request):
+    """The pages ``request``'s admission needs before any prefix hit, from
+    scratch: ``None`` when optimistic admission must refuse it."""
+    kv = scheduler.kv_manager
+    if (scheduler.scheduling.preemption and kv.pages_for_tokens(
+            request.prompt_len + request.output_len) > kv.total_pages):
+        return None
+    return kv.pages_for_tokens(scheduler._reservation_tokens(request))
+
+
 def _assert_queues(scheduler):
     """The ready queue is in admission-key order (for a static key), and
-    ``waiting`` is the availability-sorted union of both queues."""
+    ``waiting`` is the availability-sorted union of both queues.  Every
+    ready request holds no private page and carries its page demand, and
+    the victim index pairs exactly the running requests with their keys,
+    in key order (it is empty when it is off)."""
     ready, policy = scheduler.ready, scheduler.policy
     if policy.static_key:
         assert ready == sorted(ready, key=policy.admission_key)
     queued = list(scheduler.queued())
     assert len({id(r) for r in queued}) == len(queued)
     assert scheduler.waiting == _availability_order(queued)
+    kv = scheduler.kv_manager
+    for request in ready:
+        assert kv.allocated_tokens_capacity(request.request_id) == 0
+        assert request._page_demand == _expected_demand(scheduler, request)
+    by_key = [(key, id(r)) for key, r in scheduler._by_key]
+    if scheduler._victim_index_on():
+        assert by_key == [(policy.admission_key(r), id(r)) for r in sorted(
+            scheduler.running, key=policy.admission_key)]
+    else:
+        assert by_key == []
 
 
 @pytest.fixture
 def checked_admit(monkeypatch):
     """Check both queues right after every admit(): in particular, no
-    pending request is available by the admission time."""
+    pending request is available by the admission time.  Every preemption
+    victim is checked against a full scan of the running requests; the
+    fixture's value lists the victims picked."""
     admit = ContinuousBatchingScheduler.admit
+    pick_victim = ContinuousBatchingScheduler._pick_victim
+    victims = []
 
     def checked(self, now):
         admitted = admit(self, now)
@@ -289,7 +318,20 @@ def checked_admit(monkeypatch):
         _assert_queues(self)
         return admitted
 
+    def checked_pick(self, request):
+        victim = pick_victim(self, request)
+        key = self.policy.admission_key
+        expected = max(self.running, key=key)
+        if expected is request:
+            expected = max(self._prefilling, key=key, default=None)
+        assert victim is expected
+        victims.append(victim)
+        return victim
+
     monkeypatch.setattr(ContinuousBatchingScheduler, "admit", checked)
+    monkeypatch.setattr(ContinuousBatchingScheduler, "_pick_victim",
+                        checked_pick)
+    return victims
 
 
 def _queue_study_config(policy, preemption, tier):
@@ -338,6 +380,7 @@ def test_ready_queue_order_oracle(checked_admit, policy, preemption, tier):
     assert scheduler.admission_scanned_requests > len(scheduler.finished)
     if preemption and not tier:
         assert scheduler.num_preemptions > 0
+        assert checked_admit  # victims were picked
 
 
 @pytest.mark.parametrize("policy",
@@ -354,6 +397,42 @@ def test_ready_queue_order_oracle_disaggregated(checked_admit, policy):
         scheduling=_queue_study_config(policy, preemption=True, tier=False))
     assert result.num_finished == len(workload.requests)
     assert any(r.available_time > r.arrival_time for r in workload.requests)
+
+
+@pytest.mark.parametrize("policy",
+                         ["fcfs", "strict-fcfs", "sjf", "cache-aware"])
+def test_ready_queue_order_oracle_evacuation(checked_admit, monkeypatch,
+                                             policy):
+    """An autoscaled drain exports a decoding request and preempts a
+    prefilling one: both leave the victim index, the preempted one rejoins
+    a ready queue with a fresh page demand, and the migrant enters the
+    target's ready queue holding no pages there."""
+    drained = {"exported": 0, "preempted": 0}
+    evacuate = EngineStepper.evacuate
+
+    def counted(self, now):
+        drained["preempted"] += len(self.scheduler.prefilling_requests())
+        exported, waiting = evacuate(self, now)
+        drained["exported"] += len(exported)
+        return exported, waiting
+
+    monkeypatch.setattr(EngineStepper, "evacuate", counted)
+    workload = make_flash_crowd_workload(
+        160, base_rate=4.0, spikes=((2.0, 3.0, 10.0),), prompt_len=1024,
+        output_len=96, tenants=4, free_fraction=0.5, seed=3)
+    cluster = ClusterEngine(LLAMA7B, A100, QSERVE, num_replicas=4,
+                            max_seq_len=4096)
+    result = cluster.serve(
+        workload, max_num_seqs=8,
+        scheduling=SchedulingConfig(
+            policy=policy, chunked_prefill=True, prefill_chunk_size=64,
+            preemption=True, prefix_caching=policy == "cache-aware"),
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=4, interval_s=1.0,
+            scale_up_queue_depth=2.0, up_cooldown_s=1.0,
+            down_cooldown_s=2.0, scale_down_outstanding=6.0))
+    assert result.num_finished == len(workload.requests)
+    assert drained["exported"] > 0 and drained["preempted"] > 0
 
 
 class _CountingFCFS(FCFSPolicy):
@@ -379,6 +458,35 @@ def test_admission_key_calls_bounded_by_events():
     stepper.run()
     scheduler = stepper.scheduler
     assert len(scheduler.finished) == 600
+    admissions = len(scheduler.finished) + scheduler.num_preemptions
+    bound = (4 * (admissions + scheduler.num_preemptions)
+             * math.ceil(math.log2(600)))
+    assert policy.key_calls <= bound
+
+
+def test_victim_pick_costs_no_batch_scan():
+    """Preempting from hundreds of running requests costs O(log n) key
+    calls per event, not a scan of the batch per victim: 600 requests
+    arrive at t=0 with no sequence cap, so only a 24 GiB KV pool bounds a
+    batch of over 300 and decode growth preempts hundreds of times."""
+    stepper = EngineStepper(_engine(),
+                            scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                            max_num_seqs=None,
+                            kv_capacity_bytes=24 * (1 << 30))
+    policy = stepper.scheduler.policy = _CountingFCFS()
+    stepper.submit(list(make_lognormal_workload(600, seed=0).requests))
+    peak = [0]
+    prepare_decode = stepper.scheduler.prepare_decode
+
+    def tracked(now, lookahead=None):
+        peak[0] = max(peak[0], len(stepper.scheduler.running))
+        return prepare_decode(now, lookahead)
+
+    stepper.scheduler.prepare_decode = tracked
+    stepper.run()
+    scheduler = stepper.scheduler
+    assert len(scheduler.finished) == 600
+    assert peak[0] > 300 and scheduler.num_preemptions > 300
     admissions = len(scheduler.finished) + scheduler.num_preemptions
     bound = (4 * (admissions + scheduler.num_preemptions)
              * math.ceil(math.log2(600)))

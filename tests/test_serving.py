@@ -633,6 +633,22 @@ def test_request_rejects_bad_arrival_time(arrival):
                 arrival_time=arrival)
 
 
+@pytest.mark.parametrize("field", ["prompt_len", "output_len"])
+@pytest.mark.parametrize("bad", [2.5, 16.0, True])
+def test_request_rejects_non_integer_token_counts(field, bad):
+    """Admission derives a waiting request's page demand from its token
+    counts once, so they must be true integers; the error names the field."""
+    lengths = {"prompt_len": 16, "output_len": 4, field: bad}
+    with pytest.raises(ValueError, match=field):
+        Request(request_id=0, **lengths)
+
+
+def test_request_accepts_numpy_integer_token_counts():
+    request = Request(request_id=0, prompt_len=np.int64(16),
+                      output_len=np.int32(4))
+    assert request.context_len == 16
+
+
 def test_workload_generator_rejects_nan_arrival_rate():
     with pytest.raises(ValueError, match="arrival_time"):
         make_uniform_workload(3, 16, 4, arrival_rate=float("nan"))

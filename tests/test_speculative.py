@@ -71,6 +71,10 @@ def test_speculative_config_validation(draft):
         SpeculativeConfig(draft_model=draft, min_lookahead=4, max_lookahead=2)
     with pytest.raises(ValueError):
         SpeculativeConfig(draft_model=draft, lookahead=9, max_lookahead=8)
+    for field, bad in (("lookahead", 2.5), ("lookahead", True),
+                       ("max_lookahead", 8.5), ("min_lookahead", 1.0)):
+        with pytest.raises(ValueError, match=field):
+            SpeculativeConfig(draft_model=draft, **{field: bad})
     config = SpeculativeConfig(draft_model=draft, profile="code",
                                draft_system="trt-w4a16")
     assert config.resolved_profile().name == "code"
