@@ -101,7 +101,7 @@ from repro.serving.multiplex import (
 from repro.serving.parallel import ParallelConfig
 from repro.serving.policies import SchedulingConfig
 from repro.serving.precision import SystemConfig, get_system
-from repro.serving.request import Request, Workload
+from repro.serving.request import Request, Workload, check_positive_int
 from repro.serving.speculative import SpeculativeConfig
 from repro.serving.telemetry import (
     CounterRegistry,
@@ -793,8 +793,7 @@ class ClusterEngine:
                  transfer_overlap: bool = True,
                  systems: Optional[Sequence[Union[str, SystemConfig]]] = None
                  ) -> None:
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
+        check_positive_int("num_replicas", num_replicas)
         if systems is not None and len(systems) != num_replicas:
             raise ValueError(
                 f"systems has {len(systems)} entries for "

@@ -18,12 +18,24 @@ else that feeds the latency formulas is immutable for the engine's lifetime;
 anything that *does* vary (context length, chunk boundaries, decode batch,
 a migration's source preset) is an argument and therefore part of the key.
 Code that mutates an engine's model/GPU/system in place (no in-tree code
-does) must call :meth:`CostModelCache.clear`.
+does) must call :meth:`CostModelCache.clear`, which drops the latency rows
+below as well.
 
-:func:`memoised` is the only code that reads or writes a cache.  On CPython
-3.11 (2-core Xeon host, best of 15 in-process rounds) a hit through the
-decorator costs 0.21 µs, against 0.18 µs for the dictionary probe
-hand-inlined into each method; a steady decode iteration makes three hits.
+*Latency rows* serve the engine's coast through quiet decode iterations,
+where a batch of ``B`` decoders prices ``mixed_step((), B, c)`` at a context
+``c`` that grows by exactly one per iteration.  :meth:`CostModelCache.row`
+keeps one ``array('d')`` per batch size under the key ``("row", B)``: slot
+``i`` holds the latency at context ``start + i``, NaN until the engine
+prices it through ``mixed_step`` (so the pricing rule stays in one place).
+A row spans only the contexts its batch reached, from ``start``, not from
+context 0, so it costs 8 bytes per slot; a dict entry per ``(B, c)`` costs
+an order of magnitude more.  Row reads count as neither hits nor misses.
+
+:func:`memoised` and :meth:`CostModelCache.row` are the only code that
+reads or writes a cache.  On CPython 3.11 (2-core Xeon host, best of 15
+in-process rounds) a hit through the decorator costs 0.21 µs, against
+0.18 µs for the dictionary probe hand-inlined into each method; a steady
+decode iteration priced through ``mixed_step`` makes three hits.
 The key is one flat tuple built as ``(kind,) + args``: a nested
 ``(kind, args)`` key measured 0.26 µs and holds a second tuple per entry,
 and unpacking, ``(kind, *args)``, measured 0.32 µs.
@@ -31,10 +43,15 @@ and unpacking, ``(kind, *args)``, measured 0.32 µs.
 
 from __future__ import annotations
 
+import math
+from array import array
 from functools import wraps
 from typing import Callable, Dict, Tuple
 
 __all__ = ["CostModelCache", "memoised"]
+
+#: One unpriced row slot.
+_UNPRICED = array("d", [math.nan])
 
 
 class CostModelCache:
@@ -70,6 +87,30 @@ class CostModelCache:
         self.store.clear()
         self.hits = 0
         self.misses = 0
+
+    def row(self, batch: int, context: int) -> Tuple[array, int]:
+        """Decode batch ``batch``'s latency row and the context of its slot
+        0, grown so that ``context``'s slot exists or is the next append.
+
+        Slot ``i`` holds ``mixed_step((), batch, start + i).total``, or NaN
+        while unpriced; the caller prices and stores missing slots.
+        Growing down to an earlier context replaces the row, so a caller
+        holds the returned pair for one window only.
+        """
+        key = ("row", batch)
+        entry = self.store.get(key)
+        if entry is None:
+            row, start = array("d"), context
+        else:
+            row, start = entry
+            if context >= start:
+                gap = context - start - len(row)
+                if gap > 0:
+                    row.extend(_UNPRICED * gap)
+                return row, start
+            row, start = _UNPRICED * (start - context) + row, context
+        self.store[key] = (row, start)
+        return row, start
 
     def __len__(self) -> int:
         return len(self.store)

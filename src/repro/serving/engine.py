@@ -75,7 +75,8 @@ from repro.serving.policies import (
     SchedulingConfig,
 )
 from repro.serving.precision import SystemConfig
-from repro.serving.request import Request, RequestState, Workload
+from repro.serving.request import (Request, RequestState, Workload,
+                                   check_positive_int)
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.speculative import (
     SpeculationStats,
@@ -293,6 +294,7 @@ class ServingEngine:
     def __init__(self, model: ModelConfig, gpu: GPUSpec, system: SystemConfig,
                  max_seq_len: int = 2048,
                  parallel: Optional[ParallelConfig] = None) -> None:
+        check_positive_int("max_seq_len", max_seq_len)
         self.model = model
         self.gpu = gpu
         self.system = system
@@ -948,37 +950,53 @@ class EngineStepper:
         idle replica never *jumps* past it: a replica whose only pending
         work becomes available after ``t`` (e.g. a migrated request with an
         in-flight KV transfer) keeps its clock and waits for a later call.
-        Each :meth:`step` is followed by a coast through the quiet decode
-        iterations after it (:meth:`_coast`), so a run pays per event, not
-        per iteration.  Returns whether any step ran (an iteration or an
-        idle jump).
+        The call first resumes the quiet decode window an earlier call's
+        horizon cut short, and follows each :meth:`step` with a coast
+        through the quiet iterations after it (both :meth:`_coast`), so a
+        run pays per event, not per iteration.  Returns whether any
+        iteration or idle jump ran.
         """
+        iterations = self.iterations
+        self._coast(t)
         stepped = False
         while not self.done and self.now < t:
             if not self.step(horizon=t):
                 break
             stepped = True
             self._coast(t)
-        return stepped
+        return stepped or self.iterations != iterations
 
     def _coast(self, t: float) -> None:
         """Run the plain decode iterations that provably hold no event,
-        while the clock is before ``t``.
+        while the clock is before ``t``: one quiet window.
 
         Each one is exactly the iteration :meth:`step` would run: admission
         is a no-op (nothing pending is available yet, and the ready queue is
         empty or blocked by the cap or a full pool — see
         :meth:`~ContinuousBatchingScheduler.admission_skips`), nothing
         prefills, and no first token or finish falls due
-        (:meth:`~ContinuousBatchingScheduler.decode_window`).  A page
-        crossing is claimed through ``prepare_decode`` when at least one
-        page per decoder is free — a plain crossing claims one page, so the
-        pass cannot evict or preempt — and otherwise ends the coast.  Every
-        iteration is priced by the same ``mixed_step`` call and added to the
-        clock one at a time, so results are bitwise those of stepping.
-        A speculative stepper never coasts, since its commits vary per
-        request; a prefill-role stepper exports each finished prefill
-        within its step, so it never holds a batch to coast.
+        (:meth:`~ContinuousBatchingScheduler.decode_window`).  These checks
+        read only the stepper's state, so the window may start after a
+        :meth:`step` or resume where an earlier horizon cut it; a new
+        arrival fails them (it is ready, or it clamps ``t`` to its
+        availability), and the caller steps instead.
+
+        Inside the window the batch is fixed and the mean context grows by
+        exactly one per iteration, so iteration ``k`` costs slot ``k`` of
+        the batch's latency row from the window's first context
+        (:meth:`CostModelCache.row`); an unpriced slot is priced by the
+        same ``mixed_step`` call :meth:`step` makes.  Latencies are added
+        to the clock one at a time, in order, so it is bitwise that of
+        stepping; the counters are written once, at the end.  A page
+        crossing is claimed in the window
+        (:meth:`~ContinuousBatchingScheduler.claim_crossings`) while at
+        least one page per decoder is free — a plain crossing claims one
+        page, so the pass cannot evict or preempt — and otherwise ends the
+        window.  KV use only grows in a window, so its peak is read once, at
+        the end.  A speculative stepper never coasts, since its
+        commits vary per request; a prefill-role stepper exports each
+        finished prefill within its step, so it never holds a batch to
+        coast.
         """
         scheduler = self.scheduler
         quiet, claim = scheduler.decode_window()
@@ -991,32 +1009,56 @@ class EngineStepper:
         arrival = scheduler.next_available_time()
         if arrival is not None and arrival < t:
             t = arrival  # the admission pass at ``arrival`` is an event
+        now = self.now
+        if now >= t:
+            return
         batch = len(scheduler.running)  # nothing prefills: all decode
-        kv = scheduler.kv_manager
-        mixed_step, tracer = self.engine.mixed_step, self.tracer
-        while quiet > 0 and self.now < t:
-            if claim <= 0:
-                if kv.free_pages < batch:
+        context = scheduler.decode_context_len()
+        engine, tracer, kv = self.engine, self.tracer, scheduler.kv_manager
+        row, start = engine.cost_cache.row(batch, context)
+        slot, size = context - start, len(row)
+        busy, free = self.busy_s, None  # free pages: read at the first claim
+        # ``d`` is the decode iteration about to run: the window ends before
+        # ``end``, and the next crossing pass is due at ``due``.
+        first = d = scheduler.decode_iterations
+        end, due = d + quiet, d + claim
+        while d < end and now < t:
+            if d >= due:
+                if free is None:
+                    free = kv.free_pages
+                if free < batch:
                     break
-                scheduler.prepare_decode(self.now)
-                self.kv_utilization_peak = max(self.kv_utilization_peak,
-                                               kv.utilization())
-                quiet, claim = scheduler.decode_window()
-            latency = mixed_step((), batch,
-                                 scheduler.decode_context_len()).total
-            t0 = self.now
-            self.now += latency
-            self.busy_s += latency
-            self.iterations += 1
-            self.generated += batch
-            # A plain decode step with no event is the counter's tick.
-            scheduler.decode_iterations += 1
-            scheduler.admission_fast_skips += skips
+                scheduler.decode_iterations = d
+                free -= scheduler.claim_crossings()
+                due = d + scheduler.decode_window()[1]
+            if slot < size:
+                latency = row[slot]
+                if latency != latency:  # NaN: not yet priced
+                    latency = row[slot] = engine.mixed_step(
+                        (), batch, start + slot).total
+            else:
+                latency = engine.mixed_step((), batch, start + slot).total
+                row.append(latency)
+                size += 1
+            slot += 1
+            t0 = now
+            now += latency
+            busy += latency
+            d += 1
             if tracer is not None:
-                tracer.iteration(t0, self.now, 0, 0, batch, batch, self)
-            quiet -= 1
-            claim -= 1
+                scheduler.decode_iterations = d
+                tracer.iteration(t0, now, 0, 0, batch, batch, self)
+        ran = d - first
+        if ran:
+            # A plain decode step with no event is the decode counter's tick.
+            scheduler.decode_iterations = d
+            scheduler.admission_fast_skips += skips * ran
+            self.now, self.busy_s = now, busy
+            self.iterations += ran
+            self.generated += batch * ran
             self.peak_batch = max(self.peak_batch, batch)
+            self.kv_utilization_peak = max(self.kv_utilization_peak,
+                                           kv.utilization())
 
     # ------------------------------------------------------------------
     def result(self, workload: Workload) -> ServingResult:

@@ -22,11 +22,11 @@ and every latency/memory quantity bitwise equal to the single-GPU engine.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 from repro.gpu.specs import InterconnectSpec, NVLINK
 from repro.model.config import ModelConfig
+from repro.serving.request import check_positive_int
 
 __all__ = ["ParallelConfig"]
 
@@ -49,11 +49,7 @@ class ParallelConfig:
     interconnect: InterconnectSpec = field(default=NVLINK)
 
     def __post_init__(self) -> None:
-        if (isinstance(self.tp_degree, bool)
-                or not isinstance(self.tp_degree, numbers.Integral)
-                or self.tp_degree < 1):
-            raise ValueError(
-                f"tp_degree must be an integer >= 1, got {self.tp_degree!r}")
+        check_positive_int("tp_degree", self.tp_degree)
 
     @property
     def is_parallel(self) -> bool:

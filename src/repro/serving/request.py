@@ -53,6 +53,14 @@ __all__ = [
 _CONTENT_IDS = itertools.count(1)
 
 
+def check_positive_int(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a positive
+    integer (numpy's included, ``bool`` not)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value <= 0):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 class RequestState(str, enum.Enum):
     """Lifecycle of a request inside the serving engine.
 
@@ -168,16 +176,11 @@ class Request:
     def __post_init__(self) -> None:
         # Token counts must be true integers (numpy's count): admission
         # derives a request's page demand from them once, when it joins a
-        # ready queue.  The exact-type test spares the common case the
-        # slower ABC check.
+        # ready queue.  A positive ``int`` skips the full check.
         for name, value in (("prompt_len", self.prompt_len),
                             ("output_len", self.output_len)):
-            if ((type(value) is not int
-                 and (isinstance(value, bool)
-                      or not isinstance(value, numbers.Integral)))
-                    or value <= 0):
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}")
+            if type(value) is not int or value <= 0:
+                check_positive_int(name, value)
         # A chained comparison: NaN fails it like a negative value.
         if not 0.0 <= self.arrival_time < math.inf:
             raise ValueError(f"arrival_time must be non-negative and finite, "

@@ -52,7 +52,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Tuple)
@@ -61,7 +60,7 @@ from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationEr
 from repro.serving.policies import (LEGACY_SCHEDULING, SchedulerPolicy,
                                     SchedulingConfig)
 from repro.serving.prefix_cache import PrefixCache
-from repro.serving.request import Request, RequestState
+from repro.serving.request import Request, RequestState, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.serving.telemetry import Tracer
@@ -168,13 +167,14 @@ class ContinuousBatchingScheduler:
     _decoding: List[Request] = field(init=False, default_factory=list)
     _prefilling: List[Request] = field(init=False, default_factory=list)
     #: The victim index: ``(admission key, request)`` for every running
-    #: request, in key order, kept only while :meth:`_victim_index_on`
-    #: holds, so a preemption victim is read off the end instead of
-    #: scanning the batch.  Keys are unique, so entries compare by key
-    #: alone, and each request's key is computed once on entry and once
-    #: on exit.
-    _by_key: List[Tuple[Tuple, Request]] = field(init=False,
-                                                 default_factory=list)
+    #: request, in key order, so a preemption victim is read off the end
+    #: instead of scanning the batch.  ``None`` until the first pick under
+    #: :meth:`_victim_index_on` sorts the batch into it (a run that never
+    #: preempts never pays for it); kept from then on.  Keys are unique,
+    #: so entries compare by key alone, and each request's key is computed
+    #: once on entry and once on exit.
+    _by_key: Optional[List[Tuple[Tuple, Request]]] = field(init=False,
+                                                           default=None)
     _next_seq: int = field(init=False, default=0)
     #: Sum over the decode batch of ``context_len - decode_iterations``.
     _context_sum: int = field(init=False, default=0)
@@ -193,13 +193,8 @@ class ContinuousBatchingScheduler:
 
     def __post_init__(self) -> None:
         if self.max_num_seqs is None:
-            self.max_num_seqs = 10**9
-        elif (isinstance(self.max_num_seqs, bool)
-              or not isinstance(self.max_num_seqs, numbers.Integral)
-              or self.max_num_seqs <= 0):
-            raise ValueError(
-                f"max_num_seqs must be a positive integer or None (no cap), "
-                f"got {self.max_num_seqs!r}")
+            self.max_num_seqs = 10**9  # no cap
+        check_positive_int("max_num_seqs", self.max_num_seqs)
         self.policy = self.scheduling.build_policy()
         if hasattr(self.policy, "prefix_cache"):
             # Cache-aware policies rank by live cache state.
@@ -437,7 +432,7 @@ class ContinuousBatchingScheduler:
         admitted_ids = {id(r) for r in admitted}
         ready[:end] = [r for r in ready[:end] if id(r) not in admitted_ids]
         self.running.extend(admitted)
-        if self._victim_index_on():
+        if self._by_key is not None:
             admission_key = self.policy.admission_key
             for request in admitted:
                 bisect.insort(self._by_key, (admission_key(request), request))
@@ -606,8 +601,8 @@ class ContinuousBatchingScheduler:
     def _stop_running(self, request: Request) -> None:
         """Take ``request`` out of ``running`` and the victim index."""
         _remove(self.running, request)
-        if self._victim_index_on():
-            by_key = self._by_key
+        by_key = self._by_key
+        if by_key is not None:
             # ``(key,)`` sorts just before ``(key, request)``.
             index = bisect.bisect_left(
                 by_key, (self.policy.admission_key(request),))
@@ -617,11 +612,11 @@ class ContinuousBatchingScheduler:
             del by_key[index]
 
     def _victim_index_on(self) -> bool:
-        """Is the victim index kept?  Only under preemption (nothing else
-        picks a victim) and for a policy whose key is fixed for a request's
-        whole life (:attr:`SchedulerPolicy.lifetime_key`).  Read through
-        ``self.policy`` on every use, so a policy swapped in before the run
-        is honoured."""
+        """Does a victim pick use the index?  Only under preemption
+        (nothing else picks a victim) and for a policy whose key is fixed
+        for a request's whole life (:attr:`SchedulerPolicy.lifetime_key`).
+        Read through ``self.policy`` at each pick, so a policy swapped in
+        before the run is honoured."""
         return self.scheduling.preemption and self.policy.lifetime_key
 
     def preempt(self, request: Request, now: float) -> None:
@@ -687,6 +682,8 @@ class ContinuousBatchingScheduler:
         Only the crossing requests are visited: the crossing heap yields the
         requests whose ``context_len + 1`` claim needs a page this step (a
         claim that needs no page cannot fail, so it would change nothing).
+        With no lookahead and at least one free page per decoder, no claim
+        can fall short, and the pass is :meth:`claim_crossings`.
         ``lookahead`` (speculative decoding) returns the extra draft tokens a
         request will verify beyond its next token; claims then vary per
         request and per step, so the crossing requests are found by a scan.
@@ -698,6 +695,10 @@ class ContinuousBatchingScheduler:
             return self.decoding_requests()
         kv_manager = self.kv_manager
         if lookahead is None:
+            if kv_manager.free_pages >= len(self._decoding):
+                # A plain crossing claims one page: no claim can fall short.
+                self.claim_crossings()
+                return self.decoding_requests()
             crossing = self._pop_crossings()
         else:
             crossing = [r for r in self._decoding if kv_manager.needs_pages(
@@ -733,11 +734,32 @@ class ContinuousBatchingScheduler:
                         f"{kv_manager.total_pages * kv_manager.page_size}")
                 self.preempt(victim, now)
             if request.state is RequestState.DECODING:
-                kv_manager.allocate(request.request_id, claim,
-                                    request.shared_kv_pages)
-                if self._indexed:
-                    self._index_crossing(request)
+                self._claim(request, claim)
         return self.decoding_requests()
+
+    def claim_crossings(self) -> int:
+        """Claim the page each crossing due this decode iteration needs, in
+        rank order; returns the pages claimed.
+
+        This is :meth:`prepare_decode` without lookahead when at least one
+        page per decoder is free: a plain crossing claims one page, so no
+        claim falls short and nothing is evicted or preempted.  The
+        engine's coast calls it inside a quiet window.
+        """
+        claimed = 0
+        for request in self.policy.admission_order(self._pop_crossings()):
+            claimed += self._claim(request, request.context_len + 1)
+        return claimed
+
+    def _claim(self, request: Request, tokens: int) -> int:
+        """Grow ``request``'s allocation to ``tokens`` tokens and index its
+        next crossing; returns the pages claimed.  The caller has made
+        room: this never evicts or preempts."""
+        claimed = self.kv_manager.allocate(request.request_id, tokens,
+                                           request.shared_kv_pages)
+        if self._indexed:
+            self._index_crossing(request)
+        return claimed
 
     def _pick_victim(self, request: Request) -> Optional[Request]:
         """The request to preempt so ``request``'s claim can fit.
@@ -750,11 +772,14 @@ class ContinuousBatchingScheduler:
         ``request`` itself holds the top key, the top-key request ranks
         below it and is a candidate; if it does, every other decoding
         request is protected and only prefilling ones remain.  With the
-        victim index on, the top key is the index's last entry; otherwise
-        it takes a scan.
+        victim index on, the top key is the index's last entry (the first
+        pick builds the index); otherwise it takes a scan.
         """
         admission_key = self.policy.admission_key
         if self._victim_index_on():
+            if self._by_key is None:
+                self._by_key = sorted(
+                    (admission_key(r), r) for r in self.running)
             victim = self._by_key[-1][1]
         else:
             victim = max(self.running, key=admission_key)

@@ -10,10 +10,13 @@ floats), the counter registry, and for the traced run the Chrome trace.
 The scenarios cover the exactness conditions one by one: pending arrivals
 and the sequence cap (legacy, prefix-aware chat), windows that end at a page
 crossing for lack of pages (chunked prefill with preemption on small pools,
-one where a whole batch crosses on the same iteration), tier-aware admission
-with and without shedding, KV demotion under preemption, a disaggregated
-fleet and an autoscaled fleet that drains.  A speculating stepper must
-never coast; the last test builds the state in which its heaps look quiet.
+one where a whole batch crosses on the same iteration), windows that claim
+many staggered crossings, tier-aware admission with and without shedding,
+KV demotion under preemption, a disaggregated fleet, an autoscaled fleet
+that drains, and one stepper fed arrival by arrival and advanced in small
+horizons, so its windows are cut and resumed mid-way.  A speculating
+stepper must never coast; the last test builds the state in which its
+heaps look quiet.
 """
 
 import importlib.util
@@ -28,12 +31,14 @@ from repro.model import get_config
 from repro.serving import (
     AutoscalerConfig,
     ClusterEngine,
+    ContinuousBatchingScheduler,
     EngineStepper,
     Request,
     SCHEDULING_PRESETS,
     SchedulingConfig,
     ServingEngine,
     SpeculativeConfig,
+    Workload,
     get_system,
     make_chat_workload,
     make_flash_crowd_workload,
@@ -157,6 +162,38 @@ def _autoscaled():
     return result
 
 
+def _staggered_crossings(telemetry=None):
+    """Eight decoders whose prompt lengths differ by 2 tokens cross pages
+    on different iterations, so one quiet window holds many claim passes;
+    the pool is big enough that none of them ends it."""
+    requests = [Request(request_id=i, prompt_len=100 + 2 * i,
+                        output_len=240 + 16 * i) for i in range(8)]
+    return _engine().serve(Workload(requests),
+                           scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                           telemetry=telemetry)
+
+
+def _small_horizons():
+    """One stepper fed arrival by arrival, as a cluster replica is, and
+    advanced in 20 ms horizons: most calls start inside a quiet window an
+    earlier horizon cut, and a new arrival lands on a running batch."""
+    workload = make_lognormal_workload(60, arrival_rate=8.0, seed=4)
+    stepper = EngineStepper(_engine(pages=400),
+                            scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                            max_num_seqs=12)
+    t = 0.0
+    for request in sorted(workload.requests, key=lambda r: r.arrival_time):
+        while t < request.arrival_time:
+            t = min(t + 0.02, request.arrival_time)
+            stepper.run_until(t)
+        stepper.submit(request)
+    while not stepper.done:
+        t += 0.02
+        stepper.run_until(t)
+        assert t < 1e4
+    return stepper.result(workload)
+
+
 SCENARIOS = {
     "legacy": _legacy,
     "chunked-preempt": _chunked_preempt,
@@ -167,6 +204,8 @@ SCENARIOS = {
     "prefix-demote-preempt": _prefix_demote_preempt,
     "disaggregated": _disaggregated,
     "autoscaled": _autoscaled,
+    "staggered-crossings": _staggered_crossings,
+    "small-horizons": _small_horizons,
 }
 
 
@@ -178,29 +217,80 @@ def _encode(result):
     return FINGERPRINT._serving_result(result), result.counters.as_dict()
 
 
+def _assert_same_trace(coasted, stepped):
+    """The two runs' Chrome traces are the same JSON; a mismatch reports
+    where they part (pytest's diff of two whole traces takes minutes)."""
+    a, b = (json.dumps(r.chrome_trace(), sort_keys=True)
+            for r in (coasted, stepped))
+    if a != b:
+        at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                  min(len(a), len(b)))
+        pytest.fail(f"traces part at character {at}: "
+                    f"{a[at - 120:at + 120]!r} != {b[at - 120:at + 120]!r}")
+
+
 def _run(scenario, coast):
-    """Run ``scenario``; returns its result and the iterations coasted."""
-    coasted = [0]
+    """Run ``scenario``; returns its result and coast statistics: the
+    iterations coasted, those coasted by a window resumed with no
+    ``step`` since the previous window, and the most claim passes one
+    window made."""
+    stats = {"coasted": 0, "resumed": 0, "claim_passes": 0}
     plain_coast = EngineStepper._coast
+    claim_crossings = ContinuousBatchingScheduler.claim_crossings
+    claims = [0]
+    last_window = {}  # stepper -> its step count when its last window ended
+
+    def counted_claims(self):
+        claims[0] += 1
+        return claim_crossings(self)
 
     def counted_coast(self, t):
-        before = self.iterations
+        before, passes = self.iterations, claims[0]
+        resumed = last_window.get(id(self)) == self._guard
         if coast:
             plain_coast(self, t)
-        coasted[0] += self.iterations - before
+        last_window[id(self)] = self._guard
+        stats["coasted"] += self.iterations - before
+        if resumed:
+            stats["resumed"] += self.iterations - before
+        stats["claim_passes"] = max(stats["claim_passes"],
+                                    claims[0] - passes)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EngineStepper, "_coast", counted_coast)
+        patch.setattr(ContinuousBatchingScheduler, "claim_crossings",
+                      counted_claims)
         result = scenario()
-    return result, coasted[0]
+    return result, stats
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_coasting_matches_stepping(name):
     coasted, quiet = _run(SCENARIOS[name], coast=True)
     stepped, none = _run(SCENARIOS[name], coast=False)
-    assert quiet > 0 and none == 0
+    assert quiet["coasted"] > 0 and none["coasted"] == 0
     assert _encode(coasted) == _encode(stepped)
+
+
+def test_small_horizons_resume_windows():
+    """The scenario does what it is for: windows are resumed without a
+    step (a replica fed by a cluster resumes the same way)."""
+    _, stats = _run(_small_horizons, coast=True)
+    assert stats["resumed"] > stats["coasted"] / 4
+
+
+def test_windows_hold_several_crossing_passes():
+    """One window claims the staggered crossings pass after pass, and the
+    Chrome trace (which samples free pages per iteration) shows each claim
+    on the iteration stepping makes it."""
+    def traced():
+        return _staggered_crossings(telemetry=True)
+
+    coasted, stats = _run(traced, coast=True)
+    stepped, _ = _run(traced, coast=False)
+    assert stats["claim_passes"] >= 20
+    assert _encode(coasted) == _encode(stepped)
+    _assert_same_trace(coasted, stepped)
 
 
 def test_coasting_keeps_chrome_trace_identical():
@@ -212,10 +302,9 @@ def test_coasting_keeps_chrome_trace_identical():
 
     coasted, quiet = _run(traced, coast=True)
     stepped, _ = _run(traced, coast=False)
-    assert quiet > 0
+    assert quiet["coasted"] > 0
     assert _encode(coasted) == _encode(stepped)
-    assert (json.dumps(coasted.chrome_trace(), sort_keys=True)
-            == json.dumps(stepped.chrome_trace(), sort_keys=True))
+    _assert_same_trace(coasted, stepped)
 
 
 def test_speculative_stepper_never_coasts():

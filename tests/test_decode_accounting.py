@@ -161,8 +161,14 @@ def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
 
     def checked_coast(self, t):
         # Coasted iterations run no step(); check after each window too.
+        # The batch is fixed inside a window, so its mean context (the
+        # latency row's index) advances by exactly one per iteration.
+        context, iterations = (self.scheduler.decode_context_len(),
+                               self.iterations)
         plain_coast(self, t)
         check(self)
+        assert (self.scheduler.decode_context_len() - context
+                == self.iterations - iterations)
 
     monkeypatch.setattr(EngineStepper, "step", checked_step)
     monkeypatch.setattr(EngineStepper, "_coast", checked_coast)

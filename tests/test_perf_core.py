@@ -37,6 +37,7 @@ from repro.serving import (
     ServingEngine,
     SpeculativeConfig,
     make_chat_workload,
+    make_bursty_workload,
     make_flash_crowd_workload,
     make_lognormal_workload,
     make_uniform_workload,
@@ -160,16 +161,41 @@ def test_cost_cache_kernel_latencies_identical():
 # ----------------------------------------------------------------------
 # Memoization: hit rates on steady serving loops
 # ----------------------------------------------------------------------
-def test_cost_cache_hit_rate_steady_decode():
-    """A steady decode loop re-prices the same shapes almost every step."""
+def test_cost_cache_hit_rate_steady_decode(monkeypatch):
+    """A steady decode loop repeats its shapes: two waves of 24 requests
+    price the same ``(batch, context)`` decode shapes.  What the memo and
+    the coast's latency rows save is evaluations: the cost model runs for
+    about half the iterations (131 of 258), and ``mixed_step`` runs once
+    per distinct decode shape plus once per ``step``, never per coasted
+    iteration.  (The hit rate is no longer the gauge: rows answer the
+    repeats before the memo sees them, so it reads 261/392.)"""
+    shapes, calls, steps = set(), [0], [0]
+    mixed_step, step = ServingEngine.mixed_step, EngineStepper.step
+
+    def counted_mixed_step(self, prefill_chunks, decode_batch,
+                           decode_context):
+        calls[0] += 1
+        if not prefill_chunks:
+            shapes.add((decode_batch, decode_context))
+        return mixed_step(self, prefill_chunks, decode_batch, decode_context)
+
+    def counted_step(self, horizon=None):
+        steps[0] += 1
+        return step(self, horizon)
+
+    monkeypatch.setattr(ServingEngine, "mixed_step", counted_mixed_step)
+    monkeypatch.setattr(EngineStepper, "step", counted_step)
     engine = _engine()
-    engine.serve(make_uniform_workload(48, prompt_len=512, output_len=128),
-                 max_num_seqs=24)
+    result = engine.serve(
+        make_uniform_workload(48, prompt_len=512, output_len=128),
+        max_num_seqs=24)
     cache = engine.cost_cache
-    assert cache.lookups > 500
-    assert cache.hit_rate > 0.8
-    # Distinct shapes stay small next to the lookup volume.
-    assert len(cache.store) < cache.lookups / 4
+    assert result.num_iterations > 250
+    assert cache.misses <= 0.6 * result.num_iterations
+    assert calls[0] <= len(shapes) + steps[0]
+    # Distinct shapes (memo entries and rows) stay small next to the
+    # iteration count.
+    assert len(cache.store) <= 0.6 * result.num_iterations
 
 
 def test_cost_cache_hit_rate_chunked():
@@ -282,8 +308,8 @@ def _assert_queues(scheduler):
     """The ready queue is in admission-key order (for a static key), and
     ``waiting`` is the availability-sorted union of both queues.  Every
     ready request holds no private page and carries its page demand, and
-    the victim index pairs exactly the running requests with their keys,
-    in key order (it is empty when it is off)."""
+    the victim index, once the first pick has built it, pairs exactly the
+    running requests with their keys, in key order."""
     ready, policy = scheduler.ready, scheduler.policy
     if policy.static_key:
         assert ready == sorted(ready, key=policy.admission_key)
@@ -294,12 +320,11 @@ def _assert_queues(scheduler):
     for request in ready:
         assert kv.allocated_tokens_capacity(request.request_id) == 0
         assert request._page_demand == _expected_demand(scheduler, request)
-    by_key = [(key, id(r)) for key, r in scheduler._by_key]
-    if scheduler._victim_index_on():
+    if scheduler._by_key is not None:
+        assert scheduler._victim_index_on()
+        by_key = [(key, id(r)) for key, r in scheduler._by_key]
         assert by_key == [(policy.admission_key(r), id(r)) for r in sorted(
             scheduler.running, key=policy.admission_key)]
-    else:
-        assert by_key == []
 
 
 @pytest.fixture
@@ -325,6 +350,7 @@ def checked_admit(monkeypatch):
         if expected is request:
             expected = max(self._prefilling, key=key, default=None)
         assert victim is expected
+        assert (self._by_key is not None) == self._victim_index_on()
         victims.append(victim)
         return victim
 
@@ -464,6 +490,37 @@ def test_admission_key_calls_bounded_by_events():
     assert policy.key_calls <= bound
 
 
+def test_victim_index_waits_for_the_first_pick(monkeypatch):
+    """A preemptive FCFS run that never preempts calls the admission key
+    only to order the ready queue and each pass's page claims: the victim
+    index is built at the first victim pick, so admissions and finishes
+    before it pay nothing for it."""
+    stepper = EngineStepper(_engine(),
+                            scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                            max_num_seqs=16)
+    policy = stepper.scheduler.policy = _CountingFCFS()
+    ordering_calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            before = policy.key_calls
+            result = fn(*args)
+            ordering_calls[0] += policy.key_calls - before
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ContinuousBatchingScheduler, "_make_ready",
+                        counted(ContinuousBatchingScheduler._make_ready))
+    policy.admission_order = counted(policy.admission_order)
+    stepper.submit(list(make_lognormal_workload(200, arrival_rate=40.0,
+                                                seed=1).requests))
+    stepper.run()
+    scheduler = stepper.scheduler
+    assert len(scheduler.finished) == 200
+    assert scheduler.num_preemptions == 0 and scheduler._victim_index_on()
+    assert policy.key_calls == ordering_calls[0] > 0
+
+
 def test_victim_pick_costs_no_batch_scan():
     """Preempting from hundreds of running requests costs O(log n) key
     calls per event, not a scan of the batch per victim: 600 requests
@@ -516,3 +573,38 @@ def test_quiet_decode_costs_one_step_per_event(monkeypatch, scheduling):
     assert result.num_finished == 4
     assert result.num_iterations == 201
     assert calls[0] <= 4
+
+
+def test_fleet_windows_resume_without_a_step(monkeypatch):
+    """A steady fleet (8 replicas, as fleet-static) calls each replica's ``run_until`` once per arrival,
+    and most calls land inside a quiet window an earlier horizon cut: they
+    resume it without a ``step``.  Inside windows iterations read cached
+    latency rows, so ``mixed_step`` runs for well under half of them.
+    (Before windows resumed and read rows, every call opened with a
+    ``step`` and every iteration ran ``mixed_step``.)"""
+    calls = {"step": 0, "run_until": 0, "mixed_step": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(EngineStepper, "step")
+    counted(EngineStepper, "run_until")
+    counted(ServingEngine, "mixed_step")
+    cluster = ClusterEngine(LLAMA7B, A100, QSERVE, num_replicas=8,
+                            max_seq_len=4096)
+    result = cluster.serve(
+        make_bursty_workload(800, burst_rate=48.0, lognormal_lengths=True,
+                             seed=5),
+        router="least-outstanding", max_num_seqs=32,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+    iterations = sum(r.num_iterations for r in result.replica_results)
+    assert result.num_finished == 800 and iterations > 20000
+    # Measured: 2738 steps for 6408 calls, and 12653 prices for 37010
+    # iterations (6936 steps and 37010 prices before).
+    assert calls["step"] < 0.6 * calls["run_until"]
+    assert calls["mixed_step"] < 0.5 * iterations

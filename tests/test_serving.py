@@ -220,6 +220,39 @@ def test_serve_rejects_bad_max_num_seqs(llama7b, bad):
                             max_num_seqs=cap).num_finished == 4
 
 
+@pytest.mark.parametrize("bad", [0, -5, 100.5, float("nan"), True])
+def test_engine_rejects_bad_max_seq_len(llama7b, bad):
+    """A non-positive or non-integral ``max_seq_len`` used to construct: on
+    the non-paged ``quarot-w4a4`` preset ``0`` reserved zero pages per
+    request, so 400 requests ran at once with ``kv_utilization_peak``
+    0.0."""
+    from repro.serving import ClusterEngine
+    for system in ("qserve-w4a8kv4-chn", "quarot-w4a4"):
+        with pytest.raises(ValueError, match="max_seq_len"):
+            ServingEngine(llama7b, A100, SYSTEM_PRESETS[system],
+                          max_seq_len=bad)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            ClusterEngine(llama7b, A100, SYSTEM_PRESETS[system],
+                          num_replicas=2, max_seq_len=bad)
+    engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["quarot-w4a4"],
+                           max_seq_len=np.int64(4096))
+    assert engine.new_kv_manager().pages_for_tokens(1) > 0
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, float("nan"), True])
+def test_cluster_rejects_bad_num_replicas(llama7b, bad):
+    """``num_replicas=True`` built one replica and ``2.5`` died with a
+    ``TypeError`` from list multiplication."""
+    from repro.serving import ClusterEngine
+    with pytest.raises(ValueError, match="num_replicas"):
+        ClusterEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                      num_replicas=bad)
+    cluster = ClusterEngine(llama7b, A100,
+                            SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                            num_replicas=np.int64(2), max_seq_len=160)
+    assert cluster.num_replicas == 2 and len(cluster.engines) == 2
+
+
 def test_legacy_preset_matches_default(llama7b):
     engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
                            max_seq_len=160)
