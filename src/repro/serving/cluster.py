@@ -108,6 +108,7 @@ from repro.serving.telemetry import (
     TelemetryConfig,
     Tracer,
     chrome_trace,
+    resolve_telemetry,
 )
 
 __all__ = [
@@ -699,54 +700,42 @@ class _MultiplexReplica:
     def run_until(self, t: float) -> bool:
         """Advance the serialized timeline until no stepper can start < ``t``.
 
-        Repeatedly picks the stepper able to start soonest on the shared
-        GPU — its own ready time, but never before the replica's committed
-        frontier — lets it run one step, and folds the outcome back into
-        the frontier.  Ties break toward the lowest model index.  Returns
-        whether any stepper stepped.
+        Each turn hands the GPU to the stepper able to start soonest — its
+        own ready time, but never before the replica's committed frontier;
+        ties go to the lowest model index — for one
+        :meth:`EngineStepper.run_until` call, so a multiplexed replica
+        coasts like any other host.  The call runs until the start of a
+        lower-index sibling, which takes the GPU then; its idle jumps stop
+        at every sibling's start, since a higher-index sibling takes the
+        GPU once this stepper idles past it.  Returns whether any stepper
+        progressed.
         """
-        stepped = False
+        progressed = False
         stuck: set = set()
         while True:
-            best = None
+            starts = []
             for j, stepper in enumerate(self.steppers):
-                if j in stuck:
-                    continue
-                ready = stepper.next_ready_time()
-                if ready is None:
-                    continue
-                start = max(self.clock, ready)
-                if best is None or start < best[0]:
-                    best = (start, j, stepper)
-            if best is None or best[0] >= t:
-                return stepped
-            start, _, stepper = best
+                ready = None if j in stuck else stepper.next_ready_time()
+                if ready is not None:
+                    starts.append((max(self.clock, ready), j))
+            if not starts or min(starts)[0] >= t:
+                return progressed
+            start, j = min(starts)
+            until = min([t] + [s for s, k in starts if k < j])
+            horizon = min([until] + [s for s, k in starts if k > j])
+            stepper = self.steppers[j]
             stepper.sync_clock(start)
-            if stepper.step(horizon=t):
+            if stepper.run_until(until, horizon):
                 self.clock = max(self.clock, stepper.now)
-                stepped = True
+                progressed = True
             else:
-                # No admissible work on this model before the horizon
-                # (or ever); stop re-polling it this pass.
-                stuck.add(best[1])
+                # No admissible work on this model before the horizon (or
+                # ever); stop re-polling it this pass.
+                stuck.add(j)
 
 
 #: What the cluster loop drives in one replica slot.
 _Host = Union[EngineStepper, _MultiplexReplica]
-
-
-def _telemetry_config(telemetry: Union[None, bool, TelemetryConfig]
-                      ) -> Optional[TelemetryConfig]:
-    """The per-replica tracer config of a cluster run (``None``: untraced)."""
-    if telemetry is None or telemetry is False:
-        return None
-    if telemetry is True:
-        return TelemetryConfig()
-    if isinstance(telemetry, TelemetryConfig):
-        return telemetry
-    raise TypeError(
-        f"cluster telemetry must be None, bool or TelemetryConfig, "
-        f"got {type(telemetry).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -946,8 +935,9 @@ class ClusterEngine:
                     f"max_replicas={max_replicas} exceeds the replica pool "
                     f"(num_replicas={pool})")
             scaler = ReactiveAutoscaler(autoscaler, max_replicas)
-        build = self._host_builder(scheduling, max_num_seqs, speculative,
-                                   _telemetry_config(telemetry), multiplex)
+        build = self._host_builder(
+            scheduling, max_num_seqs, speculative,
+            resolve_telemetry(telemetry, allow_tracer=False), multiplex)
 
         hosts: List[Optional[_Host]] = [None] * pool
         #: "stopped" | "starting" | "active" per slot.

@@ -88,6 +88,7 @@ from repro.serving.telemetry import (
     TelemetryConfig,
     Tracer,
     collect_counters,
+    resolve_telemetry,
 )
 
 __all__ = ["StepBreakdown", "ServingResult", "ServingEngine", "EngineStepper"]
@@ -98,21 +99,6 @@ _STEP_OVERHEAD_S = 100e-6
 
 #: Guard against a non-terminating serving loop (scheduler/planner bugs).
 _MAX_ITERATIONS = 10_000_000
-
-
-def _resolve_tracer(telemetry: Union[None, bool, TelemetryConfig, Tracer]
-                    ) -> Optional[Tracer]:
-    """Normalize the ``telemetry=`` argument accepted by serve()/stepper."""
-    if telemetry is None or telemetry is False:
-        return None
-    if telemetry is True:
-        return Tracer()
-    if isinstance(telemetry, TelemetryConfig):
-        return Tracer(telemetry)
-    if isinstance(telemetry, Tracer):
-        return telemetry
-    raise TypeError(f"telemetry must be None, bool, TelemetryConfig or "
-                    f"Tracer, got {type(telemetry).__name__}")
 
 
 @dataclass
@@ -658,7 +644,10 @@ class EngineStepper:
         #: Telemetry recorder; ``None`` (the default) records nothing and
         #: keeps the loop's hot path free of tracing work beyond one pointer
         #: test per hook site.
-        self.tracer: Optional[Tracer] = _resolve_tracer(telemetry)
+        telemetry = resolve_telemetry(telemetry)
+        self.tracer: Optional[Tracer] = (
+            Tracer(telemetry) if isinstance(telemetry, TelemetryConfig)
+            else telemetry)
         #: Prefill-role behaviour (disaggregated serving): the instant a
         #: request completes its prefill it is exported from the scheduler
         #: and parked in :attr:`outbox` for the cluster to migrate, so this
@@ -943,13 +932,15 @@ class EngineStepper:
         """Step until no further progress is possible."""
         self.run_until(math.inf)
 
-    def run_until(self, t: float) -> bool:
+    def run_until(self, t: float, horizon: Optional[float] = None) -> bool:
         """Advance the clock to (at least) ``t`` or until progress stops.
 
         The clock may overshoot ``t`` because iterations are atomic, but an
-        idle replica never *jumps* past it: a replica whose only pending
-        work becomes available after ``t`` (e.g. a migrated request with an
-        in-flight KV transfer) keeps its clock and waits for a later call.
+        idle replica never *jumps* past ``horizon`` (default ``t``): a
+        replica whose only pending work becomes available after it (e.g. a
+        migrated request with an in-flight KV transfer) keeps its clock and
+        waits for a later call.  A multiplexed replica passes a horizon
+        before ``t``: the instant a sibling model may take the GPU.
         The call first resumes the quiet decode window an earlier call's
         horizon cut short, and follows each :meth:`step` with a coast
         through the quiet iterations after it (both :meth:`_coast`), so a
@@ -960,7 +951,7 @@ class EngineStepper:
         self._coast(t)
         stepped = False
         while not self.done and self.now < t:
-            if not self.step(horizon=t):
+            if not self.step(horizon=t if horizon is None else horizon):
                 break
             stepped = True
             self._coast(t)

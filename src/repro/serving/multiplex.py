@@ -104,6 +104,9 @@ class MultiplexConfig:
             unknown = [n for n in self.preload if n not in names]
             if unknown:
                 raise ValueError(f"preload names unknown models: {unknown}")
+            if len(set(self.preload)) != len(self.preload):
+                raise ValueError(f"preload names a model more than once: "
+                                 f"{list(self.preload)}")
             if len(self.preload) > self.resident_limit:
                 raise ValueError("preload exceeds max_resident_models")
 

@@ -931,9 +931,8 @@ class ContinuousBatchingScheduler:
         crossing: List[Request] = []
         heap = self._crossing_heap
         while heap and heap[0][0] <= self.decode_iterations:
-            key, seq, request = heapq.heappop(heap)
-            if (request._decode_clock is self and request._run_seq == seq
-                    and key == self._crossing_iteration(request)):
+            _, seq, request = heapq.heappop(heap)
+            if request._decode_clock is self and request._run_seq == seq:
                 crossing.append(request)
         return crossing
 

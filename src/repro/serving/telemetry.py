@@ -610,6 +610,27 @@ class Tracer:
         return chrome_trace([self])
 
 
+def resolve_telemetry(telemetry: Union[None, bool, TelemetryConfig, Tracer],
+                      allow_tracer: bool = True
+                      ) -> Union[None, TelemetryConfig, Tracer]:
+    """Normalize a ``telemetry=`` argument: ``None`` when untraced, the
+    :class:`TelemetryConfig` to build tracers from (``True``: the default
+    one), or a ready-made :class:`Tracer` as is.  A cluster run passes
+    ``allow_tracer=False``: each replica needs its own tracer."""
+    if telemetry is None or telemetry is False:
+        return None
+    if telemetry is True:
+        return TelemetryConfig()
+    if isinstance(telemetry, TelemetryConfig) or (
+            allow_tracer and isinstance(telemetry, Tracer)):
+        return telemetry
+    accepted = ("None, bool, TelemetryConfig or Tracer" if allow_tracer else
+                "None, bool or TelemetryConfig (one Tracer cannot serve "
+                "several replicas)")
+    raise TypeError(f"telemetry must be {accepted}, "
+                    f"got {type(telemetry).__name__}")
+
+
 # ----------------------------------------------------------------------
 # Chrome trace-event export
 # ----------------------------------------------------------------------

@@ -17,6 +17,10 @@ that drains, and one stepper fed arrival by arrival and advanced in small
 horizons, so its windows are cut and resumed mid-way.  A speculating
 stepper must never coast; the last test builds the state in which its
 heaps look quiet.
+
+Multiplexed replicas, which serialize several models' steppers on one GPU,
+have their own reference: the replica loop as it was before it coasted,
+which hands the GPU to one stepper for exactly one ``step`` per turn.
 """
 
 import importlib.util
@@ -27,12 +31,14 @@ from pathlib import Path
 import pytest
 
 from repro.gpu import A100
+from repro.gpu.specs import InterconnectSpec
 from repro.model import get_config
 from repro.serving import (
     AutoscalerConfig,
     ClusterEngine,
     ContinuousBatchingScheduler,
     EngineStepper,
+    MultiplexConfig,
     Request,
     SCHEDULING_PRESETS,
     SchedulingConfig,
@@ -43,12 +49,15 @@ from repro.serving import (
     make_chat_workload,
     make_flash_crowd_workload,
     make_lognormal_workload,
+    make_multi_model_workload,
     make_router_study_workload,
     make_uniform_workload,
 )
+from repro.serving.cluster import _MultiplexReplica
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL = get_config("llama-2-7b")
+MODEL13 = get_config("llama-2-13b")
 QSERVE = get_system("qserve-w4a8kv4-chn")
 
 
@@ -326,3 +335,166 @@ def test_speculative_stepper_never_coasts():
     iterations = stepper.iterations
     stepper._coast(math.inf)
     assert stepper.iterations == iterations
+
+
+# ----------------------------------------------------------------------
+# Multiplexed replicas
+# ----------------------------------------------------------------------
+def _stepwise_run_until(self, t):
+    """The multiplexed replica loop before it coasted, kept as the
+    reference: each turn picks the stepper able to start soonest (ties to
+    the lowest model index) and runs exactly one ``step`` on it."""
+    stepped = False
+    stuck = set()
+    while True:
+        best = None
+        for j, stepper in enumerate(self.steppers):
+            if j in stuck:
+                continue
+            ready = stepper.next_ready_time()
+            if ready is None:
+                continue
+            start = max(self.clock, ready)
+            if best is None or start < best[0]:
+                best = (start, j, stepper)
+        if best is None or best[0] >= t:
+            return stepped
+        start, _, stepper = best
+        stepper.sync_clock(start)
+        if stepper.step(horizon=t):
+            self.clock = max(self.clock, stepper.now)
+            stepped = True
+        else:
+            stuck.add(best[1])
+
+
+def _two_models(num_requests, arrival_rate, seed):
+    return make_multi_model_workload(
+        num_requests, models=(MODEL.name, MODEL13.name), weights=(0.7, 0.3),
+        arrival_rate=arrival_rate, seed=seed)
+
+
+def _swapping(num_replicas=2, num_requests=120, telemetry=None):
+    """Two models on replicas that hold one model's weights at a time."""
+    result = ClusterEngine(MODEL, A100, QSERVE, num_replicas=num_replicas,
+                           max_seq_len=4096).serve(
+        _two_models(num_requests, 16.0, seed=3), router="model-aware",
+        max_num_seqs=16, scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        telemetry=telemetry)
+    assert result.multiplex.swap_outs > 0
+    return result
+
+
+def _multiplexed_autoscaled(telemetry=None):
+    """A two-model flash crowd on an autoscaled pool whose drains migrate
+    decodes into the surviving replicas' steppers for their model."""
+    workload = make_flash_crowd_workload(120, base_rate=2.0,
+                                         spikes=((3.0, 30.0, 3.0),),
+                                         prompt_len=256, output_len=200,
+                                         seed=9)
+    for request in workload.requests:
+        request.model = (MODEL13 if request.request_id % 3 == 2
+                         else MODEL).name
+    result = ClusterEngine(MODEL, A100, QSERVE, num_replicas=3,
+                           max_seq_len=4096).serve(
+        workload, router="model-aware", max_num_seqs=8,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=3, interval_s=1.0,
+            scale_up_queue_depth=2.0, up_cooldown_s=1.0,
+            down_cooldown_s=2.0, scale_down_outstanding=12.0),
+        telemetry=telemetry)
+    assert any(e.action == "down" for e in result.autoscale.events)
+    assert result.num_migrations > 0
+    return result
+
+
+def _multiplexed_split(telemetry=None):
+    """Two models on a 1 prefill + 2 decode fleet: every request migrates
+    into its model's stepper on a decode replica."""
+    result = ClusterEngine(MODEL, A100, QSERVE, num_replicas=3,
+                           max_seq_len=4096,
+                           roles=["prefill", "decode", "decode"]).serve(
+        _two_models(100, 16.0, seed=1), router="disaggregated",
+        max_num_seqs=16,
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        telemetry=telemetry)
+    assert result.num_migrations == 100
+    return result
+
+
+def _slow_handoffs(telemetry=None):
+    """A decode replica holding both models, fed over a slow link: each
+    model's stepper waits on KV transfers that land in the future, so a
+    turn must stop where a lower-index sibling's transfer lands and must
+    not idle past a higher-index sibling's."""
+    result = ClusterEngine(MODEL, A100, QSERVE, num_replicas=2,
+                           max_seq_len=4096, roles=["prefill", "decode"],
+                           transfer_link=InterconnectSpec(
+                               name="slow", bandwidth_gbps=4.0,
+                               latency_us=10.0),
+                           transfer_overlap=False).serve(
+        make_multi_model_workload(60, models=(MODEL.name, MODEL13.name),
+                                  weights=(0.5, 0.5), arrival_rate=8.0,
+                                  seed=1),
+        router="disaggregated", max_num_seqs=16,
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13)),
+        telemetry=telemetry)
+    assert result.multiplex.swap_outs == 0
+    return result
+
+
+MULTIPLEXED = {
+    "swapping": _swapping,
+    "autoscaled": _multiplexed_autoscaled,
+    "prefill-decode": _multiplexed_split,
+    "slow-handoffs": _slow_handoffs,
+}
+
+
+@pytest.mark.parametrize("name", list(MULTIPLEXED))
+def test_multiplexed_coasting_matches_the_stepwise_loop(name):
+    def traced():
+        return MULTIPLEXED[name](telemetry=True)
+
+    coasted, quiet = _run(traced, coast=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_MultiplexReplica, "run_until", _stepwise_run_until)
+        stepped, none = _run(traced, coast=True)
+    assert quiet["coasted"] > 0 and none["coasted"] == 0
+    (results, counters), (reference, reference_counters) = (
+        _encode(coasted), _encode(stepped))
+    if name == "slow-handoffs":
+        # A stepper that goes idle short of its next transfer makes one
+        # empty admission pass at a sibling's start before it yields the
+        # GPU, where the stepwise loop handed the GPU over without one.
+        skips = "scheduler_admission_fast_skips_total"
+        counters, reference_counters = (
+            {k: v for k, v in c.items() if skips not in k}
+            for c in (counters, reference_counters))
+    assert results == reference
+    assert counters == reference_counters
+    _assert_same_trace(coasted, stepped)
+
+
+def test_multiplexed_replicas_pay_per_event():
+    """Each turn of a multiplexed replica coasts like any host, so a
+    two-model fleet makes far fewer ``step`` calls than iterations (the
+    stepwise loop makes one per iteration)."""
+    calls = [0]
+    plain_step = EngineStepper.step
+
+    def counted_step(self, horizon=None):
+        calls[0] += 1
+        return plain_step(self, horizon)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EngineStepper, "step", counted_step)
+        result = _swapping(num_replicas=4, num_requests=200)
+    iterations = sum(r.num_iterations for r in result.replica_results)
+    assert calls[0] <= 0.3 * iterations

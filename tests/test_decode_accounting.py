@@ -152,6 +152,13 @@ def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
         for request in decoding:
             assert not kv.needs_pages(request.request_id, request.context_len,
                                       request.shared_kv_pages)
+        if scheduler._indexed:
+            # A live decoder's crossing entry carries its current crossing
+            # iteration, so popping one needs no re-check of the key.
+            for key, seq, request in scheduler._crossing_heap:
+                if (request._decode_clock is scheduler
+                        and request._run_seq == seq):
+                    assert key == scheduler._crossing_iteration(request)
 
     def checked_step(self, horizon=None):
         progressed = plain_step(self, horizon)

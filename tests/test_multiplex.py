@@ -67,6 +67,15 @@ def test_config_validation():
             MultiplexConfig(models=(M7, M13), max_resident_models=bad)
 
 
+def test_config_rejects_a_model_preloaded_twice():
+    # Regression: preload=(7b, 7b) left 7b resident twice, counted its
+    # weights twice in peak_resident_bytes, and a swap-in of 13b then
+    # recorded a swap-out while 7b stayed resident.
+    with pytest.raises(ValueError, match="preload"):
+        MultiplexConfig(models=(M7, M13), max_resident_models=2,
+                        preload=(M7.name, M7.name))
+
+
 def test_config_defaults():
     config = MultiplexConfig(models=(M7, M13))
     assert config.resident_limit == 2

@@ -330,6 +330,13 @@ def test_telemetry_config_validation(llama7b):
             TelemetryConfig(sample_interval_s=interval)
     with pytest.raises(TypeError):
         _traced_run(llama7b, telemetry="yes")
+    # A cluster run builds one tracer per replica, so it takes a config
+    # and refuses a ready-made Tracer.
+    cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                            num_replicas=2)
+    for bad in ("yes", Tracer()):
+        with pytest.raises(TypeError, match="TelemetryConfig"):
+            cluster.serve(make_uniform_workload(4, seed=0), telemetry=bad)
     # Recorder toggles: spans off -> no events, series off -> no samples.
     slim = _traced_run(
         llama7b, telemetry=TelemetryConfig(spans=False, timeseries=False))

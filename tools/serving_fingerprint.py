@@ -9,8 +9,8 @@ prefill/decode, speculative decoding, a heterogeneous mixed-precision fleet,
 KV-cache demotion under memory pressure, diurnal multi-tenant traffic with
 tier-aware admission, a flash-crowd autoscaled fleet, a multiplexed
 multi-model fleet, LRU prefix-cache eviction under memory pressure,
-shortest-job-first and cache-aware admission under preemption, and a
-multiplexed mixed-precision fleet — and
+shortest-job-first and cache-aware admission under preemption, a
+multiplexed mixed-precision fleet, and an autoscaled multiplexed fleet — and
 emits a JSON fingerprint in which every float is hex-encoded
 (``float.hex()``: exact, no rounding) and every per-request metrics stream
 is hashed.
@@ -363,6 +363,37 @@ def build_fingerprint() -> Dict[str, object]:
         "kv_pool_bytes": [_hx(s.kv_pool_bytes) for s in r.multiplex.replicas],
         "weight_budget_bytes": [_hx(s.weight_budget_bytes)
                                 for s in r.multiplex.replicas],
+    }
+
+    # 16. Autoscaled multiplexed fleet: scale-ups swap models onto cold
+    # replicas, and drains migrate decodes into the surviving replicas'
+    # per-model steppers, each replica holding one model at a time.
+    cluster = ClusterEngine(llama7b, A100, system, num_replicas=3,
+                            max_seq_len=4096)
+    wl = make_flash_crowd_workload(160, base_rate=2.0,
+                                   spikes=((3.0, 25.0, 4.0),),
+                                   prompt_len=256, output_len=200, seed=17)
+    for request in wl.requests:
+        if request.request_id % 3 == 2:
+            request.model = llama13b.name
+    r = cluster.serve(wl, router="model-aware", max_num_seqs=8,
+                      scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+                      multiplex=MultiplexConfig(models=(llama7b, llama13b),
+                                                max_resident_models=1),
+                      autoscaler=AutoscalerConfig(
+                          min_replicas=1, max_replicas=3, interval_s=1.0,
+                          scale_up_queue_depth=2.0, up_cooldown_s=1.0,
+                          down_cooldown_s=2.0, scale_down_outstanding=12.0))
+    fp["multiplexed-autoscale"] = {
+        "cluster": _cluster_result(r),
+        "gpu_seconds": _hx(r.gpu_seconds),
+        "scale_events": [[_hx(e.time_s), e.action, e.replica, e.reason]
+                         for e in r.autoscale.events],
+        "swap_ins": r.multiplex.swap_ins,
+        "swap_outs": r.multiplex.swap_outs,
+        "swap_in_s": _hx(r.multiplex.swap_in_s),
+        "requests_by_model": {m: n for m, n in
+                              sorted(r.multiplex.requests_by_model.items())},
     }
 
     return fp
