@@ -785,9 +785,17 @@ class EngineStepper:
         the head waiting request's availability otherwise, ``None`` when
         the stepper is fully drained.  The multiplexed replica loop uses
         this to pick which model's stepper owns the GPU next.
+
+        Arrived requests that no admission can ever take (their final
+        footprint exceeds the whole pool, see
+        :meth:`~ContinuousBatchingScheduler.admit`) count as not waiting:
+        a turn at ``now`` would only scan them and admit nothing.  Free-tier
+        shedding by the clock is the exception, since a turn may drop them.
         """
         scheduler = self.scheduler
-        if scheduler.running or scheduler.ready:
+        if scheduler.running or (scheduler.ready and (
+                self.scheduling.free_tier_drop_after_s is not None
+                or any(r._page_demand is not None for r in scheduler.ready))):
             return self.now
         available = scheduler.next_available_time()
         return None if available is None else max(self.now, available)

@@ -43,11 +43,13 @@ bitwise-identical to the pre-tier accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.model.config import ModelConfig
 from repro.serving.precision import SystemConfig
+from repro.serving.request import check_positive_int
 
 __all__ = ["PageAllocationError", "PagedKVCacheManager"]
 
@@ -113,10 +115,14 @@ class PagedKVCacheManager:
     _total_pages: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if self.page_size <= 0:
-            raise ValueError("page_size must be positive")
-        if self.capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be non-negative")
+        # Page arithmetic (crossing iterations, ceil division) is integer
+        # arithmetic: a float or bool page size would leak into every count.
+        check_positive_int("page_size", self.page_size)
+        check_positive_int("max_seq_len", self.max_seq_len)
+        if not (math.isfinite(self.capacity_bytes)
+                and self.capacity_bytes >= 0):
+            raise ValueError(f"capacity_bytes must be finite and "
+                             f"non-negative, got {self.capacity_bytes!r}")
         # Model geometry, KV precision and capacity are all fixed for the
         # manager's lifetime, so the page geometry is computed exactly once.
         # The per-token byte count comes from the preset itself — the single
@@ -172,14 +178,20 @@ class PagedKVCacheManager:
         """Free pages re-granted by the current demoted population."""
         return self._reclaimable(self.demoted_pages)
 
+    # ``used_pages`` and ``free_pages`` are read on every claim pass and
+    # admission, so they skip the reclaimed-page call while nothing is
+    # demoted (it is exactly zero then).
     @property
     def used_pages(self) -> int:
-        return self._private_pages + self.shared_pages - self.reclaimed_pages
+        used = self._private_pages + self.shared_pages
+        demoted = self.demoted_pages
+        return used - self._reclaimable(demoted) if demoted else used
 
     @property
     def free_pages(self) -> int:
-        return (self._total_pages - self._private_pages - self.shared_pages
-                + self.reclaimed_pages)
+        free = self._total_pages - self._private_pages - self.shared_pages
+        demoted = self.demoted_pages
+        return free + self._reclaimable(demoted) if demoted else free
 
     def pages_for_tokens(self, num_tokens: int) -> int:
         """Pages needed to hold ``num_tokens`` tokens of KV state.
@@ -248,6 +260,33 @@ class PagedKVCacheManager:
         self._private_pages += needed
         self.pages_allocated_total += needed
         return needed
+
+    def claim_next_pages(self, request_ids: Sequence[int]) -> int:
+        """Grow each listed request's private allocation by one page.
+
+        The decode claim pass in one call: each id is a request whose next
+        token starts a fresh page, so the pass needs exactly
+        ``len(request_ids)`` pages and one capacity check covers it.  Raises
+        :class:`PageAllocationError` when the pass needs more than
+        ``free_pages``, and ``ValueError`` for an id that holds no
+        allocation (the pass grows allocations, it never starts one); either
+        way nothing changes.  Returns the pages claimed.
+        """
+        count = len(request_ids)
+        free = self.free_pages
+        if count > free:
+            raise PageAllocationError(
+                f"the pass needs {count} pages, only {free} free")
+        allocated = self._allocated
+        for request_id in request_ids:
+            if request_id not in allocated:
+                raise ValueError(
+                    f"request {request_id} holds no allocation to grow")
+        for request_id in request_ids:
+            allocated[request_id] += 1
+        self._private_pages += count
+        self.pages_allocated_total += count
+        return count
 
     def adopt(self, request_id: int, num_tokens: int,
               shared_pages: int = 0) -> int:

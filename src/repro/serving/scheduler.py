@@ -683,7 +683,9 @@ class ContinuousBatchingScheduler:
         requests whose ``context_len + 1`` claim needs a page this step (a
         claim that needs no page cannot fail, so it would change nothing).
         With no lookahead and at least one free page per decoder, no claim
-        can fall short, and the pass is :meth:`claim_crossings`.
+        can fall short, so claim order cannot matter and the pass is the
+        unranked :meth:`claim_crossings`; only the pass that may preempt
+        walks the crossings in rank order.
         ``lookahead`` (speculative decoding) returns the extra draft tokens a
         request will verify beyond its next token; claims then vary per
         request and per step, so the crossing requests are found by a scan.
@@ -738,18 +740,35 @@ class ContinuousBatchingScheduler:
         return self.decoding_requests()
 
     def claim_crossings(self) -> int:
-        """Claim the page each crossing due this decode iteration needs, in
-        rank order; returns the pages claimed.
+        """Claim the page each crossing due this decode iteration needs;
+        returns the pages claimed.
 
         This is :meth:`prepare_decode` without lookahead when at least one
         page per decoder is free: a plain crossing claims one page, so no
         claim falls short and nothing is evicted or preempted.  The
         engine's coast calls it inside a quiet window.
+
+        A decoder's pages always cover the tokens it holds, so a due
+        crossing is due on this very iteration, and one more page carries
+        it exactly ``page_size`` iterations on: each live entry is renewed
+        in place and the pass grows every claimer in one KV call.  Claim
+        order shows nowhere (heap keys are unique, no claim falls short,
+        and no claim is traced), so the pass does not rank.
         """
-        claimed = 0
-        for request in self.policy.admission_order(self._pop_crossings()):
-            claimed += self._claim(request, request.context_len + 1)
-        return claimed
+        if not self._indexed:
+            self._reindex()
+        heap = self._crossing_heap
+        done = self.decode_iterations
+        page_size = self.kv_manager.page_size
+        claimers: List[int] = []
+        while heap and heap[0][0] <= done:
+            crossing, seq, request = heap[0]
+            if request._decode_clock is self and request._run_seq == seq:
+                heapq.heapreplace(heap, (crossing + page_size, seq, request))
+                claimers.append(request.request_id)
+            else:
+                heapq.heappop(heap)
+        return self.kv_manager.claim_next_pages(claimers) if claimers else 0
 
     def _claim(self, request: Request, tokens: int) -> int:
         """Grow ``request``'s allocation to ``tokens`` tokens and index its

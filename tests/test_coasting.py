@@ -21,6 +21,11 @@ heaps look quiet.
 Multiplexed replicas, which serialize several models' steppers on one GPU,
 have their own reference: the replica loop as it was before it coasted,
 which hands the GPU to one stepper for exactly one ``step`` per turn.
+
+The crossing claim pass has one too: the pass as it was before it renewed
+heap entries in place, which ranks the due claimers by the policy and
+claims each through ``_claim``.  Preempting runs under several policies,
+with and without shared prefix pages, must match it bit for bit.
 """
 
 import importlib.util
@@ -498,3 +503,73 @@ def test_multiplexed_replicas_pay_per_event():
         result = _swapping(num_replicas=4, num_requests=200)
     iterations = sum(r.num_iterations for r in result.replica_results)
     assert calls[0] <= 0.3 * iterations
+
+
+# ----------------------------------------------------------------------
+# The crossing claim pass
+# ----------------------------------------------------------------------
+def _ranked_claim_crossings(self):
+    """The claim pass before it renewed crossing entries in place, kept as
+    the reference: pop the due crossings, rank them by the policy, and
+    claim each request's next token through ``_claim``."""
+    claimed = 0
+    for request in self.policy.admission_order(self._pop_crossings()):
+        claimed += self._claim(request, request.context_len + 1)
+    return claimed
+
+
+def _preempting_lognormal(policy):
+    return _engine(pages=200).serve(
+        make_lognormal_workload(80, arrival_rate=20.0, seed=2),
+        max_num_seqs=16, telemetry=True,
+        scheduling=SchedulingConfig(policy=policy, chunked_prefill=True,
+                                    preemption=True))
+
+
+def _prefix_preempt():
+    """Crossings of requests whose leading pages are shared prefix blocks."""
+    return _engine(pages=60).serve(
+        make_chat_workload(num_sessions=8, turns_per_session=4,
+                           system_prompt_len=192, user_len=32,
+                           assistant_len=64, think_time_s=1.0,
+                           session_rate=2.0, seed=11),
+        max_num_seqs=8, scheduling=SCHEDULING_PRESETS["prefix-preempt"],
+        telemetry=True)
+
+
+CLAIM_SCENARIOS = {
+    "chunked-preempt": lambda: _preempting_lognormal("fcfs"),
+    "prefix-preempt": _prefix_preempt,
+    "sjf-preempt": lambda: _preempting_lognormal("sjf"),
+    "strict-fcfs-preempt": lambda: _preempting_lognormal("strict-fcfs"),
+}
+
+
+@pytest.mark.parametrize("name", list(CLAIM_SCENARIOS))
+def test_claim_pass_matches_the_ranked_reference(name):
+    """Same encoding, counters and Chrome trace as the ranked pass, on runs
+    whose passes claim for several requests at once (where rank order
+    could show) and, with prefix caching, for requests on shared pages."""
+    due = []  # per pass: the live decoders whose crossing is due
+    claim_crossings = ContinuousBatchingScheduler.claim_crossings
+
+    def observed(self):
+        due.append([r for crossing, seq, r in self._crossing_heap
+                    if crossing <= self.decode_iterations
+                    and r._decode_clock is self and r._run_seq == seq])
+        return claim_crossings(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContinuousBatchingScheduler, "claim_crossings",
+                      observed)
+        claimed = CLAIM_SCENARIOS[name]()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContinuousBatchingScheduler, "claim_crossings",
+                      _ranked_claim_crossings)
+        ranked = CLAIM_SCENARIOS[name]()
+    assert _encode(claimed) == _encode(ranked)
+    _assert_same_trace(claimed, ranked)
+    assert claimed.num_preemptions > 0
+    assert any(len(claimers) > 1 for claimers in due)
+    if name == "prefix-preempt":
+        assert any(r.shared_kv_pages for claimers in due for r in claimers)

@@ -10,7 +10,11 @@
   context equals the mean recomputed from the decode batch, and no
   decoding request lacks a page for the tokens it holds; the same holds,
   with exact token counts, when speculative commits and plain steps
-  interleave on one scheduler.
+  interleave on one scheduler.  Under preemption on paged KV allocation
+  is exact: after a step each decoder holds exactly the private pages its
+  context needs, and after every crossing claim pass (inside coasted
+  windows too) exactly those its next token needs — a pass that claims
+  early, twice or not at all fails.
 * **Hook order** — the order and timestamps of the ``first_token``,
   ``request_finished`` and ``request_preempted`` trace hooks of one
   preempting chunked-prefill run, pinned against
@@ -136,11 +140,25 @@ def test_token_conservation(name):
         == sum(r.output_len for r in workload.requests)
 
 
+def _assert_exact_allocation(scheduler, extra_tokens):
+    """Under preemption on paged KV, each decoder holds exactly the private
+    pages ``context_len + extra_tokens`` tokens need: no fewer (a claim was
+    missed) and no more (one came early or twice)."""
+    kv = scheduler.kv_manager
+    if not (scheduler.scheduling.preemption and kv.system.paged_kv):
+        return
+    for request in scheduler.decoding_requests():
+        held = kv.allocated_tokens_capacity(request.request_id) // kv.page_size
+        assert held == (kv.pages_for_tokens(request.context_len + extra_tokens)
+                        - request.shared_kv_pages), request.request_id
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
-    steps = [0]
+    steps, passes = [0], [0]
     plain_step = EngineStepper.step
     plain_coast = EngineStepper._coast
+    plain_claim = ContinuousBatchingScheduler.claim_crossings
 
     def check(stepper):
         scheduler = stepper.scheduler
@@ -152,6 +170,7 @@ def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
         for request in decoding:
             assert not kv.needs_pages(request.request_id, request.context_len,
                                       request.shared_kv_pages)
+        _assert_exact_allocation(scheduler, 0)
         if scheduler._indexed:
             # A live decoder's crossing entry carries its current crossing
             # iteration, so popping one needs no re-check of the key.
@@ -177,10 +196,22 @@ def test_lazy_invariants_hold_after_every_step(name, monkeypatch):
         assert (self.scheduler.decode_context_len() - context
                 == self.iterations - iterations)
 
+    def checked_claim(self):
+        # Every claim pass, also those inside a coasted window: the next
+        # token of every decoder now has its page, and no more.
+        claimed = plain_claim(self)
+        _assert_exact_allocation(self, 1)
+        passes[0] += 1
+        return claimed
+
     monkeypatch.setattr(EngineStepper, "step", checked_step)
     monkeypatch.setattr(EngineStepper, "_coast", checked_coast)
+    monkeypatch.setattr(ContinuousBatchingScheduler, "claim_crossings",
+                        checked_claim)
     RUNS[name]()
     assert steps[0] > 0
+    if name in ("chunked-preempt", "prefix-demote-preempt"):
+        assert passes[0] > 0
 
 
 def test_generated_is_owned_by_the_scheduler_while_decoding():

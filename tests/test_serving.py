@@ -73,6 +73,55 @@ def test_page_allocation_error_when_full(llama7b):
         mgr.allocate(0, 10_000)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("page_size", True), ("page_size", 8.5), ("page_size", 0),
+    ("page_size", -16), ("max_seq_len", 0), ("max_seq_len", -5),
+    ("max_seq_len", 2.5), ("capacity_bytes", float("nan")),
+    ("capacity_bytes", float("inf")), ("capacity_bytes", -1.0),
+])
+def test_kv_manager_rejects_bad_geometry(llama7b, field, value):
+    kwargs = dict(model=llama7b, system=get_system("qserve-w4a8kv4-chn"),
+                  capacity_bytes=1 << 30, page_size=16, max_seq_len=1536)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        PagedKVCacheManager(**kwargs)
+
+
+def _kv_state(mgr):
+    return (mgr.free_pages, mgr.used_pages, mgr.pages_allocated_total,
+            dict(mgr._allocated))
+
+
+def test_claim_next_pages_grows_each_request_by_one_page(llama7b):
+    mgr = _manager(llama7b)
+    mgr.allocate(0, 16)
+    mgr.allocate(1, 40)
+    assert mgr.claim_next_pages([0, 1]) == 2
+    assert mgr.allocated_tokens_capacity(0) == 32
+    assert mgr.allocated_tokens_capacity(1) == 64
+    assert mgr.used_pages == 6 and mgr.pages_allocated_total == 6
+    assert mgr.claim_next_pages([]) == 0
+    assert mgr.free(0) + mgr.free(1) == mgr.pages_allocated_total
+
+
+def test_claim_next_pages_refuses_and_changes_nothing(llama7b):
+    page_gib = _manager(llama7b).bytes_per_page() / (1 << 30)
+    mgr = _manager(llama7b, capacity_gib=5 * page_gib)   # five pages
+    mgr.allocate(0, 16)
+    mgr.allocate(1, 32)
+    before = _kv_state(mgr)
+    with pytest.raises(ValueError, match="request 7"):
+        mgr.claim_next_pages([0, 7])     # 7 holds no allocation
+    assert _kv_state(mgr) == before
+    assert 7 not in mgr._allocated
+    mgr.allocate(2, 16)
+    assert mgr.free_pages == 1
+    before = _kv_state(mgr)
+    with pytest.raises(PageAllocationError):
+        mgr.claim_next_pages([0, 1])     # two pages, one free
+    assert _kv_state(mgr) == before
+
+
 def test_non_paged_system_reserves_max_seq(llama7b):
     paged = _manager(llama7b, "qserve-w4a8kv4-chn")
     non_paged = _manager(llama7b, "quarot-w4a4")
