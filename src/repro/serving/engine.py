@@ -786,16 +786,24 @@ class EngineStepper:
         the stepper is fully drained.  The multiplexed replica loop uses
         this to pick which model's stepper owns the GPU next.
 
-        Arrived requests that no admission can ever take (their final
-        footprint exceeds the whole pool, see
-        :meth:`~ContinuousBatchingScheduler.admit`) count as not waiting:
-        a turn at ``now`` would only scan them and admit nothing.  Free-tier
-        shedding by the clock is the exception, since a turn may drop them.
+        Arrived requests that no admission can ever take count as not
+        waiting: a turn at ``now`` would only scan them and admit nothing.
+        Those are the ones whose final footprint exceeds the whole pool:
+        optimistic admission stamps them no page demand (see
+        :meth:`~ContinuousBatchingScheduler.admit`), and conservative
+        admission a demand above the pool size, which it can never meet
+        without a prefix cache.  With one, a demoted shared tier can hand
+        back fractional pages, so such a request still counts as waiting
+        there.  Free-tier shedding by the clock is the exception, since a
+        turn may drop them.
         """
         scheduler = self.scheduler
+        limit = (math.inf if scheduler.prefix_cache is not None
+                 else scheduler.kv_manager.total_pages)
         if scheduler.running or (scheduler.ready and (
                 self.scheduling.free_tier_drop_after_s is not None
-                or any(r._page_demand is not None for r in scheduler.ready))):
+                or any(r._page_demand is not None and r._page_demand <= limit
+                       for r in scheduler.ready))):
             return self.now
         available = scheduler.next_available_time()
         return None if available is None else max(self.now, available)

@@ -346,19 +346,21 @@ class PagedKVCacheManager:
     # ------------------------------------------------------------------
     # Shared-page pool (prefix cache)
     # ------------------------------------------------------------------
-    def convert_private_to_shared(self, request_id: int) -> None:
-        """Move one page of ``request_id`` into the shared pool.
+    def convert_private_to_shared(self, request_id: int,
+                                  count: int = 1) -> None:
+        """Move ``count`` pages of ``request_id`` into the shared pool.
 
-        Used when the prefix cache publishes a freshly prefilled block: the
-        page's bytes stay where they are, only ownership changes, so neither
+        Used when the prefix cache publishes freshly prefilled blocks: the
+        pages' bytes stay where they are, only ownership changes, so neither
         ``used_pages`` nor the lifetime counters move.
         """
-        if self._allocated.get(request_id, 0) <= 0:
+        if self._allocated.get(request_id, 0) < count:
             raise ValueError(
-                f"request {request_id} has no private page to share")
-        self._allocated[request_id] -= 1
-        self._private_pages -= 1
-        self.shared_pages += 1
+                f"request {request_id} has fewer than {count} private "
+                f"pages to share")
+        self._allocated[request_id] -= count
+        self._private_pages -= count
+        self.shared_pages += count
 
     def drop_private_page(self, request_id: int) -> None:
         """Discard one private page (deduplicated against a shared copy)."""

@@ -10,7 +10,10 @@ reuse to the simulator:
   ``(content_id, length)`` pairs.  :func:`prompt_block_keys` folds them into
   one chained hash per complete ``page_size``-token block, so two prompts
   that share an identical token prefix share identical leading block keys
-  (and requests without segments never alias each other).
+  (and requests without segments never alias each other).  A cache keeps
+  the chains in a trie keyed by segment prefix, so each distinct prefix is
+  hashed once: a chat turn pays for its new segments' blocks, not for the
+  whole history it repeats.
 * :class:`PrefixCache` keeps a radix tree of those blocks.  Each node is one
   KV page held in the :class:`~repro.serving.kv_cache_manager.\
 PagedKVCacheManager`'s *shared pool*: a shared page counts once toward
@@ -41,11 +44,11 @@ PagedKVCacheManager`'s *shared pool*: a shared page counts once toward
 
 Lifecycle, as driven by the scheduler:
 
-1. *Admission* — :meth:`match` walks the tree for the request's longest
-   cached prefix (capped at ``prompt_len - 1``: the final prompt token is
-   always recomputed to produce the first output logits), and
-   :meth:`acquire` pins the matched blocks.  Only the cold suffix is
-   prefilled and only its pages are privately allocated.
+1. *Admission* — :meth:`match` finds the request's longest cached prefix
+   (capped at ``prompt_len - 1``: the final prompt token is always
+   recomputed to produce the first output logits) by a binary search of
+   the block index, and :meth:`acquire` pins the matched blocks.  Only the
+   cold suffix is prefilled and only its pages are privately allocated.
 2. *Prefill completion* — :meth:`insert` publishes the request's complete
    prompt blocks into the tree, converting private pages to shared ones (or
    deduplicating against blocks another request published first).
@@ -77,6 +80,88 @@ _ROOT_KEY = 0
 _HEAP_ENTRIES_PER_BLOCK = 2
 
 
+class _ChainState:
+    """The block-key chain of one segment prefix: a node of a segment trie.
+
+    ``keys`` holds the chained keys of the prefix's complete blocks, ``tip``
+    the last of them (the root salt before the first block), and
+    ``partial`` / ``filled`` the open block's content slices and its token
+    count.  ``children`` maps a next ``(content_id, length)`` segment to
+    the state after it, so a chain is hashed once per distinct segment
+    prefix, however many prompts extend it: a chat turn repeats the
+    previous turn's segments plus two, so it hashes only the blocks its two
+    new segments complete.
+    """
+
+    __slots__ = ("keys", "tip", "partial", "filled", "children")
+
+    def __init__(self, keys: List[int], tip: int,
+                 partial: Tuple[Tuple[int, int, int], ...],
+                 filled: int) -> None:
+        self.keys = keys
+        self.tip = tip
+        self.partial = partial
+        self.filled = filled
+        self.children: Dict[Tuple[int, int], "_ChainState"] = {}
+
+    @classmethod
+    def root(cls, namespace: Optional[str]) -> "_ChainState":
+        """The empty prefix, salted by ``namespace`` (see
+        :func:`prompt_block_keys`)."""
+        salt = _ROOT_KEY
+        if namespace is not None:
+            salt = hash((_ROOT_KEY, tuple(ord(c) for c in namespace)))
+        return cls([], salt, (), 0)
+
+    def keys_of(self, segments: Optional[Tuple[Tuple[int, int], ...]],
+                page_size: int) -> List[int]:
+        """Block keys of a prompt with ``segments``, this being the root.
+
+        They are the keys of the state after the last segment: ``Request``
+        requires the segment lengths to sum to ``prompt_len``, so that
+        state's list holds exactly the prompt's complete blocks.  The list
+        is shared with the trie; never mutate it.
+        """
+        if segments is None:
+            return []
+        state = self
+        for segment in segments:
+            child = state.children.get(segment)
+            if child is None:
+                child = state.children[segment] = state._extend(
+                    segment[0], segment[1], page_size)
+            state = child
+        return state.keys
+
+    def _extend(self, content_id: int, length: int,
+                page_size: int) -> "_ChainState":
+        """The state after appending ``length`` tokens of ``content_id``.
+
+        A block's content is its slices ``(content_id, start, end)``: the
+        open block closes with the segment's head, whole blocks inside the
+        segment are one slice each, and the tail opens the next block.
+        """
+        new: List[int] = []
+        parent = self.tip
+        partial = self.partial
+        offset = 0
+        if self.filled:
+            offset = min(page_size - self.filled, length)
+            partial += ((content_id, 0, offset),)
+            if self.filled + offset < page_size:
+                return _ChainState(self.keys, parent, partial,
+                                   self.filled + offset)
+            parent = hash((parent, partial))
+            new.append(parent)
+        end = length - (length - offset) % page_size
+        for start in range(offset, end, page_size):
+            parent = hash((parent, ((content_id, start, start + page_size),)))
+            new.append(parent)
+        tail = ((content_id, end, length),) if end < length else ()
+        return _ChainState(self.keys + new if new else self.keys, parent,
+                           tail, length - end)
+
+
 def prompt_block_keys(request: Request, page_size: int,
                       namespace: Optional[str] = None) -> List[int]:
     """Chained content hashes of the request's *complete* prompt blocks.
@@ -94,37 +179,11 @@ def prompt_block_keys(request: Request, page_size: int,
     model name so byte-identical prompts produce disjoint key chains per
     model — KV state encodes model activations, so cross-model block
     adoption would be silently wrong.  ``None`` (the default) keeps the
-    historical unsalted chain.
+    historical unsalted chain.  :class:`PrefixCache` derives the same keys
+    from a segment trie it keeps (:class:`_ChainState`).
     """
-    if request.prompt_segments is None:
-        return []
-    n_complete = request.prompt_len // page_size
-    if n_complete == 0:
-        return []
-    blocks: List[Tuple[Tuple[int, int, int], ...]] = []
-    current: List[Tuple[int, int, int]] = []
-    filled = 0
-    for content_id, length in request.prompt_segments:
-        offset = 0
-        while offset < length and len(blocks) < n_complete:
-            take = min(page_size - filled, length - offset)
-            current.append((content_id, offset, offset + take))
-            filled += take
-            offset += take
-            if filled == page_size:
-                blocks.append(tuple(current))
-                current = []
-                filled = 0
-        if len(blocks) >= n_complete:
-            break
-    keys: List[int] = []
-    parent = _ROOT_KEY
-    if namespace is not None:
-        parent = hash((_ROOT_KEY, tuple(ord(c) for c in namespace)))
-    for block in blocks:
-        parent = hash((parent, block))
-        keys.append(parent)
-    return keys
+    return _ChainState.root(namespace).keys_of(request.prompt_segments,
+                                               page_size)
 
 
 @dataclass
@@ -199,6 +258,10 @@ class PrefixCache:
         #: serving sets it to the model name so no two models' caches can
         #: ever produce — let alone adopt — each other's block keys.
         self.namespace = namespace
+        #: Segment trie of this cache's key chains, and the tag a request's
+        #: memoised keys carry (see :meth:`_keys`).
+        self._chains = _ChainState.root(namespace)
+        self._chain_tag = (self.page_size, namespace)
         #: Demote cold blocks to 4-bit before evicting.  Silently off on
         #: systems where the demoted tier saves no bytes (native KV4) or
         #: that lack paged KV — demotion would be a pure no-op there.
@@ -258,12 +321,6 @@ class PrefixCache:
         """Sum of all block refcounts; zero once every request drained."""
         return sum(node.ref_count for node in self._nodes.values())
 
-    def _touch(self, node: _RadixNode) -> None:
-        self._tick += 1
-        node.last_used = self._tick
-        if node.ref_count == 0 and not node.children:
-            self._push_leaf(node)
-
     def _push_leaf(self, node: _RadixNode) -> None:
         """Record ``node`` (an unreferenced leaf) as an eviction candidate."""
         heap = self._leaf_heap
@@ -275,39 +332,44 @@ class PrefixCache:
             heapq.heapify(heap)
 
     def _keys(self, request: Request) -> List[int]:
-        """Block keys of ``request``, memoized on the request object.
+        """Block keys of ``request``, memoised on the request object.
 
-        ``prompt_segments`` is immutable after construction, so the chain
-        only needs hashing once per request — cache-aware admission and the
-        affinity router probe the same request many times per run.
+        ``prompt_segments`` is immutable after construction, so a request's
+        chain is looked up once — cache-aware admission and the affinity
+        router probe the same request many times per run — and the segment
+        trie hashes each distinct segment prefix once per cache, so a chat
+        turn pays only for the blocks its new segments complete.  The list
+        is shared with the trie and with every cache of the same page size
+        and namespace: read it, never mutate it.
         """
         cached = getattr(request, "_block_keys_cache", None)
-        if cached is not None and cached[0] == (self.page_size, self.namespace):
+        if cached is not None and cached[0] == self._chain_tag:
             return cached[1]
-        keys = prompt_block_keys(request, self.page_size, self.namespace)
-        request._block_keys_cache = ((self.page_size, self.namespace), keys)
+        keys = self._chains.keys_of(request.prompt_segments, self.page_size)
+        request._block_keys_cache = (self._chain_tag, keys)
         return keys
 
-    def _walk(self, keys: List[int]) -> List[_RadixNode]:
-        nodes: List[_RadixNode] = []
-        node = self._root
-        for key in keys:
-            child = node.children.get(key)
-            if child is None:
-                break
-            nodes.append(child)
-            node = child
-        return nodes
+    def _match_length(self, request: Request) -> Tuple[List[int], int]:
+        """The request's keys and how many leading ones are cached, capped.
 
-    @staticmethod
-    def _cap_full_match(nodes: List[_RadixNode], prompt_len: int,
-                        page_size: int) -> List[_RadixNode]:
-        # Never serve the entire prompt from cache: the final prompt token
-        # must be recomputed to produce the first output logits, so a fully
-        # block-aligned full match gives back its last block.
-        while nodes and len(nodes) * page_size >= prompt_len:
-            nodes = nodes[:-1]
-        return nodes
+        Keys are chained and the radix invariant keeps every cached block's
+        prefix chain cached, so the cached keys are a leading run of
+        ``keys`` and a binary search over the index finds its length.  The
+        cap: never serve the entire prompt from cache — the final prompt
+        token must be recomputed to produce the first output logits, so a
+        fully block-aligned full match gives back its last block.
+        """
+        keys = self._keys(request)
+        nodes = self._nodes
+        low = 0
+        high = min(len(keys), (request.prompt_len - 1) // self.page_size)
+        while low < high:
+            mid = (low + high + 1) >> 1
+            if keys[mid - 1] in nodes:
+                low = mid
+            else:
+                high = mid - 1
+        return keys, low
 
     # ------------------------------------------------------------------
     # Lookup
@@ -320,12 +382,27 @@ class PrefixCache:
         it triggers itself — :meth:`evict` takes a ``protect`` list for the
         window between match and acquire.
         """
-        keys = self._keys(request)
-        nodes = self._cap_full_match(self._walk(keys), request.prompt_len,
-                                     self.page_size)
-        for node in nodes:
-            self._touch(node)
-        return nodes, len(nodes) * self.page_size
+        keys, length = self._match_length(request)
+        if not length:
+            return [], 0
+        # One index probe finds the deepest matched block, and parent links
+        # give the rest of its chain.  Ticks rise from the root's child to
+        # the deepest block, as a walk down from the root would stamp them.
+        root = self._root
+        deepest = node = self._nodes[keys[length - 1]]
+        tick = self._tick = self._tick + length
+        nodes = []
+        while node is not root:
+            node.last_used = tick
+            tick -= 1
+            nodes.append(node)
+            node = node.parent
+        nodes.reverse()
+        # Every other matched block has the next one as a child, so only the
+        # deepest can be an unreferenced leaf, restamped.
+        if deepest.ref_count == 0 and not deepest.children:
+            self._push_leaf(deepest)
+        return nodes, length * self.page_size
 
     def lookup_tokens(self, request: Request) -> int:
         """Non-mutating probe: cached prefix tokens a request would hit now.
@@ -333,10 +410,7 @@ class PrefixCache:
         Used by the cache-aware admission policy and the prefix-affinity
         router; does not update recency.
         """
-        keys = self._keys(request)
-        nodes = self._cap_full_match(self._walk(keys), request.prompt_len,
-                                     self.page_size)
-        return len(nodes) * self.page_size
+        return self._match_length(request)[1] * self.page_size
 
     # ------------------------------------------------------------------
     # Reference lifecycle
@@ -381,18 +455,29 @@ class PrefixCache:
         content first, in which case the private duplicate page is dropped
         and the shared copy referenced (``deduped_pages``).  Returns the
         number of blocks newly referenced.
+
+        Drops stay in block order (a demoted duplicate's promotion reads the
+        free count right after its drop); the conversions move no free page,
+        so they are made in one call at the end.
         """
         keys = self._keys(request)
         if not keys:
             return 0
-        refs = self._request_blocks.setdefault(request.request_id, [])
+        request_id = request.request_id
+        refs = self._request_blocks.setdefault(request_id, [])
+        start = len(refs)
         node = refs[-1] if refs else self._root
-        published = 0
-        for index in range(len(refs), len(keys)):
-            key = keys[index]
+        index = self._nodes
+        tick = self._tick
+        created = 0
+        for key in keys[start:]:
             child = node.children.get(key)
-            if child is not None:
-                self.kv_manager.drop_private_page(request.request_id)
+            if child is None:
+                child = _RadixNode(key, node)
+                node.children[key] = index[key] = child
+                created += 1
+            else:
+                self.kv_manager.drop_private_page(request_id)
                 self.stats.deduped_pages += 1
                 if child.ref_count == 0:
                     self._unreferenced -= 1
@@ -401,21 +486,20 @@ class PrefixCache:
                     # precision; the drop above freed a whole page, so the
                     # (at most one-page) promotion always fits.
                     self._promote([child])
-            else:
-                child = _RadixNode(key=key, parent=node)
-                node.children[key] = child
-                self._nodes[key] = child
-                self.kv_manager.convert_private_to_shared(request.request_id)
-                self.stats.inserted_pages += 1
+            # Referenced from here on, so the stamp pushes no leaf.
             child.ref_count += 1
-            self._touch(child)
+            tick += 1
+            child.last_used = tick
             refs.append(child)
             node = child
-            published += 1
+        self._tick = tick
+        if created:
+            self.kv_manager.convert_private_to_shared(request_id, created)
+            self.stats.inserted_pages += created
         request.shared_kv_pages = len(refs)
         self.stats.peak_cached_pages = max(self.stats.peak_cached_pages,
                                            len(self._nodes))
-        return published
+        return len(refs) - start
 
     def is_pinned(self, request_id: int) -> bool:
         """Whether ``request_id`` already holds block references.

@@ -61,6 +61,24 @@ def check_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _checked_segment(segment) -> Tuple[int, int]:
+    """One ``prompt_segments`` entry as a pair of ``int``: a ``ValueError``
+    naming ``prompt_segments`` unless it is an integer content id (not
+    ``bool``: ``True`` would alias content id 1) and a positive integer
+    length (numpy's count)."""
+    try:
+        content_id, length = segment
+    except (TypeError, ValueError):
+        raise ValueError(f"prompt_segments entries must be (content_id, "
+                         f"length) pairs, got {segment!r}") from None
+    if (isinstance(content_id, bool)
+            or not isinstance(content_id, numbers.Integral)):
+        raise ValueError(f"prompt_segments content ids must be integers, "
+                         f"got {content_id!r}")
+    check_positive_int("prompt_segments length", length)
+    return int(content_id), int(length)
+
+
 class RequestState(str, enum.Enum):
     """Lifecycle of a request inside the serving engine.
 
@@ -186,8 +204,16 @@ class Request:
             raise ValueError(f"arrival_time must be non-negative and finite, "
                              f"got {self.arrival_time!r}")
         if self.prompt_segments is not None:
-            self.prompt_segments = tuple(
-                (int(cid), int(length)) for cid, length in self.prompt_segments)
+            # Pairs of plain ``int`` pass as they are; anything else is
+            # checked and converted.  The prefix cache keys on the pairs.
+            segments = tuple(self.prompt_segments)
+            for segment in segments:
+                if (type(segment) is not tuple or len(segment) != 2
+                        or type(segment[0]) is not int
+                        or type(segment[1]) is not int or segment[1] <= 0):
+                    segments = tuple(map(_checked_segment, segments))
+                    break
+            self.prompt_segments = segments
             if sum(length for _, length in self.prompt_segments) != self.prompt_len:
                 raise ValueError("prompt_segments lengths must sum to prompt_len")
         if self.prefill_target <= 0:

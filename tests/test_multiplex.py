@@ -2,6 +2,7 @@
 model-namespaced prefix caching, the model-aware router, per-model metrics
 breakouts and the multiplexed serving path."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -504,29 +505,42 @@ def test_drain_swap_in_longer_than_a_tick_is_served():
     assert all(r.state is RequestState.FINISHED for r in requests)
 
 
+def _stranded_scans(num_siblings, scheduling=None):
+    """Admission scans of a 7b slice whose only request (final footprint
+    8000 + 10**7 tokens) no pool can hold, beside ``num_siblings`` 13b
+    requests on the same replica."""
+    requests = [Request(request_id=0, prompt_len=8000,
+                        output_len=10**7, model=M7.name)]
+    requests += [Request(request_id=i + 1, prompt_len=256, output_len=64,
+                         arrival_time=0.05 * i, model=M13.name)
+                 for i in range(num_siblings)]
+    result = ClusterEngine(M7, A100, SYSTEM, num_replicas=1).serve(
+        Workload(requests=requests), router="model-aware",
+        scheduling=scheduling,
+        multiplex=MultiplexConfig(models=(M7, M13), max_resident_models=2))
+    stranded, sibling = result.replica_results
+    assert stranded.num_unserved == 1
+    assert sibling.num_finished == num_siblings
+    return stranded.counters.as_dict()[
+        "scheduler_admission_scanned_requests_total"]
+
+
 def test_stranded_stepper_is_not_polled_on_every_turn():
     # Regression: a model whose only waiting request can never be admitted
     # (its final footprint exceeds the whole pool) was handed the GPU on
     # every turn of its replica, and each turn scanned the request again,
     # so its scans grew with the sibling model's traffic.
-    def scans(num_siblings):
-        requests = [Request(request_id=0, prompt_len=8000,
-                            output_len=10**7, model=M7.name)]
-        requests += [Request(request_id=i + 1, prompt_len=256, output_len=64,
-                             arrival_time=0.05 * i, model=M13.name)
-                     for i in range(num_siblings)]
-        result = ClusterEngine(M7, A100, SYSTEM, num_replicas=1).serve(
-            Workload(requests=requests), router="model-aware",
-            scheduling=SCHEDULING_PRESETS["chunked-preempt"],
-            multiplex=MultiplexConfig(models=(M7, M13),
-                                      max_resident_models=2))
-        stranded, sibling = result.replica_results
-        assert stranded.num_unserved == 1
-        assert sibling.num_finished == num_siblings
-        return stranded.counters.as_dict()[
-            "scheduler_admission_scanned_requests_total"]
-
+    scans = functools.partial(
+        _stranded_scans, scheduling=SCHEDULING_PRESETS["chunked-preempt"])
     assert scans(10) == scans(20) == scans(40) == 1
+
+
+def test_stranded_conservative_stepper_is_not_polled_on_every_turn():
+    # The same under conservative admission (the default), where the request
+    # carries a finite page demand larger than the pool: the slice's scans
+    # read 6, 16 and 36 while that demand still counted as waiting.
+    assert _stranded_scans(10) == _stranded_scans(20) == \
+        _stranded_scans(40) == 1
 
 
 def test_multiplexed_rejects_unknown_model():

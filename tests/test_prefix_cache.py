@@ -3,14 +3,17 @@ radix-tree cache (match/acquire/insert/release/evict), ref-counted shared
 pages in the KV manager, scheduler/engine integration, chat and
 shared-prefix workload generators, cache-aware admission, double-free
 detection, zero-token page probes, page-conservation invariants under
-alloc/free/evict/preempt interleavings, and a differential oracle for the
-incremental eviction bookkeeping."""
+alloc/free/evict/preempt interleavings, a differential oracle for the
+incremental eviction bookkeeping, and naive references for the memoised
+block keys and the index-probed match."""
 
 import functools
 import heapq
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu import A100
 from repro.model import get_config
@@ -31,6 +34,7 @@ from repro.serving import (
     make_uniform_workload,
     prompt_block_keys,
 )
+from repro.serving import prefix_cache as prefix_cache_module
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,112 @@ def test_block_keys_offset_sensitive():
     a = _request(0, [(1, 32)])
     b = _request(1, [(2, 16), (1, 16)])
     assert prompt_block_keys(a, 16)[0] != prompt_block_keys(b, 16)[0]
+
+
+def _naive_block_keys(request, page_size, namespace=None):
+    """Reference: cut the whole prompt into blocks, then hash the chain."""
+    if request.prompt_segments is None:
+        return []
+    n_complete = request.prompt_len // page_size
+    if n_complete == 0:
+        return []
+    blocks = []
+    current = []
+    filled = 0
+    for content_id, length in request.prompt_segments:
+        offset = 0
+        while offset < length and len(blocks) < n_complete:
+            take = min(page_size - filled, length - offset)
+            current.append((content_id, offset, offset + take))
+            filled += take
+            offset += take
+            if filled == page_size:
+                blocks.append(tuple(current))
+                current = []
+                filled = 0
+        if len(blocks) >= n_complete:
+            break
+    keys = []
+    parent = 0
+    if namespace is not None:
+        parent = hash((0, tuple(ord(c) for c in namespace)))
+    for block in blocks:
+        parent = hash((parent, block))
+        keys.append(parent)
+    return keys
+
+
+_SEGMENT = st.tuples(st.integers(0, 5), st.integers(1, 40))
+
+
+@st.composite
+def _prompt_family(draw):
+    """Prompts that share segment prefixes: each one extends an earlier
+    prompt's segments (or starts afresh) by a few segments, as chat turns
+    do, and they are then hashed in a drawn order."""
+    prompts = []
+    for _ in range(draw(st.integers(1, 12))):
+        base = []
+        if prompts and draw(st.booleans()):
+            parent = draw(st.sampled_from(prompts))
+            base = list(parent[:draw(st.integers(0, len(parent)))])
+        prompts.append(tuple(base + draw(st.lists(_SEGMENT, min_size=1,
+                                                  max_size=4))))
+    return draw(st.permutations(prompts))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(prompts=_prompt_family(), page_size=st.integers(1, 32),
+       namespace=st.sampled_from([None, "llama-2-7b", "llama-2-13b"]))
+def test_memoised_block_keys_match_naive_reference(llama7b, prompts,
+                                                   page_size, namespace):
+    cache = PrefixCache(_manager(llama7b, page_size=page_size),
+                        namespace=namespace)
+    for rid, segments in enumerate(prompts):
+        request = _request(rid, segments)
+        expected = _naive_block_keys(request, page_size, namespace)
+        assert cache._keys(request) == expected
+        assert cache._keys(request) == expected          # memo hit
+        assert cache._keys(request.copy_fresh()) == expected  # trie hit
+        assert prompt_block_keys(request, page_size, namespace) == expected
+
+
+def test_block_keys_pinned_literals():
+    # The exact integers: a change to the chain's hashing (slice layout,
+    # root salt, block order) must fail here on every interpreter.
+    request = _request(0, [(7, 20), (9, 30)])
+    assert prompt_block_keys(request, 16) == [
+        692431664194700352, 6113105305654295638, 4531710828689408125]
+    assert prompt_block_keys(request, 16, namespace="llama-2-7b") == [
+        -8744947293869992248, 677880339331471729, 3591838672575915126]
+
+
+def test_chat_turn_hashes_only_its_new_blocks(llama7b, monkeypatch):
+    """A six-turn session's last turn hashes only the blocks its two new
+    segments complete; the naive chain rehashes the whole history."""
+    wl = make_chat_workload(num_sessions=1, turns_per_session=6,
+                            system_prompt_len=100, user_len=40,
+                            assistant_len=60, seed=3)
+    *earlier, last = wl.requests
+    cache = PrefixCache(_manager(llama7b))
+    for request in earlier:
+        cache._keys(request)
+    hashed = []
+
+    def counting_hash(value):
+        hashed.append(value)
+        return hash(value)
+
+    monkeypatch.setattr(prefix_cache_module, "hash", counting_hash,
+                        raising=False)
+    keys = cache._keys(last)
+    assert last.prompt_segments[:-2] == earlier[-1].prompt_segments
+    history = sum(length for _, length in last.prompt_segments[:-2])
+    assert len(hashed) == len(keys) - history // 16 > 0
+    assert len(keys) > 4 * len(hashed)
+    hashed.clear()
+    assert cache._keys(last.copy_fresh()) == keys      # trie hit
+    assert hashed == []
 
 
 # ----------------------------------------------------------------------
@@ -606,6 +716,28 @@ def _tree(cache):
             for key, node in cache._nodes.items()}
 
 
+def _linear_walk(cache, request):
+    """Reference walk: the request's cached chain, child by child from the
+    radix tree's root."""
+    nodes = []
+    node = cache._root
+    for key in _naive_block_keys(request, cache.page_size, cache.namespace):
+        node = node.children.get(key)
+        if node is None:
+            break
+        nodes.append(node)
+    return nodes
+
+
+def _linear_match(cache, request):
+    """Reference match: the walk, giving back blocks until the last prompt
+    token is left to recompute."""
+    nodes = _linear_walk(cache, request)
+    while nodes and len(nodes) * cache.page_size >= request.prompt_len:
+        nodes.pop()
+    return nodes
+
+
 def _assert_agree(fast, ref, segments):
     cache = fast.cache
     assert _tree(cache) == _tree(ref.cache)
@@ -614,10 +746,13 @@ def _assert_agree(fast, ref, segments):
     unreferenced = sum(1 for n in ref.cache._nodes.values()
                        if n.ref_count == 0)
     assert cache.unreferenced_pages == unreferenced
-    # Protect with the (non-mutating) cached chain of a probe prompt.
+    # Protect with the (non-mutating) cached chain of a probe prompt; the
+    # index-probed lookup must find the same length as the child walk.
     probe = _request(-1, segments)
-    chain_fast = cache._walk(cache._keys(probe))
-    chain_ref = ref.cache._walk(ref.cache._keys(probe))
+    chain_fast = _linear_walk(cache, probe)
+    chain_ref = _linear_walk(ref.cache, probe)
+    assert cache.lookup_tokens(probe) == (len(_linear_match(cache, probe))
+                                          * cache.page_size)
     assert cache.evictable_pages() == ref.evictable_pages()
     assert cache.evictable_pages(chain_fast) == ref.evictable_pages(chain_ref)
     for node in cache._nodes.values():
@@ -647,7 +782,12 @@ def _drive(llama7b, system, demotion, steps, seed, weights):
         elif op == "insert" and pending:
             rid = pending.pop(rng.randrange(len(pending)))
             for side in sides:
-                side.cache.insert(side.requests[rid])
+                tick = side.cache._tick
+                published = side.cache.insert(side.requests[rid])
+                refs = side.cache._request_blocks[rid]
+                assert [node.last_used for node in refs[
+                    len(refs) - published:]] == list(
+                        range(tick + 1, tick + 1 + published))
             inserted.append(rid)
         elif op == "release" and (pending or inserted):
             pool = rng.choice([p for p in (pending, inserted) if p])
@@ -657,7 +797,16 @@ def _drive(llama7b, system, demotion, steps, seed, weights):
                 side.mgr.free(rid)
         elif op == "match":
             for side in sides:
-                side.cache.match(_request(-1, segments))
+                probe = _request(-1, segments)
+                expected = _linear_match(side.cache, probe)
+                tick = side.cache._tick
+                nodes, tokens = side.cache.match(probe)
+                assert nodes == expected
+                assert tokens == len(expected) * side.cache.page_size
+                # Stamped root first, one fresh tick per block.
+                assert [node.last_used for node in nodes] == list(
+                    range(tick + 1, tick + 1 + len(nodes)))
+                assert side.cache._tick == tick + len(nodes)
         elif op == "evict":
             pages = rng.randrange(1, 9)
             demote_first = rng.random() < 0.7
@@ -782,3 +931,28 @@ def test_request_segment_validation():
         make_chat_workload(num_sessions=0)
     with pytest.raises(ValueError):
         make_chat_workload(think_time_s=-1.0)
+
+
+@pytest.mark.parametrize("segments", [
+    ((1.9, 50), (True, 50)),          # truncation aliased both to id 1
+    ((True, 50), (2, 50)),
+    ((1, -5), (2, 105)),
+    ((1, 0), (2, 100)),
+    ((1, 50.0), (2, 50)),
+    ((1, True), (2, 99)),
+    ((1, 50, 0), (2, 50)),
+    ((1, "50"), (2, 50)),
+])
+def test_request_rejects_malformed_segments(segments):
+    with pytest.raises(ValueError, match="prompt_segments"):
+        Request(request_id=0, prompt_len=100, output_len=4,
+                prompt_segments=segments)
+
+
+def test_request_accepts_numpy_segments():
+    request = Request(request_id=0, prompt_len=100, output_len=4,
+                      prompt_segments=[[np.int64(-3), np.int32(60)],
+                                       (7, np.uint8(40))])
+    assert request.prompt_segments == ((-3, 60), (7, 40))
+    assert all(type(value) is int
+               for segment in request.prompt_segments for value in segment)

@@ -1,6 +1,6 @@
 """Golden-fingerprint gate: the serving simulator's outputs, bit for bit.
 
-Rebuilds ``tools/serving_fingerprint.py``'s 16-scenario fingerprint and
+Rebuilds ``tools/serving_fingerprint.py``'s 17-scenario fingerprint and
 compares every entry with the committed golden file
 ``tests/data/serving_fingerprint.json``.  Any mismatch means a change
 altered simulated results, which a refactor or optimisation must not do.
@@ -43,7 +43,7 @@ def _compare_with_golden(tool):
     # Round-trip through JSON so tuples and lists compare alike.
     current = dict(tool._flatten(json.loads(json.dumps(
         tool.build_fingerprint()))))
-    assert len(golden) == 1794
+    assert len(golden) == 1994
     missing = sorted(set(golden) - set(current))
     extra = sorted(set(current) - set(golden))
     changed = [f"{key}: {golden[key]!r} != {current[key]!r}"

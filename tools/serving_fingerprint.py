@@ -10,7 +10,8 @@ KV-cache demotion under memory pressure, diurnal multi-tenant traffic with
 tier-aware admission, a flash-crowd autoscaled fleet, a multiplexed
 multi-model fleet, LRU prefix-cache eviction under memory pressure,
 shortest-job-first and cache-aware admission under preemption, a
-multiplexed mixed-precision fleet, and an autoscaled multiplexed fleet — and
+multiplexed mixed-precision fleet, an autoscaled multiplexed fleet, and
+prefix-affinity routing over prefix-cached replicas that evict — and
 emits a JSON fingerprint in which every float is hex-encoded
 (``float.hex()``: exact, no rounding) and every per-request metrics stream
 is hashed.
@@ -394,6 +395,27 @@ def build_fingerprint() -> Dict[str, object]:
         "swap_in_s": _hx(r.multiplex.swap_in_s),
         "requests_by_model": {m: n for m, n in
                               sorted(r.multiplex.requests_by_model.items())},
+    }
+
+    # 17. Prefix-affinity routing over four prefix-cached replicas: every
+    # arrival probes each replica's cache, all sessions open at once (so
+    # concurrent first turns deduplicate their system prompt), and tight
+    # pools evict.
+    cluster = ClusterEngine(llama7b, A100, system, num_replicas=4,
+                            max_seq_len=4096)
+    capacity = 96 * cluster.engine.new_kv_manager().bytes_per_page()
+    cluster.engine.kv_capacity_bytes = lambda: capacity
+    wl = make_chat_workload(num_sessions=16, turns_per_session=5,
+                            system_prompt_len=192, user_len=32,
+                            assistant_len=64, think_time_s=3.0, seed=19)
+    r = cluster.serve(wl, router="prefix-affinity", max_num_seqs=4,
+                      scheduling=SCHEDULING_PRESETS["prefix-aware"])
+    fp["prefix-affinity"] = {
+        "cluster": _cluster_result(r),
+        "prefix": [{"inserted_pages": s.inserted_pages,
+                    "deduped_pages": s.deduped_pages,
+                    "peak_cached_pages": s.peak_cached_pages}
+                   for s in (rr.prefix_stats for rr in r.replica_results)],
     }
 
     return fp
