@@ -79,8 +79,8 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Type, Union)
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple, Type,
+                    Union)
 
 from repro.gpu.specs import GPUSpec, InterconnectSpec, NVLINK
 from repro.model.config import ModelConfig
@@ -382,16 +382,18 @@ class ClusterResult:
     #: Number of requests each replica was routed (arrivals; migrated
     #: requests stay attributed to the prefill replica that admitted them).
     requests_per_replica: List[int]
+    #: Physical GPU-holding replicas the result slices come from; fewer
+    #: than the slices when those are finer-grained than hardware
+    #: (multiplexed runs slice by (replica, model)).
+    physical_replicas: int
     #: Cluster-wide latency metrics (union of all replicas' finished requests).
     metrics: ServingMetrics = field(default_factory=ServingMetrics)
-    #: Role of each replica ("prefill" / "decode" / "mixed"); empty for
-    #: results predating disaggregation.
+    #: Role of each replica ("prefill" / "decode" / "mixed").
     replica_roles: List[str] = field(default_factory=list)
     #: Migrated requests each replica *received* (all-zero without roles).
     migrations_per_replica: List[int] = field(default_factory=list)
     #: System preset name of each replica's engine; uniform for homogeneous
-    #: clusters, mixed under per-replica ``systems`` (empty for results
-    #: predating heterogeneous fleets).
+    #: clusters, mixed under per-replica ``systems``.
     replica_systems: List[str] = field(default_factory=list)
     #: What the autoscaler did, for autoscaled runs (``None`` otherwise).
     #: Autoscaled results list only the replica slots that were ever
@@ -404,20 +406,10 @@ class ClusterResult:
     #: otherwise).  Multiplexed runs list one result slice per
     #: (replica, model) pair; this report is indexed by physical replica.
     multiplex: Optional[MultiplexReport] = None
-    #: Physical GPUs-holding replicas, when result slices are finer-grained
-    #: than hardware (multiplexed runs); ``None`` means one slice per
-    #: replica, the historical layout.
-    physical_replicas: Optional[int] = None
 
     @property
     def num_replicas(self) -> int:
         return len(self.replica_results)
-
-    @property
-    def _hosts(self) -> int:
-        """Physical replicas the result slices come from."""
-        return (self.num_replicas if self.physical_replicas is None
-                else self.physical_replicas)
 
     def _sum(self, attr: str) -> int:
         """Sum one numeric field across the per-replica results.
@@ -477,14 +469,13 @@ class ClusterResult:
         A multiplexed replica's model slices share its one GPU timeline,
         so busy time is divided by the role's physical replicas.
         """
-        roles = self.replica_roles or ["mixed"] * self.num_replicas
-        total = self.total_time_s
+        roles, total = self.replica_roles, self.total_time_s
         out: Dict[str, float] = {}
         for role in sorted(set(roles)):
             members = [r for r, ro in zip(self.replica_results, roles)
                        if ro == role]
             busy = fold_sum(r.busy_time_s for r in members)
-            replicas = len(members) * self._hosts / self.num_replicas
+            replicas = len(members) * self.physical_replicas / self.num_replicas
             out[role] = 0.0 if total == 0 else busy / (replicas * total)
         return out
 
@@ -524,7 +515,8 @@ class ClusterResult:
         """
         if self.autoscale is not None:
             return self.autoscale.gpu_seconds
-        return self._hosts * self.gpus_per_replica * self.total_time_s
+        return (self.physical_replicas * self.gpus_per_replica
+                * self.total_time_s)
 
     @property
     def num_preemptions(self) -> int:
@@ -905,19 +897,20 @@ class ClusterEngine:
         ``systems`` (each replica runs every model under its own system);
         only roles exclude autoscaling.
 
-        All of these run on one event loop over per-slot replica hosts
-        (an :class:`EngineStepper`, or a multiplexed replica serializing
-        one stepper per model).  Each slot is ``stopped``, ``starting`` or
-        ``active``; without an autoscaler every slot is active from t=0.
-        Three event kinds interleave in time order, ties resolved
-        handoff < arrival < tick: prefill completions waiting to migrate,
-        workload arrivals (routed among the active prefill-capable slots)
-        and autoscaler ticks.  Each turn advances the hosts toward the
-        next arrival or tick ``t`` — prefill-role hosts to ``t``, every
-        other host no further than the earliest pending handoff — and
-        handles one event.  A tick with no arrival left, no slot starting
-        and no host stepped ends the ticking; the loop stops once no event
-        is left, after every host has run as far as it can.
+        All of these run on one event loop, :class:`_Fleet`, over per-slot
+        replica hosts (an :class:`EngineStepper`, or a multiplexed replica
+        serializing one stepper per model) with one method per event.  Each
+        slot is ``stopped``, ``starting`` or ``active``; without an
+        autoscaler every slot is active from t=0.  Three event kinds
+        interleave in time order, ties resolved handoff < arrival < tick:
+        prefill completions waiting to migrate, workload arrivals (routed
+        among the active prefill-capable slots) and autoscaler ticks.  Each
+        turn advances the hosts toward the next arrival or tick ``t`` —
+        prefill-role hosts to ``t``, every other host no further than the
+        earliest pending handoff — and handles one event.  A tick with no
+        arrival left, no slot starting and no host stepped ends the ticking;
+        the loop stops once no event is left, after every host has run as
+        far as it can.
         """
         if isinstance(router, str):
             router = get_router(router)
@@ -925,264 +918,20 @@ class ClusterEngine:
             raise ValueError(
                 "autoscaling and role-specialised replicas are mutually "
                 "exclusive; use mixed roles")
-        pool = self.num_replicas
         scaler = None
         if autoscaler is not None:
-            max_replicas = (pool if autoscaler.max_replicas is None
+            max_replicas = (self.num_replicas if autoscaler.max_replicas is None
                             else autoscaler.max_replicas)
-            if max_replicas > pool:
+            if max_replicas > self.num_replicas:
                 raise ValueError(
                     f"max_replicas={max_replicas} exceeds the replica pool "
-                    f"(num_replicas={pool})")
+                    f"(num_replicas={self.num_replicas})")
             scaler = ReactiveAutoscaler(autoscaler, max_replicas)
-        build = self._host_builder(
-            scheduling, max_num_seqs, speculative,
-            resolve_telemetry(telemetry, allow_tracer=False), multiplex)
-
-        hosts: List[Optional[_Host]] = [None] * pool
-        #: "stopped" | "starting" | "active" per slot.
-        state = ["stopped"] * pool
-        ready_at = [0.0] * pool
-        windows: List[List[List[float]]] = [[] for _ in range(pool)]
-        #: Arrivals routed to, and migrations received by, each stepper.
-        assigned: Dict[EngineStepper, List[Request]] = defaultdict(list)
-        migrations_in: Dict[EngineStepper, int] = defaultdict(int)
-        seen_finished: Dict[EngineStepper, int] = defaultdict(int)
-        decode_router = (router if isinstance(router, DisaggregatedRouter)
-                         else DisaggregatedRouter())
-
-        def slots(status: str, roles: Tuple[str, ...] = REPLICA_ROLES
-                  ) -> List[int]:
-            return [s for s in range(pool)
-                    if state[s] == status and self.roles[s] in roles]
-
-        def provision(slot: int, start: float, ready: float) -> None:
-            if hosts[slot] is None:
-                hosts[slot] = build(slot)
-            # A replica cannot run before its weights land; a reactivated
-            # slot also never rewinds its own clock.
-            hosts[slot].sync_clock(ready)
-            ready_at[slot] = ready
-            windows[slot].append([start, None])
-            state[slot] = "active" if ready <= start else "starting"
-
-        def drain(slot: int, now: float, targets: List[int]) -> None:
-            for stepper in hosts[slot].steppers:
-                exported, waiting = stepper.evacuate(now)
-                for request in exported:
-                    target = hosts[_least_outstanding(hosts, targets)]
-                    migrations_in[self._migrate(request, stepper, target,
-                                                now)] += 1
-                for request in waiting:
-                    hosts[_least_outstanding(hosts, targets)].submit(request)
-
-        def tick(now: float) -> None:
-            active = slots("active")
-            recent_finished = recent_ok = 0
-            for stepper in (st for s in active for st in hosts[s].steppers):
-                finished = stepper.scheduler.finished
-                for request in finished[seen_finished[stepper]:]:
-                    recent_finished += 1
-                    if (autoscaler.ttft_slo_s is None
-                            or request.first_token_time - request.arrival_time
-                            <= autoscaler.ttft_slo_s):
-                        recent_ok += 1
-                seen_finished[stepper] = len(finished)
-            decision = scaler.decide(FleetSnapshot(
-                now=now,
-                num_active=len(active),
-                num_starting=state.count("starting"),
-                queue_depth=sum(st.scheduler.num_waiting
-                                for s in active for st in hosts[s].steppers),
-                outstanding=sum(hosts[s].outstanding_requests
-                                for s in active),
-                recent_finished=recent_finished,
-                recent_slo_ok=recent_ok,
-            ))
-            if decision is None:
-                return
-            action, reason = decision
-            if action == "up":
-                slot = state.index("stopped")
-                provision(slot, now, now + autoscaler.cold_start_s(
-                    self.engines[slot].weight_bytes()))
-            else:
-                slot = min(active, key=lambda s:
-                           (hosts[s].outstanding_requests, -s))
-                drain(slot, now, [s for s in active if s != slot])
-                state[slot] = "stopped"
-                windows[slot][-1][1] = now
-            scaler.commit(ScalingEvent(now, action, slot,
-                                       len(slots("active")), reason))
-
-        for slot in range(pool if scaler is None else autoscaler.min_replicas):
-            provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
-        #: Prefill-role replicas park finished prefills in their outboxes.
-        exporters = [hosts[s] for s in range(pool)
-                     if self.roles[s] == "prefill"]
-        #: (prefill completion time, tiebreak, source stepper, request) —
-        #: min-heap of finished prefills awaiting migration routing.  The
-        #: source prices the transfer payload at the exporter's KV
-        #: precision in a heterogeneous fleet.
-        handoffs: List[Tuple[float, int, EngineStepper, Request]] = []
-        tiebreak = itertools.count()
-
-        def advance(t: float) -> bool:
-            """Run every live host toward ``t``; whether any host stepped.
-
-            Prefill-role hosts receive only arrivals, so they run to ``t``
-            and their handoffs are collected first; every other host then
-            stops at the earliest handoff still to route, which may land
-            work on it.
-            """
-            progressed = False
-            for host in exporters:
-                progressed = host.run_until(t) or progressed
-                for stepper in host.steppers:
-                    for request in stepper.outbox:
-                        heapq.heappush(handoffs, (request.prefill_done_time,
-                                                  next(tiebreak), stepper,
-                                                  request))
-                    stepper.outbox.clear()
-            horizon = min(t, handoffs[0][0]) if handoffs else t
-            for s in range(pool):
-                if state[s] != "stopped" and self.roles[s] != "prefill":
-                    progressed = hosts[s].run_until(horizon) or progressed
-                if state[s] == "starting" and ready_at[s] <= t:
-                    state[s] = "active"
-            return progressed
-
-        arrivals = sorted(workload.requests,
-                          key=lambda r: (r.arrival_time, r.request_id))
-        pos = 0
-        next_tick = math.inf if scaler is None else autoscaler.interval_s
-        while True:
-            # One event per turn, ties resolved handoff < arrival < tick.
-            next_arrival = (arrivals[pos].arrival_time
-                            if pos < len(arrivals) else math.inf)
-            t = min(next_arrival, next_tick)
-            # Read before advancing: a slot whose cold start ends by ``t``
-            # still keeps this tick from being the last.
-            starting = "starting" in state
-            progressed = advance(t)
-            if handoffs and handoffs[0][0] <= t:
-                done_time, _, source, request = heapq.heappop(handoffs)
-                targets = slots("active", ("decode",))
-                target = targets[decode_router.route_decode(
-                    request, [hosts[s] for s in targets])]
-                migrations_in[self._migrate(request, source, hosts[target],
-                                            done_time)] += 1
-            elif t == math.inf:
-                break  # every host has drained as far as it can
-            elif next_arrival == t:
-                request = arrivals[pos]
-                pos += 1
-                targets = slots("active", ("prefill", "mixed"))
-                host = hosts[targets[router.route(
-                    request, [hosts[s] for s in targets])]]
-                assigned[host.stepper_for(request)].append(request)
-                host.submit(request)
-            elif pos == len(arrivals) and not starting and not progressed:
-                # A tick without an arrival, a cold start or a step: stop
-                # ticking and let the next turn drain every host.  A host
-                # whose last iteration or swap-in ran past ``t`` still has
-                # work, so this must not end the run.
-                next_tick = math.inf
-            else:
-                next_tick += autoscaler.interval_s
-                tick(t)
-
-        used = [s for s in range(pool) if hosts[s] is not None]
-        steppers = [st for s in used for st in hosts[s].steppers]
-        report = None
-        if scaler is not None:
-            makespan = max(st.now for st in steppers)
-            for s in used:
-                if windows[s][-1][1] is None:
-                    windows[s][-1][1] = max(windows[s][-1][0], makespan)
-            report = AutoscaleReport(
-                events=scaler.events,
-                windows=[[tuple(w) for w in windows[s]] for s in used],
-                cold_start_s=autoscaler.cold_start_s(
-                    self.engine.weight_bytes()),
-                gpus_per_replica=self.engine.tp_degree,
-                makespan_s=makespan,
-            )
-        results = [st.result(Workload(requests=assigned[st]))
-                   for st in steppers]
-        result = ClusterResult(
-            replica_results=results,
-            requests_per_replica=[len(assigned[st]) for st in steppers],
-            metrics=ServingMetrics(
-                requests=[m for r in results if r.metrics is not None
-                          for m in r.metrics.requests]),
-            replica_roles=[self.roles[s] for s in used
-                           for _ in hosts[s].steppers],
-            migrations_per_replica=[migrations_in[st] for st in steppers],
-            replica_systems=[st.engine.system.name for st in steppers],
-            autoscale=report,
-            gpus_per_replica=self.engine.tp_degree,
-        )
-        if multiplex is not None:
-            result.multiplex = MultiplexReport(
-                replicas=[hosts[s].residency.snapshot() for s in used],
-                requests_by_model={
-                    m.name: sum(len(assigned[hosts[s].by_model[m.name]])
-                                for s in used)
-                    for m in multiplex.models})
-            result.physical_replicas = len(used)
-        return result
-
-    def _host_builder(self, scheduling: Optional[SchedulingConfig],
-                      max_num_seqs: Optional[int],
-                      speculative: Optional[SpeculativeConfig],
-                      tracing: Optional[TelemetryConfig],
-                      multiplex: Optional[MultiplexConfig]
-                      ) -> Callable[[int], _Host]:
-        """Factory of one serve() run's replica host for a slot index.
-
-        A slot runs one stepper per model on :meth:`_engine` under the
-        slot's own system: the base model alone on a plain replica, every
-        model of ``multiplex`` on a multiplexed one.  A multiplexed replica
-        also owns a :class:`~repro.serving.multiplex.ModelResidency` whose
-        static carve, sized from those engines, sets its per-model KV
-        pools.  Traced runs give every stepper its own trace process:
-        ``replica<i>`` (plain) or ``replica<i>/<model>`` (multiplexed),
-        suffixed with a non-mixed role.
-        """
-        models = ((self.engine.model,) if multiplex is None
-                  else multiplex.models)
-
-        def build(slot: int) -> _Host:
-            role = self.roles[slot]
-            suffix = "" if role == "mixed" else f" ({role})"
-            engines = [self._engine(model, self.engines[slot].system)
-                       for model in models]
-            residency = None if multiplex is None else ModelResidency(
-                multiplex, self.engine.gpu,
-                {e.model.name: e.weight_bytes() for e in engines},
-                {e.model.name: e.workspace_bytes_per_gpu() * e.tp_degree
-                 for e in engines},
-                tp_degree=self.engine.tp_degree)
-            steppers = []
-            for j, engine in enumerate(engines):
-                name = None if multiplex is None else engine.model.name
-                label = (f"replica{slot}" if name is None
-                         else f"replica{slot}/{name}")
-                steppers.append(EngineStepper(
-                    engine, scheduling=scheduling, max_num_seqs=max_num_seqs,
-                    migrate_out=(role == "prefill"),
-                    speculative=None if role == "prefill" else speculative,
-                    telemetry=None if tracing is None else Tracer(
-                        tracing, replica_index=slot * len(models) + j,
-                        replica_name=label + suffix),
-                    model_name=name,
-                    kv_capacity_bytes=(None if residency is None
-                                       else residency.kv_pool_bytes())))
-            if residency is None:
-                return steppers[0]
-            return _MultiplexReplica(multiplex, steppers, residency)
-        return build
+        fleet = _Fleet(self, router, scheduling, max_num_seqs, speculative,
+                       resolve_telemetry(telemetry, allow_tracer=False),
+                       scaler, multiplex)
+        fleet.run(workload.requests)
+        return fleet.result()
 
     # ------------------------------------------------------------------
     # KV migration
@@ -1253,3 +1002,280 @@ class ClusterEngine:
             stepper.tracer.transfer(request, now, now + delay)
         target.submit(request)
         return stepper
+
+
+# ----------------------------------------------------------------------
+# Cluster event loop
+# ----------------------------------------------------------------------
+@dataclass(eq=False)
+class _Fleet:
+    """One :meth:`ClusterEngine.serve` run: its replica slots and event loop.
+
+    Slot ``s`` is described by four parallel lists: ``hosts[s]`` (built on
+    first provision), ``state[s]`` (``"stopped"``, ``"starting"`` or
+    ``"active"``), ``ready_at[s]`` (when its cold start ends) and
+    ``windows[s]`` (its provisioned ``[start, end]`` windows).  Three dicts
+    keyed by stepper hold the arrivals routed to it (``assigned``), the
+    migrations it received (``migrations_in``) and how many of its finished
+    requests the autoscaler has seen (``seen_finished``).  Prefill-role
+    hosts are the ``exporters``; the finished prefills they park wait on
+    the ``handoffs`` heap.  Each event kind has one method: :meth:`route`
+    (arrival), :meth:`hand_off` (handoff) and :meth:`tick`, which may
+    :meth:`provision` or :meth:`drain` a slot; :meth:`advance` runs the
+    hosts toward each event and :meth:`run` is the loop.
+
+    The views the loop reads on every event list hosts in slot order,
+    since routers break ties by index; :meth:`_set_state` rebuilds them
+    when a slot is provisioned, becomes active or is drained.
+    """
+
+    cluster: ClusterEngine
+    router: Router
+    scheduling: Optional[SchedulingConfig]
+    max_num_seqs: Optional[int]
+    speculative: Optional[SpeculativeConfig]
+    tracing: Optional[TelemetryConfig]
+    scaler: Optional[ReactiveAutoscaler]
+    multiplex: Optional[MultiplexConfig]
+
+    def __post_init__(self) -> None:
+        pool = self.cluster.num_replicas
+        self.decode_router = (self.router if isinstance(
+            self.router, DisaggregatedRouter) else DisaggregatedRouter())
+        self.hosts: List[Optional[_Host]] = [None] * pool
+        self.state = ["stopped"] * pool
+        self.ready_at = [0.0] * pool
+        self.windows: List[List[List[float]]] = [[] for _ in range(pool)]
+        self.assigned: Dict[EngineStepper, List[Request]] = defaultdict(list)
+        self.migrations_in: Dict[EngineStepper, int] = defaultdict(int)
+        self.seen_finished: Dict[EngineStepper, int] = defaultdict(int)
+        for slot in range(pool if self.scaler is None
+                          else self.scaler.config.min_replicas):
+            self.provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
+        #: (prefill completion time, tiebreak, source stepper, request) —
+        #: min-heap of finished prefills awaiting migration routing.  The
+        #: source prices the transfer payload at the exporter's KV
+        #: precision in a heterogeneous fleet.
+        self.handoffs: List[Tuple[float, int, EngineStepper, Request]] = []
+        self.tiebreak = itertools.count()
+
+    def build(self, slot: int) -> _Host:
+        """This run's replica host for ``slot``.
+
+        A slot runs one stepper per model on :meth:`ClusterEngine._engine`
+        under the slot's own system: the base model alone on a plain
+        replica, every model of ``multiplex`` on a multiplexed one.  A
+        multiplexed replica also owns a
+        :class:`~repro.serving.multiplex.ModelResidency` whose static carve,
+        sized from those engines, sets its per-model KV pools.  Traced runs
+        give every stepper its own trace process: ``replica<i>`` (plain) or
+        ``replica<i>/<model>`` (multiplexed), suffixed with a non-mixed role.
+        """
+        cluster, multiplex = self.cluster, self.multiplex
+        models = ((cluster.engine.model,) if multiplex is None
+                  else multiplex.models)
+        role = cluster.roles[slot]
+        suffix = "" if role == "mixed" else f" ({role})"
+        engines = [cluster._engine(model, cluster.engines[slot].system)
+                   for model in models]
+        residency = None if multiplex is None else ModelResidency(
+            multiplex, cluster.engine.gpu,
+            {e.model.name: e.weight_bytes() for e in engines},
+            {e.model.name: e.workspace_bytes_per_gpu() * e.tp_degree
+             for e in engines},
+            tp_degree=cluster.engine.tp_degree)
+        steppers = []
+        for j, engine in enumerate(engines):
+            name = None if multiplex is None else engine.model.name
+            label = f"replica{slot}" + ("" if name is None else f"/{name}")
+            steppers.append(EngineStepper(
+                engine, scheduling=self.scheduling,
+                max_num_seqs=self.max_num_seqs,
+                migrate_out=(role == "prefill"),
+                speculative=None if role == "prefill" else self.speculative,
+                telemetry=None if self.tracing is None else Tracer(
+                    self.tracing, replica_index=slot * len(models) + j,
+                    replica_name=label + suffix),
+                model_name=name,
+                kv_capacity_bytes=(None if residency is None
+                                   else residency.kv_pool_bytes())))
+        return (steppers[0] if residency is None
+                else _MultiplexReplica(multiplex, steppers, residency))
+
+    def _set_state(self, slot: int, status: str) -> None:
+        """Move ``slot`` to ``status`` and rebuild the slot-ordered views:
+        the live hosts :meth:`advance` runs, prefill-role ones (the
+        exporters) first, the starting and active slots, and the active
+        hosts arrivals and handoffs are routed among."""
+        self.state[slot] = status
+        roles, hosts = self.cluster.roles, self.hosts
+        live = [s for s, st in enumerate(self.state) if st != "stopped"]
+        # Prefill-role replicas park finished prefills in their outboxes.
+        self.exporters = [hosts[s] for s in live if roles[s] == "prefill"]
+        self.followers = [hosts[s] for s in live if roles[s] != "prefill"]
+        self.starting = [s for s in live if self.state[s] == "starting"]
+        self.active = active = [s for s in live if self.state[s] == "active"]
+        self.arrival_hosts = [hosts[s] for s in active if roles[s] != "decode"]
+        self.decode_hosts = [hosts[s] for s in active if roles[s] == "decode"]
+
+    def provision(self, slot: int, start: float, ready: float) -> None:
+        """Open a window on ``slot`` at ``start``; it serves from ``ready``."""
+        if self.hosts[slot] is None:
+            self.hosts[slot] = self.build(slot)
+        # A replica cannot run before its weights land; a reactivated
+        # slot also never rewinds its own clock.
+        self.hosts[slot].sync_clock(ready)
+        self.ready_at[slot] = ready
+        self.windows[slot].append([start, None])
+        self._set_state(slot, "active" if ready <= start else "starting")
+
+    def drain(self, slot: int, now: float) -> None:
+        """Empty ``slot`` into the other active slots and stop it."""
+        hosts = self.hosts
+        targets = [s for s in self.active if s != slot]
+        for stepper in hosts[slot].steppers:
+            exported, waiting = stepper.evacuate(now)
+            for request in exported:
+                target = hosts[_least_outstanding(hosts, targets)]
+                self.migrations_in[self.cluster._migrate(
+                    request, stepper, target, now)] += 1
+            for request in waiting:
+                hosts[_least_outstanding(hosts, targets)].submit(request)
+        self._set_state(slot, "stopped")
+        self.windows[slot][-1][1] = now
+
+    def tick(self, now: float) -> None:
+        """Show the autoscaler the fleet at ``now`` and apply its decision."""
+        config, hosts, active = self.scaler.config, self.hosts, self.active
+        steppers = [st for s in active for st in hosts[s].steppers]
+        recent = [r for st in steppers
+                  for r in st.scheduler.finished[self.seen_finished[st]:]]
+        for stepper in steppers:
+            self.seen_finished[stepper] = len(stepper.scheduler.finished)
+        slo = config.ttft_slo_s
+        recent_ok = sum(1 for r in recent if slo is None
+                        or r.first_token_time - r.arrival_time <= slo)
+        decision = self.scaler.decide(FleetSnapshot(
+            now=now, num_active=len(active), num_starting=len(self.starting),
+            queue_depth=sum(st.scheduler.num_waiting for st in steppers),
+            outstanding=sum(hosts[s].outstanding_requests for s in active),
+            recent_finished=len(recent), recent_slo_ok=recent_ok))
+        if decision is None:
+            return
+        action, reason = decision
+        if action == "up":
+            slot = self.state.index("stopped")
+            self.provision(slot, now, now + config.cold_start_s(
+                self.cluster.engines[slot].weight_bytes()))
+        else:
+            slot = min(active, key=lambda s: (hosts[s].outstanding_requests, -s))
+            self.drain(slot, now)
+        self.scaler.commit(ScalingEvent(now, action, slot, len(self.active),
+                                        reason))
+
+    def advance(self, t: float) -> bool:
+        """Run every live host toward ``t``; whether any host stepped.
+
+        Prefill-role hosts receive only arrivals, so they run to ``t`` and
+        their handoffs are collected first; every other host then stops at
+        the earliest handoff still to route, which may land work on it.
+        """
+        progressed, handoffs, tiebreak = False, self.handoffs, self.tiebreak
+        for host in self.exporters:
+            progressed = host.run_until(t) or progressed
+            for stepper in host.steppers:
+                for request in stepper.outbox:
+                    heapq.heappush(handoffs, (request.prefill_done_time,
+                                              next(tiebreak), stepper, request))
+                stepper.outbox.clear()
+        horizon = min(t, handoffs[0][0]) if handoffs else t
+        for host in self.followers:
+            progressed = host.run_until(horizon) or progressed
+        for slot in [s for s in self.starting if self.ready_at[s] <= t]:
+            self._set_state(slot, "active")
+        return progressed
+
+    def route(self, request: Request) -> None:
+        """Dispatch an arrival to the host the router picks."""
+        host = self.arrival_hosts[self.router.route(request,
+                                                    self.arrival_hosts)]
+        self.assigned[host.stepper_for(request)].append(request)
+        host.submit(request)
+
+    def hand_off(self) -> None:
+        """Migrate the earliest finished prefill to a decode host."""
+        done_time, _, source, request = heapq.heappop(self.handoffs)
+        target = self.decode_hosts[self.decode_router.route_decode(
+            request, self.decode_hosts)]
+        self.migrations_in[self.cluster._migrate(request, source, target,
+                                                 done_time)] += 1
+
+    def run(self, requests: Iterable[Request]) -> None:
+        """The event loop: one event per turn, handoff < arrival < tick."""
+        arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
+        pos = 0
+        next_tick = interval = (math.inf if self.scaler is None
+                                else self.scaler.config.interval_s)
+        while True:
+            next_arrival = (arrivals[pos].arrival_time
+                            if pos < len(arrivals) else math.inf)
+            t = min(next_arrival, next_tick)
+            # Read before advancing: a slot whose cold start ends by ``t``
+            # still keeps this tick from being the last.
+            starting = bool(self.starting)
+            progressed = self.advance(t)
+            if self.handoffs and self.handoffs[0][0] <= t:
+                self.hand_off()
+            elif t == math.inf:
+                break  # every host has drained as far as it can
+            elif next_arrival == t:
+                self.route(arrivals[pos])
+                pos += 1
+            elif pos == len(arrivals) and not starting and not progressed:
+                # A tick without an arrival, a cold start or a step: stop
+                # ticking and let the next turn drain every host.  A host
+                # whose last iteration or swap-in ran past ``t`` still has
+                # work, so this must not end the run.
+                next_tick = math.inf
+            else:
+                next_tick += interval
+                self.tick(t)
+
+    def result(self) -> ClusterResult:
+        """Aggregate the run over every slot that was ever provisioned."""
+        cluster, hosts, assigned = self.cluster, self.hosts, self.assigned
+        used = [s for s, host in enumerate(hosts) if host is not None]
+        steppers = [st for s in used for st in hosts[s].steppers]
+        report = None
+        if self.scaler is not None:
+            makespan = max(st.now for st in steppers)
+            for s in used:
+                window = self.windows[s][-1]
+                if window[1] is None:
+                    window[1] = max(window[0], makespan)
+            report = AutoscaleReport(
+                events=self.scaler.events,
+                windows=[[tuple(w) for w in self.windows[s]] for s in used],
+                cold_start_s=self.scaler.config.cold_start_s(
+                    cluster.engine.weight_bytes()),
+                gpus_per_replica=cluster.engine.tp_degree, makespan_s=makespan)
+        results = [st.result(Workload(requests=assigned[st]))
+                   for st in steppers]
+        return ClusterResult(
+            replica_results=results,
+            requests_per_replica=[len(assigned[st]) for st in steppers],
+            physical_replicas=len(used),
+            metrics=ServingMetrics(
+                requests=[m for r in results if r.metrics is not None
+                          for m in r.metrics.requests]),
+            replica_roles=[cluster.roles[s] for s in used
+                           for _ in hosts[s].steppers],
+            migrations_per_replica=[self.migrations_in[st] for st in steppers],
+            replica_systems=[st.engine.system.name for st in steppers],
+            autoscale=report, gpus_per_replica=cluster.engine.tp_degree,
+            multiplex=None if self.multiplex is None else MultiplexReport(
+                replicas=[hosts[s].residency.snapshot() for s in used],
+                requests_by_model={
+                    m.name: sum(len(assigned[hosts[s].by_model[m.name]])
+                                for s in used)
+                    for m in self.multiplex.models}))

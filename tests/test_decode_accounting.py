@@ -272,6 +272,44 @@ def test_speculative_commits_and_plain_steps_interleave():
     assert scheduler.all_done
 
 
+def test_preempting_claim_pass_after_a_commit_step_reindexes():
+    """A commit step leaves the crossing heap stale; a preempting claim
+    pass right after it (fewer free pages than decoders, no lookahead)
+    must rebuild the heap first and so match a twin re-indexed before the
+    pass: same survivors, same preemptions, same pages per request."""
+    def commit_stepped():
+        engine = _engine()
+        kv = engine.new_kv_manager(
+            capacity_bytes=8 * engine.new_kv_manager().bytes_per_page())
+        scheduler = ContinuousBatchingScheduler(
+            kv_manager=kv, scheduling=SchedulingConfig(preemption=True))
+        requests = [Request(request_id=i, prompt_len=31, output_len=20)
+                    for i in range(4)]
+        scheduler.submit(requests)
+        scheduler.admit(now=0.0)
+        for request in scheduler.prefilling_requests():
+            scheduler.record_prefill(request, request.prefill_remaining,
+                                     now=0.0)
+        # Every decoder's context reaches its page boundary.
+        scheduler.record_decode_step(
+            now=1.0, commits={r.request_id: 1 for r in requests})
+        assert kv.free_pages < len(scheduler.decoding_requests())
+        return scheduler
+
+    lazy, twin = commit_stepped(), commit_stepped()
+    assert not lazy._indexed
+    twin._reindex()
+    survivors = lazy.prepare_decode(now=2.0)
+    assert ([r.request_id for r in survivors]
+            == [r.request_id for r in twin.prepare_decode(now=2.0)])
+    assert lazy.num_preemptions == twin.num_preemptions > 0
+    assert ({r.request_id: r.state for r in lazy.running}
+            == {r.request_id: r.state for r in twin.running})
+    assert ([lazy.kv_manager.allocated_tokens_capacity(i) for i in range(4)]
+            == [twin.kv_manager.allocated_tokens_capacity(i)
+                for i in range(4)])
+
+
 # ----------------------------------------------------------------------
 # Trace hook order
 # ----------------------------------------------------------------------

@@ -248,6 +248,48 @@ def test_pin_for_import_shields_prefix_from_eviction(llama7b):
     assert cache.stats.lookups == 0
 
 
+def test_handoff_over_a_demoted_prefix_pays_its_dequant(llama7b):
+    """A handoff whose cached prefix the decode replica demoted to the
+    4-bit tier pays the restore on top of the transfer, once."""
+    cluster = ClusterEngine(llama7b, A100, SYSTEM_PRESETS["trt-fp16"],
+                            num_replicas=2, roles=["prefill", "decode"],
+                            max_seq_len=4096)
+    engine = cluster.engine
+    demote = SCHEDULING_PRESETS["prefix-demote"]
+    workload = make_shared_prefix_workload(2, shared_prefix_len=512,
+                                           unique_len=64, output_len=8, seed=4)
+    prefiller = EngineStepper(engine, max_num_seqs=4, migrate_out=True,
+                              scheduling=demote)
+    decoder = EngineStepper(engine, max_num_seqs=4, scheduling=demote)
+    # Warm the decode replica with the shared prefix, then demote it.
+    prefiller.submit(workload.requests)
+    prefiller.run()
+    migrant, later = sorted(prefiller.outbox, key=lambda r: r.request_id)
+    cluster._migrate(migrant, prefiller, decoder, migrant.prefill_done_time)
+    decoder.run()
+    cache = decoder.prefix_cache
+    cache.evict(1)
+    assert cache.stats.demoted_pages_total > 0
+    pinned = {}
+    pin = decoder.pin_for_import
+
+    def spy(request):
+        pinned["tokens"] = pin(request)
+        pinned["demoted"] = request.demoted_hit_tokens
+        return pinned["tokens"]
+
+    decoder.pin_for_import = spy
+    now = decoder.now
+    cluster._migrate(later, prefiller, decoder, now)
+    assert pinned["demoted"] > 0
+    expected = (cluster.transfer_delay(later, pinned["tokens"], source=engine,
+                                       target=engine)
+                + engine.kv_dequant_latency(pinned["demoted"]))
+    assert later.transfer_delay_s.hex() == expected.hex()
+    assert later.migration_ready_time == now + expected
+    assert later.demoted_hit_tokens == 0
+
+
 def test_export_requires_completed_prefill(llama7b):
     engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
                            max_seq_len=512)

@@ -81,18 +81,40 @@ def test_cluster_traced_runs_export_byte_identical_traces(llama7b):
     assert len(result_a.tracers) == 3
 
 
+def _demoting_run(llama7b, telemetry=True):
+    """Chat sessions on a 96-page FP16 pool: shared prefixes are demoted
+    under pressure and later turns pay their dequantization."""
+    engine = ServingEngine(llama7b, A100, SYSTEM_PRESETS["trt-fp16"],
+                           max_seq_len=4096)
+    capacity = 96 * engine.new_kv_manager().bytes_per_page()
+    engine.kv_capacity_bytes = lambda: capacity
+    workload = make_chat_workload(num_sessions=8, turns_per_session=4,
+                                  system_prompt_len=192, user_len=32,
+                                  assistant_len=64, think_time_s=6.0, seed=11)
+    return engine.serve(workload, max_num_seqs=3,
+                        scheduling=SCHEDULING_PRESETS["prefix-demote"],
+                        telemetry=telemetry)
+
+
 def test_tracing_does_not_perturb_the_simulation(llama7b):
-    """A traced run commits the exact same schedule as an untraced one."""
-    plain = _traced_run(llama7b, telemetry=None)
-    traced = _traced_run(llama7b, telemetry=True)
-    assert plain.total_time_s.hex() == traced.total_time_s.hex()
-    assert plain.generated_tokens == traced.generated_tokens
-    assert plain.num_iterations == traced.num_iterations
-    assert plain.num_preemptions == traced.num_preemptions
-    for a, b in zip(plain.metrics.requests, traced.metrics.requests):
-        assert a == b
-    assert plain.telemetry is None
-    assert traced.telemetry is not None
+    """A traced run commits the exact same schedule as an untraced one,
+    with and without KV demotion."""
+    for run in (_traced_run, _demoting_run):
+        plain = run(llama7b, telemetry=None)
+        traced = run(llama7b, telemetry=True)
+        assert plain.total_time_s.hex() == traced.total_time_s.hex()
+        assert plain.generated_tokens == traced.generated_tokens
+        assert plain.num_iterations == traced.num_iterations
+        assert plain.num_preemptions == traced.num_preemptions
+        for a, b in zip(plain.metrics.requests, traced.metrics.requests):
+            assert a == b
+        assert plain.telemetry is None
+        assert traced.telemetry is not None
+    assert traced.prefix_stats.demoted_hit_tokens > 0
+    dequants = [e for e in _load_trace(traced)["traceEvents"]
+                if e["name"] == "kv_dequant"]
+    assert dequants and all(e["ph"] == "n" for e in dequants)
+    assert any(e["args"]["tokens"] > 0 for e in dequants)
 
 
 def test_telemetry_off_records_nothing(llama7b):

@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Size report of the serving simulator: code lines and settable values.
 
-Prints two tables:
+Prints three tables:
 
 * counted code lines per module under ``src/repro/serving/`` — lines that
   are not blank, not comment-only and not part of a docstring;
 * the constructor-settable values of the scheduler, the scheduling and
   autoscaler configs and every registered router — dataclass fields with
-  ``init=True``, or the parameters of a plain class's ``__init__``.
+  ``init=True``, or the parameters of a plain class's ``__init__``;
+* the five longest functions under ``src/repro/serving/``, in physical
+  lines from the ``def`` line to the last line of the body, docstring
+  included.
 
-Both numbers track the "same behaviour from less code" aim: a change that
-deletes a path or turns a setting nothing varies into a constant shows up
-here.  The report gates nothing.
+All three track the "same behaviour from less code" aim: a change that
+deletes a path, turns a setting nothing varies into a constant or splits
+an oversized function shows up here.  The report gates nothing.
 
 Usage::
 
@@ -59,6 +62,25 @@ def counted_lines(source: str) -> int:
     return len(code - docstrings)
 
 
+def function_spans(source: str) -> List[Tuple[int, str]]:
+    """``(physical lines, qualified name)`` of every function in ``source``."""
+    spans: List[Tuple[int, str]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    spans.append((child.end_lineno - child.lineno + 1, name))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return spans
+
+
 def settable_values(cls: type) -> List[str]:
     """Names a caller can set when constructing ``cls``."""
     if dataclasses.is_dataclass(cls):
@@ -85,10 +107,14 @@ def main() -> int:
 
     print("Counted code lines (non-blank, non-comment, non-docstring)")
     total = 0
+    spans: List[Tuple[int, str]] = []
     for path in sorted(Path(repro.serving.__file__).parent.glob("*.py")):
-        count = counted_lines(path.read_text())
+        source = path.read_text()
+        count = counted_lines(source)
         total += count
         print(f"  {path.name:<22} {count:>5}")
+        spans += [(lines, f"{path.name}:{name}")
+                  for lines, name in function_spans(source)]
     print(f"  {'total':<22} {total:>5}")
     print()
     print("Constructor-settable values")
@@ -98,6 +124,10 @@ def main() -> int:
         total += len(names)
         print(f"  {name:<28} {len(names):>3}  {', '.join(names)}")
     print(f"  {'total':<28} {total:>3}")
+    print()
+    print("Longest functions (physical lines, docstring included)")
+    for lines, name in sorted(spans, key=lambda s: (-s[0], s[1]))[:5]:
+        print(f"  {name:<48} {lines:>4}")
     return 0
 
 
