@@ -895,21 +895,7 @@ class EngineStepper:
             latency = outcome.latency_s
         else:
             latency = self.engine._plan_latency(plan)
-        # A prefill starting over demoted prefix-cache blocks first pays the
-        # dequantization pass that restores them (see kv_dequant_latency);
-        # only a request's first chunk carries the charge.  Zero — and the
-        # iteration latency bitwise-untouched — whenever demotion is off.
-        dequant = 0.0
-        for request, _ in plan.prefill_chunks:
-            if request.prefilled == 0 and request.demoted_hit_tokens:
-                cost = self.engine.kv_dequant_latency(
-                    request.demoted_hit_tokens)
-                dequant += cost
-                if self.tracer is not None:
-                    self.tracer.kv_dequant(request, self.now,
-                                           request.demoted_hit_tokens, cost)
-        if dequant:
-            latency += dequant
+        latency += self._dequant_charge(plan)
         t0 = self.now
         self.now += latency
         self.busy_s += latency
@@ -943,6 +929,26 @@ class EngineStepper:
                 t0, self.now, sum(t for _, t in plan.prefill_chunks),
                 len(plan.prefill_chunks), len(plan.decode), committed, self)
         return True
+
+    def _dequant_charge(self, plan: IterationPlan) -> float:
+        """Latency of the dequantization passes ``plan``'s prefills pay.
+
+        A prefill starting over demoted prefix-cache blocks first pays the
+        pass that restores them (see :meth:`ServingEngine.kv_dequant_latency`);
+        only a request's first chunk carries the charge.  Zero — which
+        leaves the iteration latency bitwise-untouched — whenever demotion
+        is off.  Traced passes are stamped at the iteration's start.
+        """
+        dequant = 0.0
+        for request, _ in plan.prefill_chunks:
+            if request.prefilled == 0 and request.demoted_hit_tokens:
+                cost = self.engine.kv_dequant_latency(
+                    request.demoted_hit_tokens)
+                dequant += cost
+                if self.tracer is not None:
+                    self.tracer.kv_dequant(request, self.now,
+                                           request.demoted_hit_tokens, cost)
+        return dequant
 
     def run(self) -> None:
         """Step until no further progress is possible."""

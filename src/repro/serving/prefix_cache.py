@@ -24,13 +24,16 @@ PagedKVCacheManager`'s *shared pool*: a shared page counts once toward
   invariant that every cached block's prefix chain is also cached.
 * Every request pins a *root chain*: :meth:`PrefixCache.acquire` pins the
   matched prefix and :meth:`PrefixCache.insert` extends it block by block.
-  Refcounts are therefore monotone along every path,
-  ``ref_count(parent) >= ref_count(child)``, so an unreferenced block never
-  has a referenced descendant.  The eviction bookkeeping rests on this: the
-  unreferenced-block count is kept incrementally, which makes
-  :meth:`PrefixCache.evictable_pages` O(1) in the tree size, and the LRU
-  leaf candidates live in one heap kept for the cache's lifetime instead of
-  being rebuilt from the whole tree on every :meth:`PrefixCache.evict`.
+  The cache records only the chain's deepest block — its *tip* — so pinning
+  and unpinning cost O(1) whatever the chain's length.  A block's refcount
+  is the number of tips in its subtree, which makes refcounts monotone
+  along every path, so an unreferenced block never has a referenced
+  descendant.  A leaf's refcount is its own pin count, and that is all the
+  eviction path reads: the LRU leaf candidates live in one heap kept for
+  the cache's lifetime instead of being rebuilt from the whole tree on
+  every :meth:`PrefixCache.evict`.  No node holds its children (a child is
+  found through the block index, since keys are chained), so the tree has
+  no reference cycles for the garbage collector to trace.
 * With ``demotion=True`` (and a KV precision above 4 bits), eviction gets a
   cheaper first resort: cold unreferenced blocks are **demoted** to the
   4-bit tier (:data:`repro.serving.precision.DEMOTED_KV_BITS`) LRU-first,
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.serving.kv_cache_manager import PagedKVCacheManager
 from repro.serving.request import Request
@@ -225,16 +228,21 @@ class PrefixCacheStats:
 
 
 class _RadixNode:
-    """One cached KV block: a node of the prefix radix tree."""
+    """One cached KV block: a node of the prefix radix tree.
 
-    __slots__ = ("key", "parent", "children", "ref_count", "last_used",
+    ``children`` counts the node's children and ``pins`` the requests whose
+    chain ends here; ``depth`` is the chain's length in blocks.
+    """
+
+    __slots__ = ("key", "parent", "depth", "children", "pins", "last_used",
                  "demoted")
 
     def __init__(self, key: Optional[int], parent: Optional["_RadixNode"]) -> None:
         self.key = key
         self.parent = parent
-        self.children: Dict[int, "_RadixNode"] = {}
-        self.ref_count = 0
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.children = 0
+        self.pins = 0
         self.last_used = 0
         self.demoted = False
 
@@ -268,11 +276,11 @@ class PrefixCache:
         self.demotion = demotion and kv_manager.demotion_supported
         self._root = _RadixNode(key=None, parent=None)
         self._nodes: Dict[int, _RadixNode] = {}
-        self._request_blocks: Dict[int, List[_RadixNode]] = {}
+        #: Each pinning request's chain tip (the root for an empty chain).
+        self._request_blocks: Dict[int, _RadixNode] = {}
+        #: The pinned chains' summed lengths: the sum of all refcounts.
+        self._pinned_depth = 0
         self._tick = 0
-        #: Cached blocks with ``ref_count == 0``, updated on every 0<->1
-        #: refcount transition and on eviction.
-        self._unreferenced = 0
         #: ``(last_used, key)`` of unreferenced leaves, pushed whenever a
         #: block becomes one or is restamped while one.  Entries go stale
         #: when their block is referenced, gains a child, is touched again
@@ -292,13 +300,13 @@ class PrefixCache:
     def unreferenced_pages(self) -> int:
         """Cached blocks no running request references (eviction candidates).
 
-        Kept as a running count.  Because requests pin root chains, these
-        blocks' whole subtrees are unreferenced too, so every one of them
-        is reclaimable leaves-first.
+        Because requests pin root chains, these blocks' whole subtrees are
+        unreferenced too, so every one of them is reclaimable leaves-first.
+        Counted by walking up from each pinned tip: O(referenced blocks).
         """
-        return self._unreferenced
+        return len(self._nodes) - len(self._held())
 
-    def evictable_pages(self, protect: Iterable["_RadixNode"] = ()) -> int:
+    def evictable_pages(self, protect: Sequence["_RadixNode"] = ()) -> int:
         """Pages :meth:`evict` could reclaim right now, leaves-first.
 
         A block is reclaimable only if its entire subtree is unreferenced
@@ -310,16 +318,40 @@ class PrefixCache:
         root chain), so an unreferenced block has no referenced descendant;
         ``protect`` is a root chain too (what :meth:`match` returned), so an
         unprotected block has no protected descendant.  The reclaimable
-        blocks are therefore exactly the unreferenced ones outside
-        ``protect``, counted in O(len(protect)).
+        blocks are therefore exactly those on no pinned chain and outside
+        ``protect``, counted in O(referenced blocks + len(protect)).
         """
-        return self._unreferenced - sum(
-            1 for node in protect if node.ref_count == 0)
+        return len(self._nodes) - len(self._held(protect))
+
+    def can_reclaim(self, pages: int, protect: Sequence["_RadixNode"]) -> bool:
+        """Whether ``0 < pages <= evictable_pages(protect)``, bound first.
+
+        No more blocks are held than the pinned chains' lengths plus
+        ``protect``'s, so a pool with that much slack answers in O(1); only
+        a tighter one pays the exact count.
+        """
+        if pages <= 0:
+            return False
+        bound = len(self._nodes) - self._pinned_depth - len(protect)
+        return pages <= bound or pages <= self.evictable_pages(protect)
 
     @property
     def total_ref_count(self) -> int:
         """Sum of all block refcounts; zero once every request drained."""
-        return sum(node.ref_count for node in self._nodes.values())
+        return self._pinned_depth
+
+    def _held(self, protect: Sequence[_RadixNode] = ()) -> set:
+        """Ids of the blocks on a pinned chain or in ``protect`` (a root
+        chain), found by walking up from each tip to a block already seen."""
+        root = self._root
+        held = set()
+        tips = list(self._request_blocks.values())
+        tips.extend(protect[-1:])
+        for node in tips:
+            while node is not root and id(node) not in held:
+                held.add(id(node))
+                node = node.parent
+        return held
 
     def _push_leaf(self, node: _RadixNode) -> None:
         """Record ``node`` (an unreferenced leaf) as an eviction candidate."""
@@ -328,7 +360,7 @@ class PrefixCache:
         if len(heap) > _HEAP_ENTRIES_PER_BLOCK * len(self._nodes):
             # In place, so an :meth:`evict` loop holding ``heap`` sees it.
             heap[:] = [(n.last_used, key) for key, n in self._nodes.items()
-                       if n.ref_count == 0 and not n.children]
+                       if not n.pins and not n.children]
             heapq.heapify(heap)
 
     def _keys(self, request: Request) -> List[int]:
@@ -400,7 +432,7 @@ class PrefixCache:
         nodes.reverse()
         # Every other matched block has the next one as a child, so only the
         # deepest can be an unreferenced leaf, restamped.
-        if deepest.ref_count == 0 and not deepest.children:
+        if not deepest.pins and not deepest.children:
             self._push_leaf(deepest)
         return nodes, length * self.page_size
 
@@ -426,14 +458,15 @@ class PrefixCache:
         transfer rather than a cold local prefill and would otherwise skew
         the replica's hit rate.
         """
-        for node in nodes:
-            if node.ref_count == 0:
-                self._unreferenced -= 1
-            node.ref_count += 1
-        self._request_blocks[request.request_id] = list(nodes)
+        tip = nodes[-1] if nodes else self._root
+        tip.pins += 1
+        self._pinned_depth += len(nodes)
+        self._request_blocks[request.request_id] = tip
         request.cached_tokens = len(nodes) * self.page_size
         request.shared_kv_pages = len(nodes)
-        demoted = [node for node in nodes if node.demoted]
+        # Only a cache that demotes holds demoted blocks.  Root first:
+        # promotion checks the free pool block by block.
+        demoted = self.demotion and [node for node in nodes if node.demoted]
         if demoted:
             # Every demoted hit pays a dequantization pass (charged by the
             # engine when the request's prefill starts), whether or not the
@@ -464,42 +497,46 @@ class PrefixCache:
         if not keys:
             return 0
         request_id = request.request_id
-        refs = self._request_blocks.setdefault(request_id, [])
-        start = len(refs)
-        node = refs[-1] if refs else self._root
+        tip = self._request_blocks.get(request_id)
+        node = tip or self._root
+        start = node.depth
         index = self._nodes
         tick = self._tick
         created = 0
         for key in keys[start:]:
-            child = node.children.get(key)
+            # Keys are chained, so an indexed block extends ``node``.
+            child = index.get(key)
             if child is None:
-                child = _RadixNode(key, node)
-                node.children[key] = index[key] = child
+                child = index[key] = _RadixNode(key, node)
+                node.children += 1
                 created += 1
             else:
                 self.kv_manager.drop_private_page(request_id)
                 self.stats.deduped_pages += 1
-                if child.ref_count == 0:
-                    self._unreferenced -= 1
                 if child.demoted:
                     # The request just prefilled this block at full
                     # precision; the drop above freed a whole page, so the
                     # (at most one-page) promotion always fits.
                     self._promote([child])
             # Referenced from here on, so the stamp pushes no leaf.
-            child.ref_count += 1
             tick += 1
             child.last_used = tick
-            refs.append(child)
             node = child
         self._tick = tick
+        if node is not tip:
+            # Move the request's pin to its new tip.
+            if tip is not None:
+                tip.pins -= 1
+            node.pins += 1
+            self._request_blocks[request_id] = node
+            self._pinned_depth += node.depth - start
         if created:
             self.kv_manager.convert_private_to_shared(request_id, created)
             self.stats.inserted_pages += created
-        request.shared_kv_pages = len(refs)
+        request.shared_kv_pages = node.depth
         self.stats.peak_cached_pages = max(self.stats.peak_cached_pages,
                                            len(self._nodes))
-        return len(refs) - start
+        return node.depth - start
 
     def is_pinned(self, request_id: int) -> bool:
         """Whether ``request_id`` already holds block references.
@@ -517,12 +554,13 @@ class PrefixCache:
         eviction candidates — so a departing request costs nothing to its
         prefix siblings.
         """
-        for node in self._request_blocks.pop(request_id, []):
-            node.ref_count -= 1
-            if node.ref_count == 0:
-                self._unreferenced += 1
-                if not node.children:
-                    self._push_leaf(node)
+        tip = self._request_blocks.pop(request_id, None)
+        if tip is None:
+            return
+        tip.pins -= 1
+        self._pinned_depth -= tip.depth
+        if not tip.pins and not tip.children and tip is not self._root:
+            self._push_leaf(tip)
 
     # ------------------------------------------------------------------
     # Demoted tier
@@ -564,16 +602,14 @@ class PrefixCache:
         the demoted tier's savings are fractional and only whole reclaimed
         pages count.
         """
+        held = self._held()
         heap = [(node.last_used, key) for key, node in self._nodes.items()
-                if node.ref_count == 0 and not node.demoted
+                if not node.demoted and id(node) not in held
                 and id(node) not in protected]
         heapq.heapify(heap)
         reclaimed = 0
         while heap and reclaimed < pages_needed:
-            _, key = heapq.heappop(heap)
-            node = self._nodes[key]
-            if node.ref_count > 0 or node.demoted:
-                continue  # stale heap entry
+            node = self._nodes[heapq.heappop(heap)[1]]
             before = self.kv_manager.free_pages
             self.kv_manager.demote_shared_page()
             node.demoted = True
@@ -625,7 +661,7 @@ class PrefixCache:
             last_used, key = entry = heapq.heappop(heap)
             node = self._nodes.get(key)
             if (node is None or node.last_used != last_used
-                    or node.ref_count > 0 or node.children):
+                    or node.pins or node.children):
                 continue  # stale heap entry
             if id(node) in protected:
                 shielded.append(entry)
@@ -639,12 +675,11 @@ class PrefixCache:
 
     def _evict_node(self, node: _RadixNode) -> None:
         parent = node.parent
-        parent.children.pop(node.key)
+        parent.children -= 1
         del self._nodes[node.key]
-        self._unreferenced -= 1
         self.kv_manager.release_shared_page(demoted=node.demoted)
         self.stats.evicted_pages += 1
-        if (parent is not self._root and parent.ref_count == 0
+        if (parent is not self._root and not parent.pins
                 and not parent.children):
             self._push_leaf(parent)
 

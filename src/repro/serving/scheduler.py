@@ -392,7 +392,7 @@ class ContinuousBatchingScheduler:
                     need += prefix_cache.promotion_page_need(cached_nodes)
                 need -= shared_pages
                 shortfall = need - free
-                if 0 < shortfall <= prefix_cache.evictable_pages(cached_nodes):
+                if prefix_cache.can_reclaim(shortfall, cached_nodes):
                     # Reclaim unreferenced cached blocks before refusing
                     # admission, shielding the blocks this request matched.
                     # When even a full eviction pass could not cover the

@@ -7,7 +7,9 @@ alloc/free/evict/preempt interleavings, a differential oracle for the
 incremental eviction bookkeeping, and naive references for the memoised
 block keys and the index-probed match."""
 
+import collections
 import functools
+import gc
 import heapq
 import random
 
@@ -589,7 +591,8 @@ def test_evictable_pages_respects_pins(llama7b):
     cache.release(1)
     # Request 0 still pins A and B; only the C -> D tail is reclaimable.
     assert cache.evictable_pages() == 2
-    protect = cache._request_blocks[0]
+    protect = _linear_walk(cache, base)
+    assert len(protect) == 2
     assert cache.evictable_pages(protect) == 2
     cache.release(0)
     assert cache.evictable_pages() == 4
@@ -597,43 +600,188 @@ def test_evictable_pages_respects_pins(llama7b):
     assert cache.evictable_pages(cache.match(extended)[0]) == 1
 
 
+def test_dropped_cache_leaves_no_reference_cycles(llama7b):
+    """A radix tree of hundreds of blocks is freed by reference counting
+    alone: no node holds its children, so the tree has no cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        mgr = _manager(llama7b)
+        cache = PrefixCache(mgr)
+        for rid in range(4):
+            request = _request(rid, [(0, 512), (rid + 1, 1024)])
+            mgr.allocate(rid, request.prompt_len)
+            cache.acquire(request, cache.match(request)[0])
+            cache.insert(request)
+        assert cache.cached_pages >= 100
+        cache.release(0)
+        del mgr, cache, request
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class _RecordingSlot:
+    """A ``_RadixNode`` slot that logs which nodes have it written."""
+
+    def __init__(self, slot, log):
+        self.slot, self.log = slot, log
+
+    def __get__(self, node, owner=None):
+        return self if node is None else self.slot.__get__(node, owner)
+
+    def __set__(self, node, value):
+        self.log.add(id(node))
+        self.slot.__set__(node, value)
+
+
+def test_acquire_and_release_write_one_node(llama7b, monkeypatch):
+    """Pinning a 200-block chain and unpinning it touch only its tip."""
+    mgr = _manager(llama7b)
+    cache = PrefixCache(mgr)
+    first = _request(0, [(1, 200 * 16), (2, 8)])
+    mgr.allocate(0, first.prompt_len)
+    cache.acquire(first, cache.match(first)[0])
+    cache.insert(first)
+    cache.release(0)
+    second = _request(1, [(1, 200 * 16), (3, 8)])
+    nodes, _ = cache.match(second)
+    assert len(nodes) == 200
+    written = set()
+    node_class = prefix_cache_module._RadixNode
+    for name in node_class.__slots__:
+        monkeypatch.setattr(node_class, name,
+                            _RecordingSlot(getattr(node_class, name), written))
+    cache.acquire(second, nodes)
+    assert written == {id(nodes[-1])}
+    cache.release(1)
+    assert written == {id(nodes[-1])}
+    assert cache.total_ref_count == 0
+
+
+def test_admission_bound_falls_back_to_exact_count(llama7b):
+    """``can_reclaim`` answers from its O(1) bound when the pool has slack
+    and counts exactly when pinned chains overlap enough to defeat it."""
+    mgr = _manager(llama7b)
+    cache = PrefixCache(mgr)
+    for rid in range(3):                      # three pins on one 4-block chain
+        request = _request(rid, [(1, 64), (2, 8)])
+        mgr.allocate(rid, request.prompt_len)
+        cache.acquire(request, cache.match(request)[0])
+        cache.insert(request)
+    other = _request(9, [(5, 96), (6, 8)])    # and a 6-block unpinned chain
+    mgr.allocate(9, other.prompt_len)
+    cache.acquire(other, cache.match(other)[0])
+    cache.insert(other)
+    cache.release(9)
+    assert cache.cached_pages == 10 and cache.total_ref_count == 12
+    assert cache.evictable_pages() == 6
+    exact = []
+    count = cache.evictable_pages
+
+    def counted(protect=()):
+        exact.append(len(protect))
+        return count(protect)
+
+    cache.evictable_pages = counted
+    assert not cache.can_reclaim(0, [])
+    # The bound, 10 - 12 - 0, settles nothing: both answers need the count.
+    assert cache.can_reclaim(6, [])
+    assert not cache.can_reclaim(7, [])
+    assert exact == [0, 0]
+    for rid in range(3):
+        cache.release(rid)
+    # Unpinned, the bound is exact: it settles a fit alone, and a request
+    # one page larger falls through to the count.
+    assert cache.can_reclaim(10, [])
+    assert exact == [0, 0]
+    assert not cache.can_reclaim(11, [])
+    assert exact == [0, 0, 0]
+
+
 # ----------------------------------------------------------------------
-# Differential oracle: incremental eviction bookkeeping vs a full rescan
+# Differential oracle: tip pins and eviction bookkeeping vs a full rescan
 # ----------------------------------------------------------------------
-def _reference_evictable_pages(cache, protect=()):
+def _child_map(cache):
+    """Each cached block's children, keyed by the parent's id, derived
+    from the ``parent`` links alone."""
+    children = {}
+    for key, node in cache._nodes.items():
+        children.setdefault(id(node.parent), {})[key] = node
+    return children
+
+
+def _tip_refcounts(cache):
+    """Per-block refcounts derived from the pinned tips: the number of
+    tips in each block's subtree."""
+    counts = dict.fromkeys(cache._nodes, 0)
+    for tip in cache._request_blocks.values():
+        node = tip
+        while node is not cache._root:
+            counts[node.key] += 1
+            node = node.parent
+    return counts
+
+
+def _reference_evictable_pages(side, protect=()):
     """Whole-tree recount: blocks whose subtree is unreferenced and
-    unprotected (the definition :meth:`PrefixCache.evictable_pages` keeps
-    incrementally)."""
+    unprotected (the definition :meth:`PrefixCache.evictable_pages` keeps),
+    from the reference refcounts."""
     protected = {id(node) for node in protect}
+    children = _child_map(side.cache)
 
     def count(node):
         total, all_free = 0, True
-        for child in node.children.values():
+        for child in children.get(id(node), {}).values():
             below, free = count(child)
             total += below
             all_free = all_free and free
-        pinned = node.ref_count > 0 or id(node) in protected
+        pinned = side.refs[node.key] > 0 or id(node) in protected
         if pinned or not all_free:
             return total, False
         return total + 1, True
 
-    return sum(count(child)[0] for child in cache._root.children.values())
+    return sum(count(child)[0]
+               for child in children.get(id(side.cache._root), {}).values())
 
 
-def _reference_evict(cache, pages_needed, protect=(), *, demote_first=True):
+def _reference_demote(side, pages_needed, protected):
+    """LRU demotion of the blocks the reference refcounts leave
+    unreferenced (the behaviour of :meth:`PrefixCache._demote`)."""
+    cache, mgr = side.cache, side.mgr
+    heap = [(node.last_used, key) for key, node in cache._nodes.items()
+            if side.refs[key] == 0 and not node.demoted
+            and id(node) not in protected]
+    heapq.heapify(heap)
+    reclaimed = 0
+    while heap and reclaimed < pages_needed:
+        node = cache._nodes[heapq.heappop(heap)[1]]
+        before = mgr.free_pages
+        mgr.demote_shared_page()
+        node.demoted = True
+        cache.stats.demoted_pages_total += 1
+        reclaimed += mgr.free_pages - before
+    cache.stats.peak_demoted_pages = max(cache.stats.peak_demoted_pages,
+                                         mgr.demoted_pages)
+    return reclaimed
+
+
+def _reference_evict(side, pages_needed, protect=(), *, demote_first=True):
     """LRU leaf eviction with the candidate heap rebuilt from the whole tree
     on every call (the behaviour :meth:`PrefixCache.evict` must match)."""
     if pages_needed <= 0:
         return 0
+    cache = side.cache
     protected = {id(node) for node in protect}
     reclaimed = 0
     if cache.demotion and demote_first:
-        reclaimed = cache._demote(pages_needed, protected)
+        reclaimed = _reference_demote(side, pages_needed, protected)
         if reclaimed >= pages_needed:
             return reclaimed
 
     def evictable(node):
-        return (node.ref_count == 0 and not node.children
+        return (side.refs[node.key] == 0
+                and id(node) not in _child_map(cache)
                 and id(node) not in protected)
 
     heap = [(node.last_used, key) for key, node in cache._nodes.items()
@@ -655,7 +803,13 @@ def _reference_evict(cache, pages_needed, protect=(), *, demote_first=True):
 
 class _Side:
     """One cache, its KV manager and eviction log, and the eviction methods
-    under comparison: the cache's own, or the whole-tree references."""
+    under comparison: the cache's own, or the whole-tree references.
+
+    Every side keeps reference bookkeeping next to its cache: each
+    request's block list, from what :meth:`PrefixCache.match` returned and
+    what :meth:`PrefixCache.insert` published, and per-block refcounts
+    over those lists.  The reference methods read only these.
+    """
 
     def __init__(self, llama7b, system, demotion, reference):
         probe = _manager(llama7b, system=system)
@@ -664,10 +818,13 @@ class _Side:
             capacity_bytes=48 * probe.bytes_per_page(), page_size=16,
             max_seq_len=1536)
         self.cache = PrefixCache(self.mgr, demotion=demotion)
+        self.chains = {}
+        self.refs = collections.Counter()
+        self.reference = reference
         if reference:
-            self.evict = functools.partial(_reference_evict, self.cache)
+            self.evict = functools.partial(_reference_evict, self)
             self.evictable_pages = functools.partial(
-                _reference_evictable_pages, self.cache)
+                _reference_evictable_pages, self)
         else:
             self.evict = self.cache.evict
             self.evictable_pages = self.cache.evictable_pages
@@ -675,6 +832,7 @@ class _Side:
         evict_node = self.cache._evict_node
 
         def logged(node):
+            assert self.refs[node.key] == 0
             self.evicted.append(node.key)
             evict_node(node)
 
@@ -682,7 +840,13 @@ class _Side:
         self.requests = {}
 
     def admit(self, rid, segments):
-        """Scheduler-style admission: match, evict to fit, allocate, pin."""
+        """Scheduler-style admission: match, evict to fit, allocate, pin.
+
+        Returns whether it admitted, and whether it chose to evict.  The
+        choice is :meth:`PrefixCache.can_reclaim` on the cache's own side
+        and the whole-tree recount on the reference side; both equal
+        ``0 < shortfall <= evictable_pages``.
+        """
         request = self.requests[rid] = _request(rid, segments)
         nodes, _ = self.cache.match(request)
 
@@ -691,13 +855,34 @@ class _Side:
                     + self.cache.promotion_page_need(nodes)
                     - self.mgr.free_pages)
 
-        if 0 < shortfall() <= self.evictable_pages(nodes):
+        exact = 0 < shortfall() <= self.evictable_pages(nodes)
+        if not self.reference:
+            assert self.cache.can_reclaim(shortfall(), nodes) == exact
+        if exact:
             self.evict(shortfall(), nodes)
         if shortfall() > 0:
-            return False
+            return False, exact
         self.mgr.allocate(rid, request.prompt_len, len(nodes))
         self.cache.acquire(request, nodes)
-        return True
+        self.chains[rid] = list(nodes)
+        self.refs.update(node.key for node in nodes)
+        return True, exact
+
+    def insert(self, rid):
+        """Publish ``rid``'s blocks; the published ones extend its list."""
+        request = self.requests[rid]
+        published = self.cache.insert(request)
+        chain = self.chains[rid]
+        keys = _naive_block_keys(request, self.cache.page_size)
+        chain.extend(self.cache._nodes[key]
+                     for key in keys[len(chain):len(chain) + published])
+        self.refs.update(node.key for node in chain[len(chain) - published:])
+        return published, chain
+
+    def release(self, rid):
+        self.cache.release(rid)
+        self.mgr.free(rid)
+        self.refs.subtract(node.key for node in self.chains.pop(rid))
 
     def clear(self):
         return self.evict(len(self.cache._nodes), demote_first=False)
@@ -710,19 +895,20 @@ def _random_segments(rng):
     return segments
 
 
-def _tree(cache):
-    return {key: (node.ref_count, node.demoted, node.last_used,
+def _tree(cache, refcounts):
+    return {key: (refcounts[key], node.demoted, node.last_used,
                   node.parent.key)
             for key, node in cache._nodes.items()}
 
 
 def _linear_walk(cache, request):
     """Reference walk: the request's cached chain, child by child from the
-    radix tree's root."""
+    radix tree's root, over children derived from the parent links."""
+    children = _child_map(cache)
     nodes = []
     node = cache._root
     for key in _naive_block_keys(request, cache.page_size, cache.namespace):
-        node = node.children.get(key)
+        node = children.get(id(node), {}).get(key)
         if node is None:
             break
         nodes.append(node)
@@ -740,11 +926,16 @@ def _linear_match(cache, request):
 
 def _assert_agree(fast, ref, segments):
     cache = fast.cache
-    assert _tree(cache) == _tree(ref.cache)
+    derived = _tip_refcounts(cache)
+    # The refcounts the tips imply are the reference ones, on both sides.
+    for side in (fast, ref):
+        assert _tip_refcounts(side.cache) == {
+            key: side.refs[key] for key in side.cache._nodes}
+        assert side.cache.total_ref_count == sum(side.refs.values())
+    assert _tree(cache, derived) == _tree(ref.cache, ref.refs)
     assert fast.evicted == ref.evicted
     assert fast.mgr.free_pages == ref.mgr.free_pages
-    unreferenced = sum(1 for n in ref.cache._nodes.values()
-                       if n.ref_count == 0)
+    unreferenced = sum(1 for key in ref.cache._nodes if ref.refs[key] == 0)
     assert cache.unreferenced_pages == unreferenced
     # Protect with the (non-mutating) cached chain of a probe prompt; the
     # index-probed lookup must find the same length as the child walk.
@@ -757,7 +948,7 @@ def _assert_agree(fast, ref, segments):
     assert cache.evictable_pages(chain_fast) == ref.evictable_pages(chain_ref)
     for node in cache._nodes.values():
         if node.parent is not cache._root:
-            assert node.parent.ref_count >= node.ref_count
+            assert derived[node.parent.key] >= derived[node.key]
 
 
 def _drive(llama7b, system, demotion, steps, seed, weights):
@@ -777,24 +968,22 @@ def _drive(llama7b, system, demotion, steps, seed, weights):
         if op == "admit":
             admitted = {side.admit(step, segments) for side in sides}
             assert len(admitted) == 1
-            if admitted.pop():
+            if admitted.pop()[0]:
                 pending.append(step)
         elif op == "insert" and pending:
             rid = pending.pop(rng.randrange(len(pending)))
             for side in sides:
                 tick = side.cache._tick
-                published = side.cache.insert(side.requests[rid])
-                refs = side.cache._request_blocks[rid]
-                assert [node.last_used for node in refs[
-                    len(refs) - published:]] == list(
+                published, chain = side.insert(rid)
+                assert [node.last_used for node in chain[
+                    len(chain) - published:]] == list(
                         range(tick + 1, tick + 1 + published))
             inserted.append(rid)
         elif op == "release" and (pending or inserted):
             pool = rng.choice([p for p in (pending, inserted) if p])
             rid = pool.pop(rng.randrange(len(pool)))
             for side in sides:
-                side.cache.release(rid)
-                side.mgr.free(rid)
+                side.release(rid)
         elif op == "match":
             for side in sides:
                 probe = _request(-1, segments)
@@ -839,9 +1028,11 @@ def _drive(llama7b, system, demotion, steps, seed, weights):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_eviction_bookkeeping_matches_full_rescan(llama7b, system, demotion,
                                                   seed):
-    """``evictable_pages``, ``unreferenced_pages`` and the LRU eviction order
-    equal a whole-tree recount and a per-call candidate rebuild after every
-    operation of a random admission/insert/release/evict interleaving."""
+    """``evictable_pages``, ``unreferenced_pages``, ``total_ref_count``, the
+    tips' implied refcounts and the LRU eviction order equal whole-tree
+    recounts over reference bookkeeping and a per-call candidate rebuild
+    after every operation of a random admission/insert/release/evict
+    interleaving."""
     fast, _ = _drive(llama7b, system, demotion, steps=400, seed=seed,
                      weights=(6, 4, 5, 3, 2, 0.1))
     assert fast.evicted                       # the pool really overflowed
