@@ -5,13 +5,13 @@ replica (possibly tensor-parallel across several GPUs).  Production
 deployments run many such replicas behind a load balancer; this module
 simulates that tier.  :class:`ClusterEngine` drives N replica
 :class:`~repro.serving.engine.EngineStepper` loops against one shared clock:
-requests are dispatched in arrival order, every replica is advanced to the
-arrival instant first, and the pluggable :class:`Router` then picks a
-replica using the queue state *at that moment* — exactly the information a
-real load balancer has.  Disaggregated, autoscaled, mixed-precision and
-multiplexed fleets (below) run on that same event loop and compose where
-their meanings do: only role-specialised replicas with autoscaling are
-refused.
+requests are dispatched in arrival order, every replica whose queue state
+could change by the arrival instant is advanced to it first, and the
+pluggable :class:`Router` then picks a replica using the queue state *at
+that moment* — exactly the information a real load balancer has.
+Disaggregated, autoscaled, mixed-precision and multiplexed fleets (below)
+run on that same event loop and compose where their meanings do: only
+role-specialised replicas with autoscaling are refused.
 
 Routers shipped by default:
 
@@ -151,12 +151,14 @@ def _least_outstanding(hosts: Sequence,
 class Router(abc.ABC):
     """Chooses the replica each arriving request is dispatched to.
 
-    ``route`` sees the replica steppers with their simulation advanced to
-    the request's arrival time, so queue-state views
-    (:attr:`EngineStepper.outstanding_requests`,
-    :attr:`EngineStepper.pending_prefill_tokens`) reflect what a load
-    balancer would observe at that instant.  Ties break toward the lowest
-    replica index, keeping every router deterministic.
+    ``route`` sees every replica's views as of the request's arrival time,
+    so queue-state views (:attr:`EngineStepper.outstanding_requests`,
+    :attr:`EngineStepper.pending_prefill_tokens`, prefix-cache probes)
+    reflect what a load balancer would observe at that instant.  A replica
+    whose :meth:`EngineStepper.stable_until` bound is at or after the
+    arrival may still have its clock behind it: up to its next ``step`` it
+    only coasts, which changes none of those views.  Ties break toward the
+    lowest replica index, keeping every router deterministic.
     """
 
     #: Registry key; subclasses override.
@@ -730,6 +732,20 @@ class _MultiplexReplica:
 _Host = Union[EngineStepper, _MultiplexReplica]
 
 
+class _Bounds(dict):
+    """Host -> its :meth:`EngineStepper.stable_until`, read on first use.
+
+    The cluster loop drops a host's entry when the host runs or receives
+    work.  Between two advances only a route hands a host work: provisions
+    and drains happen at ticks, whose advance runs every live host and so
+    drops every entry.
+    """
+
+    def __missing__(self, host: _Host) -> float:
+        bound = self[host] = host.stable_until()
+        return bound
+
+
 # ----------------------------------------------------------------------
 # Cluster engine
 # ----------------------------------------------------------------------
@@ -740,8 +756,10 @@ class ClusterEngine:
     engine — the cost model is stateless — but owns its scheduler, KV cache
     and clock.  Replicas are independent once requests are assigned, so the
     shared-clock simulation only has to synchronise at events: before each
-    routing, migration or scaling decision all live replicas advance to the
-    event instant, giving the decision an honest view of queue depths then.
+    routing, migration or scaling decision the live replicas advance to the
+    event instant — for a routing decision, only those whose queue state
+    could change before it — giving the decision an honest view of queue
+    depths then.
 
     ``systems`` makes the fleet *heterogeneous*: one system preset (name or
     :class:`~repro.serving.precision.SystemConfig`) per replica, so an FP16
@@ -907,7 +925,9 @@ class ClusterEngine:
         among the active prefill-capable slots) and autoscaler ticks.  Each
         turn advances the hosts toward the next arrival or tick ``t`` —
         prefill-role hosts to ``t``, every other host no further than the
-        earliest pending handoff — and handles one event.  A tick with no
+        earliest pending handoff, and on a role-free fleet of plain hosts
+        an arrival other than the last only the hosts it can observe (see
+        :meth:`_Fleet.advance`) — and handles one event.  A tick with no
         arrival left, no slot starting and no host stepped ends the ticking;
         the loop stops once no event is left, after every host has run as
         far as it can.
@@ -1049,6 +1069,11 @@ class _Fleet:
         self.assigned: Dict[EngineStepper, List[Request]] = defaultdict(list)
         self.migrations_in: Dict[EngineStepper, int] = defaultdict(int)
         self.seen_finished: Dict[EngineStepper, int] = defaultdict(int)
+        #: Whether arrivals advance hosts lazily (see :meth:`advance`): not
+        #: on multiplexed replicas, whose turns have no bound, nor with
+        #: prefill roles, whose handoffs may land work at any time.
+        self.lazy = self.multiplex is None and not self.cluster.disaggregated
+        self.bounds = _Bounds()
         for slot in range(pool if self.scaler is None
                           else self.scaler.config.min_replicas):
             self.provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
@@ -1173,12 +1198,19 @@ class _Fleet:
         self.scaler.commit(ScalingEvent(now, action, slot, len(self.active),
                                         reason))
 
-    def advance(self, t: float) -> bool:
-        """Run every live host toward ``t``; whether any host stepped.
+    def advance(self, t: float, lazy: bool = False) -> bool:
+        """Run the live hosts toward ``t``; whether any host stepped.
 
         Prefill-role hosts receive only arrivals, so they run to ``t`` and
         their handoffs are collected first; every other host then stops at
         the earliest handoff still to route, which may land work on it.
+
+        ``lazy`` runs only the hosts an arrival can observe: those whose
+        :meth:`EngineStepper.stable_until` is before ``t``.  Any other host
+        would only coast, which changes none of the views a router reads,
+        so it stays behind and coasts the same iterations when a later
+        event runs it (:meth:`route` runs the chosen one first).  Starting
+        slots whose cold start has ended still become active.
         """
         progressed, handoffs, tiebreak = False, self.handoffs, self.tiebreak
         for host in self.exporters:
@@ -1190,15 +1222,24 @@ class _Fleet:
                 stepper.outbox.clear()
         horizon = min(t, handoffs[0][0]) if handoffs else t
         for host in self.followers:
+            # A host whose clock is at ``t`` already would do nothing.
+            if lazy and (host.now >= t or self.bounds[host] >= t):
+                continue
+            self.bounds.pop(host, None)
             progressed = host.run_until(horizon) or progressed
         for slot in [s for s in self.starting if self.ready_at[s] <= t]:
             self._set_state(slot, "active")
         return progressed
 
     def route(self, request: Request) -> None:
-        """Dispatch an arrival to the host the router picks."""
+        """Dispatch an arrival to the host the router picks.
+
+        A host a lazy :meth:`advance` left behind coasts to the arrival
+        before it receives the request, and its bound is dropped."""
         host = self.arrival_hosts[self.router.route(request,
                                                     self.arrival_hosts)]
+        if self.bounds.pop(host, -math.inf) >= request.arrival_time:
+            host.run_until(request.arrival_time)
         self.assigned[host.stepper_for(request)].append(request)
         host.submit(request)
 
@@ -1211,9 +1252,15 @@ class _Fleet:
                                                  done_time)] += 1
 
     def run(self, requests: Iterable[Request]) -> None:
-        """The event loop: one event per turn, handoff < arrival < tick."""
+        """The event loop: one event per turn, handoff < arrival < tick.
+
+        Each turn first advances the hosts toward the event (lazily for
+        every arrival but the last, when :attr:`lazy`)."""
         arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        pos = 0
+        # Arrivals before ``lazy_end`` advance lazily.  The last one does
+        # not: after it the stop rule reads ``progressed``, so from there on
+        # every host runs to every event.
+        pos, lazy_end = 0, len(arrivals) - 1 if self.lazy else 0
         next_tick = interval = (math.inf if self.scaler is None
                                 else self.scaler.config.interval_s)
         while True:
@@ -1223,7 +1270,7 @@ class _Fleet:
             # Read before advancing: a slot whose cold start ends by ``t``
             # still keeps this tick from being the last.
             starting = bool(self.starting)
-            progressed = self.advance(t)
+            progressed = self.advance(t, next_arrival == t and pos < lazy_end)
             if self.handoffs and self.handoffs[0][0] <= t:
                 self.hand_off()
             elif t == math.inf:

@@ -38,7 +38,8 @@ one iteration per ``step`` or up to a time with ``run_until`` — the hook
 :class:`repro.serving.cluster.ClusterEngine` uses to run several replica
 engines against one shared clock.  ``run_until`` coasts through the plain
 decode iterations that hold no event, so a run pays per event, not per
-iteration.
+iteration; ``stable_until`` bounds when the next non-coast iteration can
+start, so the cluster runs a replica only when an event can observe it.
 
 With a :class:`repro.serving.speculative.SpeculativeConfig` attached, decode
 iterations run speculatively: a draft engine proposes ``k`` tokens per
@@ -818,6 +819,50 @@ class EngineStepper:
         """The stepper that would serve ``request`` on this replica."""
         return self
 
+    def stable_until(self) -> float:
+        """A lower bound on when this stepper's next :meth:`step` starts.
+
+        Until then :meth:`run_until` only coasts (see :meth:`_coast`), which
+        changes nothing a router, the drain target or the autoscaler reads:
+        no request arrives, is admitted, prefills, gets a first token,
+        finishes or is shed, and no prefix-cache block moves.  So a cluster
+        may leave this stepper behind an event at or before the bound and
+        coast it later, to the same iterations.
+
+        ``inf`` with nothing left to do, ``now`` when the next iteration
+        would be a step.  Otherwise the window holds ``quiet`` iterations
+        (``claim`` of them when a claim pass may find fewer free pages than
+        the batch: a decoder claims at most ``quiet // page_size + 1``
+        pages in the window), each priced no lower than the first, since a
+        latency row does not decrease along context.  The margin, a
+        relative 1e-9 plus two ulps of the window's end per iteration,
+        covers the rounding of the clock's sequential sum even far from
+        t=0.  The bound is capped at the next pending arrival, whose
+        admission pass ends the window.
+        """
+        scheduler = self.scheduler
+        quiet, claim = scheduler.decode_window()
+        if (quiet <= 0 or self.spec is not None
+                or scheduler.admission_skips() is None
+                or (self.scheduling.free_tier_drop_after_s is not None
+                    and scheduler.ready)):
+            return math.inf if scheduler.all_done else self.now
+        batch = len(scheduler.running)
+        kv = scheduler.kv_manager
+        if claim < quiet and kv.free_pages < batch * (
+                quiet // kv.page_size + 2):
+            quiet = claim
+        context = scheduler.decode_context_len()
+        row, start = self.engine.cost_cache.row(batch, context)
+        slot = context - start
+        latency = row[slot] if slot < len(row) else math.nan
+        if latency != latency:
+            latency = self._price_slot(row, start, slot, batch)
+        end = self.now + quiet * latency
+        bound = end - quiet * (latency * 1e-9 + 2 * math.ulp(end))
+        arrival = scheduler.next_available_time()
+        return bound if arrival is None else min(bound, arrival)
+
     def evacuate(self, now: float) -> Tuple[List[Request], List[Request]]:
         """Empty this replica at ``now`` for a scale-down drain.
 
@@ -966,8 +1011,10 @@ class EngineStepper:
         The call first resumes the quiet decode window an earlier call's
         horizon cut short, and follows each :meth:`step` with a coast
         through the quiet iterations after it (both :meth:`_coast`), so a
-        run pays per event, not per iteration.  Returns whether any
-        iteration or idle jump ran.
+        run pays per event, not per iteration.  A cluster calls it only
+        when an event can observe the replica (see :meth:`stable_until`),
+        so a window may resume many events after the call that cut it.
+        Returns whether any iteration or idle jump ran.
         """
         iterations = self.iterations
         self._coast(t)
@@ -1027,8 +1074,8 @@ class EngineStepper:
             return
         batch = len(scheduler.running)  # nothing prefills: all decode
         context = scheduler.decode_context_len()
-        engine, tracer, kv = self.engine, self.tracer, scheduler.kv_manager
-        row, start = engine.cost_cache.row(batch, context)
+        tracer, kv, nan = self.tracer, scheduler.kv_manager, math.nan
+        row, start = self.engine.cost_cache.row(batch, context)
         slot, size = context - start, len(row)
         busy, free = self.busy_s, None  # free pages: read at the first claim
         # ``d`` is the decode iteration about to run: the window ends before
@@ -1044,15 +1091,10 @@ class EngineStepper:
                 scheduler.decode_iterations = d
                 free -= scheduler.claim_crossings()
                 due = d + scheduler.decode_window()[1]
-            if slot < size:
-                latency = row[slot]
-                if latency != latency:  # NaN: not yet priced
-                    latency = row[slot] = engine.mixed_step(
-                        (), batch, start + slot).total
-            else:
-                latency = engine.mixed_step((), batch, start + slot).total
-                row.append(latency)
-                size += 1
+            latency = row[slot] if slot < size else nan
+            if latency != latency:  # NaN: not yet priced
+                latency = self._price_slot(row, start, slot, batch)
+                size = len(row)
             slot += 1
             t0 = now
             now += latency
@@ -1072,6 +1114,17 @@ class EngineStepper:
             self.peak_batch = max(self.peak_batch, batch)
             self.kv_utilization_peak = max(self.kv_utilization_peak,
                                            kv.utilization())
+
+    def _price_slot(self, row, start: int, slot: int, batch: int) -> float:
+        """Price slot ``slot`` of ``batch``'s latency row from context
+        ``start`` — a NaN placeholder or the next append — by the same
+        ``mixed_step`` call :meth:`step` makes, and store it."""
+        latency = self.engine.mixed_step((), batch, start + slot).total
+        if slot < len(row):
+            row[slot] = latency
+        else:
+            row.append(latency)
+        return latency
 
     # ------------------------------------------------------------------
     def result(self, workload: Workload) -> ServingResult:

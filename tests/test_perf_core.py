@@ -42,6 +42,7 @@ from repro.serving import (
     make_lognormal_workload,
     make_uniform_workload,
 )
+from repro.serving.cluster import _Fleet
 
 LLAMA7B = get_config("llama-2-7b")
 QSERVE = SYSTEM_PRESETS["qserve-w4a8kv4-chn"]
@@ -576,35 +577,47 @@ def test_quiet_decode_costs_one_step_per_event(monkeypatch, scheduling):
 
 
 def test_fleet_windows_resume_without_a_step(monkeypatch):
-    """A steady fleet (8 replicas, as fleet-static) calls each replica's ``run_until`` once per arrival,
-    and most calls land inside a quiet window an earlier horizon cut: they
-    resume it without a ``step``.  Inside windows iterations read cached
-    latency rows, so ``mixed_step`` runs for well under half of them.
-    (Before windows resumed and read rows, every call opened with a
-    ``step`` and every iteration ran ``mixed_step``.)"""
-    calls = {"step": 0, "run_until": 0, "mixed_step": 0}
+    """A steady fleet (8 replicas, as fleet-static) runs a replica only when
+    an event can observe it: an arrival advances the hosts whose
+    ``stable_until`` bound is before it, plus the host it is routed to.  So
+    it makes under half the ``run_until`` calls of the rule that ran every
+    replica to every arrival, with exactly the same ``step`` calls.  Inside
+    quiet windows iterations read cached latency rows, so ``mixed_step``
+    runs for well under half of them.  (Before windows resumed and read
+    rows, every call opened with a ``step`` and every iteration ran
+    ``mixed_step``.)"""
+    def serve(eager):
+        calls = {"step": 0, "run_until": 0, "mixed_step": 0}
+        with monkeypatch.context() as patch:
+            for cls, name in ((EngineStepper, "step"),
+                              (EngineStepper, "run_until"),
+                              (ServingEngine, "mixed_step")):
+                method = getattr(cls, name)
 
-    def counted(cls, name):
-        method = getattr(cls, name)
+                def wrapper(*args, _name=name, _method=method, **kwargs):
+                    calls[_name] += 1
+                    return _method(*args, **kwargs)
+                patch.setattr(cls, name, wrapper)
+            if eager:
+                advance = _Fleet.advance
+                patch.setattr(_Fleet, "advance",
+                              lambda self, t, lazy=False: advance(self, t))
+            cluster = ClusterEngine(LLAMA7B, A100, QSERVE, num_replicas=8,
+                                    max_seq_len=4096)
+            result = cluster.serve(
+                make_bursty_workload(800, burst_rate=48.0,
+                                     lognormal_lengths=True, seed=5),
+                router="least-outstanding", max_num_seqs=32,
+                scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+        return result, calls
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return method(*args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(EngineStepper, "step")
-    counted(EngineStepper, "run_until")
-    counted(ServingEngine, "mixed_step")
-    cluster = ClusterEngine(LLAMA7B, A100, QSERVE, num_replicas=8,
-                            max_seq_len=4096)
-    result = cluster.serve(
-        make_bursty_workload(800, burst_rate=48.0, lognormal_lengths=True,
-                             seed=5),
-        router="least-outstanding", max_num_seqs=32,
-        scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+    result, calls = serve(eager=False)
+    _, eager = serve(eager=True)
     iterations = sum(r.num_iterations for r in result.replica_results)
     assert result.num_finished == 800 and iterations > 20000
-    # Measured: 2738 steps for 6408 calls, and 12653 prices for 37010
-    # iterations (6936 steps and 37010 prices before).
-    assert calls["step"] < 0.6 * calls["run_until"]
+    # Measured: 2738 steps for 2186 calls (6408 calls when every replica
+    # ran to every arrival), and 12696 prices for 37010 iterations (6936
+    # steps and 37010 prices before windows).
+    assert calls["step"] == eager["step"]
+    assert calls["run_until"] < 0.5 * eager["run_until"]
     assert calls["mixed_step"] < 0.5 * iterations
