@@ -1033,7 +1033,10 @@ class EngineStepper:
         Each one is exactly the iteration :meth:`step` would run: admission
         is a no-op (nothing pending is available yet, and the ready queue is
         empty or blocked by the cap or a full pool — see
-        :meth:`~ContinuousBatchingScheduler.admission_skips`), nothing
+        :meth:`~ContinuousBatchingScheduler.admission_skips` — or, under
+        tier pressure, holds only young free-tier requests, which each pass
+        defers until the oldest ages: the window ends at that
+        :meth:`~ContinuousBatchingScheduler.deferral_cut`), nothing
         prefills, and no first token or finish falls due
         (:meth:`~ContinuousBatchingScheduler.decode_window`).  These checks
         read only the stepper's state, so the window may start after a
@@ -1052,20 +1055,24 @@ class EngineStepper:
         (:meth:`~ContinuousBatchingScheduler.claim_crossings`) while at
         least one page per decoder is free — a plain crossing claims one
         page, so the pass cannot evict or preempt — and otherwise ends the
-        window.  KV use only grows in a window, so its peak is read once, at
-        the end.  A speculative stepper never coasts, since its
-        commits vary per request; a prefill-role stepper exports each
-        finished prefill within its step, so it never holds a batch to
-        coast.
+        window; a deferring window also keeps one page more, so the pool
+        never empties and turns its passes into fast skips.  KV use only
+        grows in a window, so its peak is read once, at the end.  A
+        speculative stepper never coasts, since its commits vary per
+        request; a prefill-role stepper exports each finished prefill
+        within its step, so it never holds a batch to coast.
         """
         scheduler = self.scheduler
         quiet, claim = scheduler.decode_window()
         if quiet <= 0 or self.spec is not None:
             return
-        skips = scheduler.admission_skips()
-        if skips is None or (self.scheduling.free_tier_drop_after_s
-                             is not None and scheduler.ready):
-            return  # admission would scan, or shed by the clock
+        skips, deferred = scheduler.admission_skips(), 0
+        if skips is None:  # a scan (the cut is -inf), or deferrals
+            skips, deferred = 0, len(scheduler.ready)
+            t = min(t, scheduler.deferral_cut())
+        elif (self.scheduling.free_tier_drop_after_s is not None
+              and scheduler.ready):
+            return  # admission would shed by the clock
         arrival = scheduler.next_available_time()
         if arrival is not None and arrival < t:
             t = arrival  # the admission pass at ``arrival`` is an event
@@ -1078,6 +1085,7 @@ class EngineStepper:
         row, start = self.engine.cost_cache.row(batch, context)
         slot, size = context - start, len(row)
         busy, free = self.busy_s, None  # free pages: read at the first claim
+        floor = batch + 1 if deferred else batch  # free pages a claim needs
         # ``d`` is the decode iteration about to run: the window ends before
         # ``end``, and the next crossing pass is due at ``due``.
         first = d = scheduler.decode_iterations
@@ -1086,7 +1094,7 @@ class EngineStepper:
             if d >= due:
                 if free is None:
                     free = kv.free_pages
-                if free < batch:
+                if free < floor:
                     break
                 scheduler.decode_iterations = d
                 free -= scheduler.claim_crossings()
@@ -1108,6 +1116,7 @@ class EngineStepper:
             # A plain decode step with no event is the decode counter's tick.
             scheduler.decode_iterations = d
             scheduler.admission_fast_skips += skips * ran
+            scheduler.tier_deferrals += deferred * ran
             self.now, self.busy_s = now, busy
             self.iterations += ran
             self.generated += batch * ran

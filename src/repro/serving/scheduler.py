@@ -52,9 +52,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationError
 from repro.serving.policies import (LEGACY_SCHEDULING, SchedulerPolicy,
@@ -157,6 +158,13 @@ class ContinuousBatchingScheduler:
     dropped: List[Request] = field(init=False, default_factory=list)
     tier_deferrals: int = field(init=False, default=0)
     drops_by_tier: Dict[str, int] = field(init=False, default_factory=dict)
+    #: :meth:`_aging_cut` of ``ready``, or ``None`` when stale:
+    #: :meth:`_make_ready` folds each entry in, and admission and
+    #: :meth:`take_waiting` clear it.  A removal only raises the true
+    #: cut, so a cut left stale is early, which costs speed but never
+    #: results; shedding, the other way out of ``ready``, runs only where
+    #: the cut is never read.
+    _ready_cut: Optional[float] = field(init=False, default=None)
     #: Lazy decode accounting (see ``docs/PERFORMANCE.md``).  Plain decode
     #: steps run so far: a plain-decoding request's ``generated`` is derived
     #: from this counter instead of being written every step.
@@ -248,6 +256,7 @@ class ContinuousBatchingScheduler:
         """Empty both queues; returns their requests in availability order."""
         waiting = self.waiting
         self.ready, self.pending = [], []
+        self._ready_cut = None
         return waiting
 
     def _make_ready(self, request: Request) -> None:
@@ -272,6 +281,9 @@ class ContinuousBatchingScheduler:
             bisect.insort(self.ready, request, key=self.policy.admission_key)
         else:
             self.ready.append(request)  # admit() sorts the queue
+        if self._ready_cut is not None:
+            self._ready_cut = min(self._ready_cut,
+                                  self._aging_cut((request,)))
 
     # ------------------------------------------------------------------
     # Admission
@@ -300,15 +312,17 @@ class ContinuousBatchingScheduler:
 
         The scan is *incremental*: steps on which admission provably cannot
         change anything — the sequence cap is already reached, no waiting
-        request has arrived yet, or (without a prefix cache) the KV cache
-        has no free page and no waiting request can ever need zero — return
-        immediately without walking the queue, and the scan loop stops the
-        moment the cap is hit or a no-bypass policy blocks.  Every fast path
-        is a pure short-circuit of the full scan: the admissions it returns
-        and the queue it leaves behind are identical, step for step.  The
-        scan walks the ready queue in place, which a static policy key keeps
-        in admission order between passes, so a pass costs the requests it
-        moves or scans, not the backlog.  A scanned request costs a few
+        request has arrived yet, (without a prefix cache) the KV cache
+        has no free page and no waiting request can ever need zero, or every
+        waiting request is a young free-tier one under pressure
+        (:meth:`deferral_cut`) — return immediately without walking the
+        queue, and the scan loop stops the moment the cap is hit, a
+        no-bypass policy blocks or pressure defers the young free-tier
+        requests left.  Every fast path is a pure short-circuit of the full
+        scan: the admissions it returns and the queue it leaves behind are
+        identical, step for step.  The scan walks the ready queue in place,
+        which a static policy key keeps in admission order between passes,
+        so a pass costs the requests it moves or scans, not the backlog.  A scanned request costs a few
         comparisons: its page demand was stamped when it became ready
         (:meth:`_make_ready`), and free pages are read again only after an
         admission or a prefix eviction.
@@ -326,6 +340,9 @@ class ContinuousBatchingScheduler:
         if skips is not None:
             self.admission_fast_skips += skips
             return []
+        if tier_admission and now < self.deferral_cut():
+            self.tier_deferrals += len(ready)
+            return []
 
         admitted: List[Request] = []
         kv_manager = self.kv_manager
@@ -336,25 +353,34 @@ class ContinuousBatchingScheduler:
         order = ready
         if tier_admission:
             # Paid tier first; a free-tier request past the aging floor
-            # counts as paid (stable sort keeps the policy order within each
-            # rank).  Tier rank deliberately outranks arrival order — that is
-            # what a priority tier *is* — so even strict-FCFS reorders across
+            # counts as paid, and each part keeps the policy order.  Tier
+            # rank deliberately outranks arrival order — that is what a
+            # priority tier *is* — so even strict-FCFS reorders across
             # tiers when this mode is on.
-            order = sorted(order, key=lambda r: self._tier_rank(r, now))
+            order, young = [], []
+            for request in ready:
+                if (request.tier == "free"
+                        and now - request.available_time < TIER_AGING_S):
+                    young.append(request)
+                else:
+                    order.append(request)
+            first_young = len(order)
+            order += young
         # Free pages move only when this pass admits or evicts, so they are
         # read again only then; the running batch grows only after the pass.
         free = kv_manager.free_pages
         seats = self.max_num_seqs - len(self.running)
         last = 0  # the position in ``order`` of the last admission
         for position, request in enumerate(order):
-            if (tier_admission and self._tier_rank(request, now)
+            if (tier_admission and position >= first_young
                     and self._tier_pressure(len(admitted))):
-                # Deferred free-tier request: a constant-time pre-screen, not
-                # an admission scan — it must not inflate
-                # ``admission_scanned_requests`` (the request was never
-                # examined against pages or the cap).
-                self.tier_deferrals += 1
-                continue
+                # Deferred free-tier requests: a constant-time pre-screen,
+                # not an admission scan — they must not inflate
+                # ``admission_scanned_requests`` (none was examined against
+                # pages or the cap).  A deferral changes nothing pressure
+                # reads, so every young request after this one defers too.
+                self.tier_deferrals += len(order) - position
+                break
             self.admission_scanned_requests += 1
             if len(admitted) >= seats:
                 # The cap blocks this and every later request (nothing below
@@ -426,11 +452,12 @@ class ContinuousBatchingScheduler:
         if not admitted:
             return []  # every arrived request stayed blocked; queue unchanged
         # Drop the admitted requests from the ready queue; the blocked ones
-        # keep their order.  Without the tier sort every admission lies in
-        # the scanned prefix ``ready[:last + 1]``.
+        # keep their order.  Without the tier partition every admission lies
+        # in the scanned prefix ``ready[:last + 1]``.
         end = len(ready) if tier_admission else last + 1
         admitted_ids = {id(r) for r in admitted}
         ready[:end] = [r for r in ready[:end] if id(r) not in admitted_ids]
+        self._ready_cut = None
         self.running.extend(admitted)
         if self._by_key is not None:
             admission_key = self.policy.admission_key
@@ -443,7 +470,8 @@ class ContinuousBatchingScheduler:
         nothing, with every available request already in the ready queue:
         0 with both queues empty, 1 when the sequence cap is reached,
         nothing has arrived yet, or (without a prefix cache) the KV cache
-        has no free page.  ``None`` when the pass must scan."""
+        has no free page.  ``None`` when the pass must scan, or defers every
+        ready request under tier pressure (see :meth:`deferral_cut`)."""
         if not self.ready:
             # Nothing has arrived yet (a skip), or nothing waits at all.
             return 1 if self.pending else 0
@@ -462,16 +490,47 @@ class ContinuousBatchingScheduler:
     # ------------------------------------------------------------------
     # Tier-aware admission (multi-tenant SLO tiers)
     # ------------------------------------------------------------------
-    def _tier_rank(self, request: Request, now: float) -> int:
-        """0 for paid-rank requests, 1 for deferrable free-tier ones.
+    def deferral_cut(self) -> float:
+        """Until when a pass only defers: an :meth:`admit` pass at ``now``
+        that :meth:`admission_skips` answers ``None`` for adds
+        ``len(ready)`` to ``tier_deferrals`` and admits nothing exactly when
+        ``now`` is before the returned instant.
 
-        Free-tier requests that have waited at least :data:`TIER_AGING_S` since
-        becoming available are promoted to paid rank — the aging floor that
-        keeps sustained paid load from starving free traffic forever.
+        That holds while tier admission is on, shedding is off, the replica
+        is under pressure and every ready request is free tier and younger
+        than :data:`TIER_AGING_S`; the instant is when the oldest one ages
+        (``-inf`` when a condition fails).  With the running batch fixed,
+        free pages only fall, so pressure persists and the answer stands
+        until ``ready`` changes.  The cut is kept across calls
+        (``_ready_cut``), so a call costs O(1) except the first after an
+        admission, which walks ``ready`` once, as the admitting pass did.
         """
-        if request.tier != "free":
-            return 0
-        return 1 if now - request.available_time < TIER_AGING_S else 0
+        scheduling = self.scheduling
+        if (not scheduling.tier_admission
+                or scheduling.free_tier_drop_after_s is not None
+                or not self._tier_pressure()):
+            return -math.inf
+        if self._ready_cut is None:
+            self._ready_cut = self._aging_cut(self.ready)
+        return self._ready_cut
+
+    @staticmethod
+    def _aging_cut(requests: Sequence[Request]) -> float:
+        """The first ``now`` at which one of ``requests`` ranks as paid:
+        ``-inf`` when one is paid tier, else the least float with ``now -
+        available_time >= TIER_AGING_S`` for the oldest (the aging floor
+        that keeps sustained paid load from starving free traffic
+        forever), so ``now < cut`` is exactly the aging test for all of
+        them.  ``inf`` for none."""
+        if any(r.tier != "free" for r in requests):
+            return -math.inf
+        since = min((r.available_time for r in requests), default=math.inf)
+        cut = since + TIER_AGING_S
+        while cut - since < TIER_AGING_S:
+            cut = math.nextafter(cut, math.inf)
+        while math.nextafter(cut, -math.inf) - since >= TIER_AGING_S:
+            cut = math.nextafter(cut, -math.inf)
+        return cut
 
     def _tier_pressure(self, extra_seqs: int = 0) -> bool:
         """Is the replica under page or queue pressure right now?

@@ -12,6 +12,8 @@ and the sequence cap (legacy, prefix-aware chat), windows that end at a page
 crossing for lack of pages (chunked prefill with preemption on small pools,
 one where a whole batch crosses on the same iteration), windows that claim
 many staggered crossings, tier-aware admission with and without shedding,
+windows that coast through passes deferring every waiting free-tier request
+and end where the oldest one ages (or where a claim would empty the pool),
 KV demotion under preemption, a disaggregated fleet, an autoscaled fleet
 that drains, and one stepper fed arrival by arrival and advanced in small
 horizons, so its windows are cut and resumed mid-way.  A speculating
@@ -59,6 +61,7 @@ from repro.serving import (
     make_uniform_workload,
 )
 from repro.serving.cluster import _MultiplexReplica
+from repro.serving.scheduler import TIER_AGING_S
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL = get_config("llama-2-7b")
@@ -139,6 +142,31 @@ def _tiered_shed():
     return result
 
 
+def _tiered_deferral(pages=None, scheduling=SCHEDULING_PRESETS["tiered"],
+                     telemetry=None):
+    """Six long paid decodes leave two of eight seats open, so every free
+    request that arrives is deferred until it ages: decode windows coast
+    through the deferring passes and end at the aging cuts."""
+    requests = [Request(request_id=i, prompt_len=128, output_len=3000)
+                for i in range(6)]
+    requests += [Request(request_id=6 + i, prompt_len=128 + 8 * i,
+                         output_len=100, arrival_time=0.25 + 0.3 * i,
+                         tier="free") for i in range(10)]
+    return _engine(pages=pages).serve(
+        Workload(requests), max_num_seqs=8, scheduling=scheduling,
+        telemetry=telemetry)
+
+
+def _tiered_deferral_lockstep():
+    """The paid decodes prefill together, so they cross pages in lockstep,
+    and the pool is sized so one such crossing inside a deferring window
+    takes the last free page: from there an admission pass is a fast skip,
+    not a deferral, so the window must end first."""
+    return _tiered_deferral(
+        pages=198,
+        scheduling=SchedulingConfig(preemption=True, tier_admission=True))
+
+
 def _prefix_demote_preempt():
     result = _engine(get_system("trt-fp16"), pages=72).serve(
         make_chat_workload(num_sessions=8, turns_per_session=4,
@@ -215,6 +243,8 @@ SCENARIOS = {
     "prefix-aware-chat": _prefix_aware_chat,
     "tiered": _tiered,
     "tiered-shed": _tiered_shed,
+    "tiered-deferral": _tiered_deferral,
+    "tiered-deferral-lockstep": _tiered_deferral_lockstep,
     "prefix-demote-preempt": _prefix_demote_preempt,
     "disaggregated": _disaggregated,
     "autoscaled": _autoscaled,
@@ -246,9 +276,11 @@ def _assert_same_trace(coasted, stepped):
 def _run(scenario, coast):
     """Run ``scenario``; returns its result and coast statistics: the
     iterations coasted, those coasted by a window resumed with no
-    ``step`` since the previous window, and the most claim passes one
-    window made."""
-    stats = {"coasted": 0, "resumed": 0, "claim_passes": 0}
+    ``step`` since the previous window, the most claim passes one
+    window made, the iterations coasted through tier-deferring passes,
+    and the deferring windows that ended where a waiting request aged."""
+    stats = {"coasted": 0, "resumed": 0, "claim_passes": 0, "deferred": 0,
+             "aging_cuts": 0}
     plain_coast = EngineStepper._coast
     claim_crossings = ContinuousBatchingScheduler.claim_crossings
     claims = [0]
@@ -260,15 +292,24 @@ def _run(scenario, coast):
 
     def counted_coast(self, t):
         before, passes = self.iterations, claims[0]
+        deferrals = self.scheduler.tier_deferrals
         resumed = last_window.get(id(self)) == self._guard
         if coast:
             plain_coast(self, t)
         last_window[id(self)] = self._guard
-        stats["coasted"] += self.iterations - before
+        ran = self.iterations - before
+        stats["coasted"] += ran
         if resumed:
-            stats["resumed"] += self.iterations - before
+            stats["resumed"] += ran
         stats["claim_passes"] = max(stats["claim_passes"],
                                     claims[0] - passes)
+        if ran and self.scheduler.tier_deferrals > deferrals:
+            stats["deferred"] += ran
+            # The window started with every waiting request young, and
+            # none joined or left it, so an aged one marks the cut.
+            stats["aging_cuts"] += any(
+                self.now - r.available_time >= TIER_AGING_S
+                for r in self.scheduler.ready)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EngineStepper, "_coast", counted_coast)
@@ -284,6 +325,54 @@ def test_coasting_matches_stepping(name):
     stepped, none = _run(SCENARIOS[name], coast=False)
     assert quiet["coasted"] > 0 and none["coasted"] == 0
     assert _encode(coasted) == _encode(stepped)
+
+
+def test_deferring_windows_coast_to_the_aging_cut():
+    """Windows coast through passes that defer every waiting request and
+    end where the oldest one ages; traced, the Chrome trace matches the
+    stepped run too."""
+    def traced():
+        return _tiered_deferral(telemetry=True)
+
+    coasted, stats = _run(traced, coast=True)
+    stepped, _ = _run(traced, coast=False)
+    assert stats["deferred"] > coasted.num_iterations / 4
+    assert stats["aging_cuts"] >= 5
+    assert _encode(coasted) == _encode(stepped)
+    _assert_same_trace(coasted, stepped)
+
+
+def test_deferring_windows_read_the_ready_queue_once(monkeypatch):
+    """A deferring window costs O(1) per iteration, not O(waiting): the
+    earliest aging cut is kept across passes, so a window reads each
+    waiting request's availability at most once, and most read none."""
+    reads = [0]
+    available_time = Request.available_time.fget
+
+    def counted_available_time(request):
+        reads[0] += 1
+        return available_time(request)
+
+    windows = []  # (iterations, waiting requests, availability reads)
+    plain_coast = EngineStepper._coast
+
+    def counted_coast(self, t):
+        scheduler = self.scheduler
+        before, deferrals, read = (self.iterations, scheduler.tier_deferrals,
+                                   reads[0])
+        plain_coast(self, t)
+        if scheduler.tier_deferrals > deferrals:
+            windows.append((self.iterations - before, len(scheduler.ready),
+                            reads[0] - read))
+
+    monkeypatch.setattr(Request, "available_time",
+                        property(counted_available_time))
+    monkeypatch.setattr(EngineStepper, "_coast", counted_coast)
+    _tiered_deferral()
+    iterations = sum(k for k, _, _ in windows)
+    assert iterations >= 1000
+    assert all(read <= waiting for _, waiting, read in windows)
+    assert sum(read for _, _, read in windows) < iterations / 20
 
 
 def test_small_horizons_resume_windows():

@@ -4,7 +4,10 @@
   up to the tokens the run committed (``ServingResult.generated_tokens``),
   on every serving path: legacy stall prefill, chunked prefill with
   preemption, prefix caching with KV demotion under preemption,
-  speculative decoding and a disaggregated prefill/decode fleet.
+  speculative decoding, a disaggregated prefill/decode fleet, a tiered
+  flash crowd that sheds free-tier requests and a run with a request no
+  admission can take.  A finished request generated exactly its
+  ``output_len``; a dropped or never-admitted one generated nothing.
 * **Lazy invariants** — after every :meth:`EngineStepper.step` and every
   coast through quiet decode iterations, the scheduler's running-sum mean
   context equals the mean recomputed from the decode batch, and no
@@ -42,6 +45,7 @@ from repro.serving import (
     Workload,
     get_system,
     make_chat_workload,
+    make_flash_crowd_workload,
     make_lognormal_workload,
     make_router_study_workload,
     make_uniform_workload,
@@ -115,12 +119,41 @@ def _disaggregated():
     return workload, result
 
 
+def _tiered_shed():
+    workload = make_flash_crowd_workload(160, base_rate=4.0,
+                                         spikes=((2.0, 3.0, 10.0),),
+                                         prompt_len=256, output_len=96,
+                                         tenants=4, free_fraction=0.5, seed=3)
+    result = _engine().serve(
+        workload, max_num_seqs=8,
+        scheduling=SchedulingConfig(chunked_prefill=True, preemption=True,
+                                    tier_admission=True,
+                                    free_tier_drop_after_s=1.0))
+    assert result.num_dropped > 0
+    return workload, result
+
+
+def _stranded():
+    """One request whose final footprint exceeds the whole pool: optimistic
+    admission never takes it, and everything around it still finishes."""
+    workload = make_lognormal_workload(30, arrival_rate=20.0, seed=6)
+    workload.requests.append(Request(request_id=30, prompt_len=512,
+                                     output_len=4000, arrival_time=0.5))
+    result = _engine(pages=200).serve(
+        workload, max_num_seqs=16,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+    assert result.num_unserved == 1
+    return workload, result
+
+
 RUNS = {
     "legacy": _legacy,
     "chunked-preempt": _chunked_preempt,
     "prefix-demote-preempt": _prefix_demote_preempt,
     "speculative": _speculative,
     "disaggregated": _disaggregated,
+    "tiered-shed": _tiered_shed,
+    "stranded": _stranded,
 }
 
 
@@ -134,10 +167,19 @@ def _generated_tokens(result) -> int:
 @pytest.mark.parametrize("name", list(RUNS))
 def test_token_conservation(name):
     workload, result = RUNS[name]()
-    assert all(r.state is RequestState.FINISHED for r in workload.requests)
+    finished = [r for r in workload.requests
+                if r.state is RequestState.FINISHED]
+    unserved = [r for r in workload.requests
+                if r.state is not RequestState.FINISHED]
+    assert len(unserved) == {"tiered-shed": result.num_dropped,
+                             "stranded": 1}.get(name, 0)
+    assert all(r.generated == r.output_len for r in finished)
+    for request in unserved:
+        assert request.admitted_time is None
+        assert request.generated == 0
     assert sum(r.generated for r in workload.requests) \
         == _generated_tokens(result) \
-        == sum(r.output_len for r in workload.requests)
+        == sum(r.output_len for r in finished)
 
 
 def _assert_exact_allocation(scheduler, extra_tokens):
