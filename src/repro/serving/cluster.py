@@ -155,10 +155,11 @@ class Router(abc.ABC):
     so queue-state views (:attr:`EngineStepper.outstanding_requests`,
     :attr:`EngineStepper.pending_prefill_tokens`, prefix-cache probes)
     reflect what a load balancer would observe at that instant.  A replica
-    whose :meth:`EngineStepper.stable_until` bound is at or after the
-    arrival may still have its clock behind it: up to its next ``step`` it
-    only coasts, which changes none of those views.  Ties break toward the
-    lowest replica index, keeping every router deterministic.
+    whose :meth:`EngineStepper.stable_until` bound (recorded by its last
+    coast) is at or after the arrival may still have its clock behind it:
+    up to its next ``step`` it only coasts, which changes none of those
+    views.  Ties break toward the lowest replica index, keeping every
+    router deterministic.
     """
 
     #: Registry key; subclasses override.
@@ -732,20 +733,6 @@ class _MultiplexReplica:
 _Host = Union[EngineStepper, _MultiplexReplica]
 
 
-class _Bounds(dict):
-    """Host -> its :meth:`EngineStepper.stable_until`, read on first use.
-
-    The cluster loop drops a host's entry when the host runs or receives
-    work.  Between two advances only a route hands a host work: provisions
-    and drains happen at ticks, whose advance runs every live host and so
-    drops every entry.
-    """
-
-    def __missing__(self, host: _Host) -> float:
-        bound = self[host] = host.stable_until()
-        return bound
-
-
 # ----------------------------------------------------------------------
 # Cluster engine
 # ----------------------------------------------------------------------
@@ -1073,7 +1060,6 @@ class _Fleet:
         #: on multiplexed replicas, whose turns have no bound, nor with
         #: prefill roles, whose handoffs may land work at any time.
         self.lazy = self.multiplex is None and not self.cluster.disaggregated
-        self.bounds = _Bounds()
         for slot in range(pool if self.scaler is None
                           else self.scaler.config.min_replicas):
             self.provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
@@ -1206,11 +1192,12 @@ class _Fleet:
         the earliest handoff still to route, which may land work on it.
 
         ``lazy`` runs only the hosts an arrival can observe: those whose
-        :meth:`EngineStepper.stable_until` is before ``t``.  Any other host
-        would only coast, which changes none of the views a router reads,
-        so it stays behind and coasts the same iterations when a later
-        event runs it (:meth:`route` runs the chosen one first).  Starting
-        slots whose cold start has ended still become active.
+        :meth:`EngineStepper.stable_until` is before ``t``, a bound each
+        host's last coast recorded.  Any other host would only coast, which
+        changes none of the views a router reads, so it stays behind and
+        coasts the same iterations when a later event runs it (:meth:`route`
+        runs the chosen one first).  Starting slots whose cold start has
+        ended still become active.
         """
         progressed, handoffs, tiebreak = False, self.handoffs, self.tiebreak
         for host in self.exporters:
@@ -1223,9 +1210,8 @@ class _Fleet:
         horizon = min(t, handoffs[0][0]) if handoffs else t
         for host in self.followers:
             # A host whose clock is at ``t`` already would do nothing.
-            if lazy and (host.now >= t or self.bounds[host] >= t):
+            if lazy and (host.now >= t or host.stable_until() >= t):
                 continue
-            self.bounds.pop(host, None)
             progressed = host.run_until(horizon) or progressed
         for slot in [s for s in self.starting if self.ready_at[s] <= t]:
             self._set_state(slot, "active")
@@ -1234,12 +1220,14 @@ class _Fleet:
     def route(self, request: Request) -> None:
         """Dispatch an arrival to the host the router picks.
 
-        A host a lazy :meth:`advance` left behind coasts to the arrival
-        before it receives the request, and its bound is dropped."""
+        A host a lazy :meth:`advance` left behind (its clock before the
+        arrival, its bound at or after it) coasts to the arrival before it
+        receives the request."""
         host = self.arrival_hosts[self.router.route(request,
                                                     self.arrival_hosts)]
-        if self.bounds.pop(host, -math.inf) >= request.arrival_time:
-            host.run_until(request.arrival_time)
+        arrival = request.arrival_time
+        if self.lazy and host.now < arrival <= host.stable_until():
+            host.run_until(arrival)
         self.assigned[host.stepper_for(request)].append(request)
         host.submit(request)
 

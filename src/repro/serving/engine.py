@@ -38,8 +38,9 @@ one iteration per ``step`` or up to a time with ``run_until`` — the hook
 :class:`repro.serving.cluster.ClusterEngine` uses to run several replica
 engines against one shared clock.  ``run_until`` coasts through the plain
 decode iterations that hold no event, so a run pays per event, not per
-iteration; ``stable_until`` bounds when the next non-coast iteration can
-start, so the cluster runs a replica only when an event can observe it.
+iteration; a coast that the caller's time cuts short records when the
+next non-coast iteration can start at the earliest (``stable_until``), so
+the cluster runs a replica only when an event can observe it.
 
 With a :class:`repro.serving.speculative.SpeculativeConfig` attached, decode
 iterations run speculatively: a draft engine proposes ``k`` tokens per
@@ -702,12 +703,15 @@ class EngineStepper:
         self.busy_s = 0.0
         self.kv_utilization_peak = 0.0
         self._guard = 0
+        #: The bound :meth:`stable_until` reads (``-inf`` for none).
+        self._quiet_bound = -math.inf
 
     # ------------------------------------------------------------------
     def submit(self, requests) -> None:
         """Queue more requests (a list, or one request) for this run."""
         if isinstance(requests, Request):
             requests = [requests]
+        self._quiet_bound = -math.inf  # the work may start a step sooner
         self.scheduler.submit(list(requests))
 
     @property
@@ -782,29 +786,16 @@ class EngineStepper:
     def next_ready_time(self) -> Optional[float]:
         """Earliest instant this stepper could execute work.
 
-        ``now`` when something is running (or an arrived request waits),
-        the head waiting request's availability otherwise, ``None`` when
-        the stepper is fully drained.  The multiplexed replica loop uses
-        this to pick which model's stepper owns the GPU next.
-
-        Arrived requests that no admission can ever take count as not
-        waiting: a turn at ``now`` would only scan them and admit nothing.
-        Those are the ones whose final footprint exceeds the whole pool:
-        optimistic admission stamps them no page demand (see
-        :meth:`~ContinuousBatchingScheduler.admit`), and conservative
-        admission a demand above the pool size, which it can never meet
-        without a prefix cache.  With one, a demoted shared tier can hand
-        back fractional pages, so such a request still counts as waiting
-        there.  Free-tier shedding by the clock is the exception, since a
-        turn may drop them.
+        ``now`` when something is running, or an arrived request waits that
+        a pass may take or shed
+        (:meth:`~ContinuousBatchingScheduler.ready_can_change`: a turn at
+        ``now`` would only scan the others and admit nothing), the head
+        pending request's availability otherwise, ``None`` when the
+        stepper is fully drained.  The multiplexed replica loop uses this
+        to pick which model's stepper owns the GPU next.
         """
         scheduler = self.scheduler
-        limit = (math.inf if scheduler.prefix_cache is not None
-                 else scheduler.kv_manager.total_pages)
-        if scheduler.running or (scheduler.ready and (
-                self.scheduling.free_tier_drop_after_s is not None
-                or any(r._page_demand is not None and r._page_demand <= limit
-                       for r in scheduler.ready))):
+        if scheduler.running or scheduler.ready_can_change():
             return self.now
         available = scheduler.next_available_time()
         return None if available is None else max(self.now, available)
@@ -829,39 +820,15 @@ class EngineStepper:
         may leave this stepper behind an event at or before the bound and
         coast it later, to the same iterations.
 
-        ``inf`` with nothing left to do, ``now`` when the next iteration
-        would be a step.  Otherwise the window holds ``quiet`` iterations
-        (``claim`` of them when a claim pass may find fewer free pages than
-        the batch: a decoder claims at most ``quiet // page_size + 1``
-        pages in the window), each priced no lower than the first, since a
-        latency row does not decrease along context.  The margin, a
-        relative 1e-9 plus two ulps of the window's end per iteration,
-        covers the rounding of the clock's sequential sum even far from
-        t=0.  The bound is capped at the next pending arrival, whose
-        admission pass ends the window.
+        The bound the last :meth:`_coast` recorded for the window it
+        stopped in; a :meth:`step` or a :meth:`submit` since then drops
+        it.  Without one, ``inf`` with nothing left to do, else the clock.
+        (An evacuated stepper may keep a stale one: it holds no work, so
+        any bound holds until a submit drops it.)
         """
-        scheduler = self.scheduler
-        quiet, claim = scheduler.decode_window()
-        if (quiet <= 0 or self.spec is not None
-                or scheduler.admission_skips() is None
-                or (self.scheduling.free_tier_drop_after_s is not None
-                    and scheduler.ready)):
-            return math.inf if scheduler.all_done else self.now
-        batch = len(scheduler.running)
-        kv = scheduler.kv_manager
-        if claim < quiet and kv.free_pages < batch * (
-                quiet // kv.page_size + 2):
-            quiet = claim
-        context = scheduler.decode_context_len()
-        row, start = self.engine.cost_cache.row(batch, context)
-        slot = context - start
-        latency = row[slot] if slot < len(row) else math.nan
-        if latency != latency:
-            latency = self._price_slot(row, start, slot, batch)
-        end = self.now + quiet * latency
-        bound = end - quiet * (latency * 1e-9 + 2 * math.ulp(end))
-        arrival = scheduler.next_available_time()
-        return bound if arrival is None else min(bound, arrival)
+        if self._quiet_bound > self.now:  # a window that ``t`` cut
+            return self._quiet_bound
+        return math.inf if self.scheduler.all_done else self.now
 
     def evacuate(self, now: float) -> Tuple[List[Request], List[Request]]:
         """Empty this replica at ``now`` for a scale-down drain.
@@ -896,6 +863,7 @@ class EngineStepper:
         themselves stay atomic and may still overshoot.
         """
         scheduler = self.scheduler
+        self._quiet_bound = -math.inf
         if scheduler.all_done:
             return False
         self._guard += 1
@@ -1031,18 +999,10 @@ class EngineStepper:
         while the clock is before ``t``: one quiet window.
 
         Each one is exactly the iteration :meth:`step` would run: admission
-        is a no-op (nothing pending is available yet, and the ready queue is
-        empty or blocked by the cap or a full pool — see
-        :meth:`~ContinuousBatchingScheduler.admission_skips` — or, under
-        tier pressure, holds only young free-tier requests, which each pass
-        defers until the oldest ages: the window ends at that
-        :meth:`~ContinuousBatchingScheduler.deferral_cut`), nothing
-        prefills, and no first token or finish falls due
-        (:meth:`~ContinuousBatchingScheduler.decode_window`).  These checks
-        read only the stepper's state, so the window may start after a
-        :meth:`step` or resume where an earlier horizon cut it; a new
-        arrival fails them (it is ready, or it clamps ``t`` to its
-        availability), and the caller steps instead.
+        changes nothing but its counters, nothing prefills, and no first
+        token or finish falls due before the window's next event, ``until``
+        (:meth:`~ContinuousBatchingScheduler.quiet_window`).  The window
+        may start after a :meth:`step` or resume where a call's ``t`` cut it.
 
         Inside the window the batch is fixed and the mean context grows by
         exactly one per iteration, so iteration ``k`` costs slot ``k`` of
@@ -1056,29 +1016,28 @@ class EngineStepper:
         least one page per decoder is free — a plain crossing claims one
         page, so the pass cannot evict or preempt — and otherwise ends the
         window; a deferring window also keeps one page more, so the pool
-        never empties and turns its passes into fast skips.  KV use only
-        grows in a window, so its peak is read once, at the end.  A
-        speculative stepper never coasts, since its commits vary per
-        request; a prefill-role stepper exports each finished prefill
-        within its step, so it never holds a batch to coast.
+        never empties and turns its passes into fast skips.  A speculative
+        stepper never coasts, since its commits vary per request.
+
+        The call records the bound :meth:`stable_until` reads: the clock,
+        unless ``t`` rather than an event ends the window.  Then it is the
+        clock after the window's remaining iterations (those before the
+        next claim pass, if pages may run short there: a decoder claims at
+        most one page per ``page_size`` iterations), each priced as the
+        next, since a latency row does not decrease along context; less a
+        relative 1e-9 plus two ulps of the window's end per iteration, for
+        the rounding of the clock's sequential sum; and capped at ``until``.
         """
         scheduler = self.scheduler
-        quiet, claim = scheduler.decode_window()
-        if quiet <= 0 or self.spec is not None:
+        self._quiet_bound = now = self.now
+        if self.spec is not None:
             return
-        skips, deferred = scheduler.admission_skips(), 0
-        if skips is None:  # a scan (the cut is -inf), or deferrals
-            skips, deferred = 0, len(scheduler.ready)
-            t = min(t, scheduler.deferral_cut())
-        elif (self.scheduling.free_tier_drop_after_s is not None
-              and scheduler.ready):
-            return  # admission would shed by the clock
-        arrival = scheduler.next_available_time()
-        if arrival is not None and arrival < t:
-            t = arrival  # the admission pass at ``arrival`` is an event
-        now = self.now
-        if now >= t:
+        quiet, claim, skips, deferred, until = scheduler.quiet_window()
+        if quiet <= 0 or now >= until:
             return
+        cut = t < until  # else the window's next event comes first
+        if not cut:
+            t = until
         batch = len(scheduler.running)  # nothing prefills: all decode
         context = scheduler.decode_context_len()
         tracer, kv, nan = self.tracer, scheduler.kv_manager, math.nan
@@ -1123,6 +1082,17 @@ class EngineStepper:
             self.peak_batch = max(self.peak_batch, batch)
             self.kv_utilization_peak = max(self.kv_utilization_peak,
                                            kv.utilization())
+        if cut and d < end and now >= t:
+            left = end - d
+            if due - d < left and kv.free_pages < batch * (
+                    left // kv.page_size + 1) + floor:
+                left = due - d
+            latency = row[slot] if slot < size else nan
+            if latency != latency:
+                latency = self._price_slot(row, start, slot, batch)
+            stop = now + left * latency
+            self._quiet_bound = min(until, stop - left * (
+                latency * 1e-9 + 2 * math.ulp(stop)))
 
     def _price_slot(self, row, start: int, slot: int, batch: int) -> float:
         """Price slot ``slot`` of ``batch``'s latency row from context

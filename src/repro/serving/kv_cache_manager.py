@@ -222,20 +222,11 @@ class PagedKVCacheManager:
 
     def needs_pages(self, request_id: int, num_tokens: int,
                     shared_pages: int = 0) -> bool:
-        """Whether growing to ``num_tokens`` needs at least one fresh page.
-
-        Exactly ``pages_needed(...) > 0``, flattened into one call — this is
-        the probe the decode loops make for every running request on every
-        iteration, and almost always answer "no" (a decode crosses a page
-        boundary once every ``page_size`` steps).
-        """
-        if num_tokens <= 0:
-            target = 0
-        elif self.system.paged_kv:
-            target = -(-num_tokens // self.page_size)
-        else:
-            target = -(-self.max_seq_len // self.page_size)
-        return target - shared_pages > self._allocated.get(request_id, 0)
+        """Whether growing to ``num_tokens`` needs at least one fresh page:
+        ``pages_needed(...) > 0``, the probe the speculative claim scan
+        makes for each drafting request (plain decodes find their page
+        crossings on the scheduler's crossing heap instead)."""
+        return self.pages_needed(request_id, num_tokens, shared_pages) > 0
 
     def allocate(self, request_id: int, num_tokens: int,
                  shared_pages: int = 0) -> int:

@@ -92,6 +92,10 @@ FREE_TIER_PAGE_HEADROOM = 0.10
 FREE_TIER_SEQ_HEADROOM = 0.25
 #: Aging floor: a free-tier request waiting this long counts as paid rank.
 TIER_AGING_S = 5.0
+#: :meth:`ContinuousBatchingScheduler.quiet_pass` for a pass that scans, and
+#: :meth:`ContinuousBatchingScheduler.quiet_window` for no window.
+_SCAN = (0, 0, -math.inf)
+_NO_WINDOW = (0, 0, 0, 0, -math.inf)
 
 
 @dataclass
@@ -162,8 +166,7 @@ class ContinuousBatchingScheduler:
     #: :meth:`_make_ready` folds each entry in, and admission and
     #: :meth:`take_waiting` clear it.  A removal only raises the true
     #: cut, so a cut left stale is early, which costs speed but never
-    #: results; shedding, the other way out of ``ready``, runs only where
-    #: the cut is never read.
+    #: results; shedding, the other way out of ``ready``, leaves it so.
     _ready_cut: Optional[float] = field(init=False, default=None)
     #: Lazy decode accounting (see ``docs/PERFORMANCE.md``).  Plain decode
     #: steps run so far: a plain-decoding request's ``generated`` is derived
@@ -315,7 +318,7 @@ class ContinuousBatchingScheduler:
         request has arrived yet, (without a prefix cache) the KV cache
         has no free page and no waiting request can ever need zero, or every
         waiting request is a young free-tier one under pressure
-        (:meth:`deferral_cut`) — return immediately without walking the
+        (:meth:`quiet_pass`) — return immediately without walking the
         queue, and the scan loop stops the moment the cap is hit, a
         no-bypass policy blocks or pressure defers the young free-tier
         requests left.  Every fast path is a pure short-circuit of the full
@@ -336,12 +339,10 @@ class ContinuousBatchingScheduler:
         if (tier_admission and scheduling.free_tier_drop_after_s is not None
                 and ready):
             self._shed_free_tier(now)
-        skips = self.admission_skips()
-        if skips is not None:
+        skips, deferrals, until = self.quiet_pass()
+        if now < until:
             self.admission_fast_skips += skips
-            return []
-        if tier_admission and now < self.deferral_cut():
-            self.tier_deferrals += len(ready)
+            self.tier_deferrals += deferrals
             return []
 
         admitted: List[Request] = []
@@ -465,55 +466,82 @@ class ContinuousBatchingScheduler:
                 bisect.insort(self._by_key, (admission_key(request), request))
         return [r for r in admitted if r.state is RequestState.PREFILLING]
 
-    def admission_skips(self) -> Optional[int]:
-        """The fast skips an :meth:`admit` pass adds when it provably admits
-        nothing, with every available request already in the ready queue:
-        0 with both queues empty, 1 when the sequence cap is reached,
-        nothing has arrived yet, or (without a prefix cache) the KV cache
-        has no free page.  ``None`` when the pass must scan, or defers every
-        ready request under tier pressure (see :meth:`deferral_cut`)."""
+    def quiet_pass(self) -> Tuple[int, int, float]:
+        """What an :meth:`admit` pass does when it provably admits nothing,
+        with every available request already in the ready queue: ``(skips,
+        deferrals, until)``, the fast skips and tier deferrals it adds, for
+        a pass at any ``now`` before ``until``; ``until`` is ``-inf`` when
+        the pass must scan.
+
+        A pass skips (1; 0 with both queues empty) when nothing has
+        arrived, the sequence cap is reached, or (without a prefix cache)
+        the KV cache has no free page; ``until`` is then the next pending
+        arrival, whose pass moves it to the ready queue.  Under tier
+        pressure with every ready request young free tier, a pass defers
+        them all (``len(ready)``) and ``until`` is also capped where the
+        oldest ages.  With the running batch fixed, free pages only fall,
+        so pressure persists and the answer stands until ``ready`` changes.
+        The aging cut is kept across calls (``_ready_cut``), so a call
+        costs O(1) except the first after an admission, which walks
+        ``ready`` once, as the admitting pass did.  Under shedding the
+        answer holds once the pass has shed.
+        """
+        pending = self.pending
+        until = pending[0][0] if pending else math.inf
         if not self.ready:
             # Nothing has arrived yet (a skip), or nothing waits at all.
-            return 1 if self.pending else 0
-        if len(self.running) >= self.max_num_seqs:
-            # Cap reached before anything could be admitted: the full scan
-            # would block every arrived request and leave the queues
-            # unchanged.
-            return 1
-        if self.prefix_cache is None and self.kv_manager.free_pages <= 0:
-            # No free page and no shared pool to evict from: every waiting
-            # request needs at least one fresh page (waiting requests hold
-            # no allocation), so the scan would block all of them.
-            return 1
-        return None
+            return (1 if pending else 0), 0, until
+        if len(self.running) >= self.max_num_seqs or (
+                self.prefix_cache is None and self.kv_manager.free_pages <= 0):
+            # The cap blocks every arrived request, or every one needs a
+            # fresh page (waiting requests hold no allocation) and there is
+            # neither a free page nor a shared pool to evict from.
+            return 1, 0, until
+        if self.scheduling.tier_admission and self._tier_pressure():
+            if self._ready_cut is None:
+                self._ready_cut = self._aging_cut(self.ready)
+            return 0, len(self.ready), min(until, self._ready_cut)
+        return _SCAN
+
+    def quiet_window(self) -> Tuple[int, int, int, int, float]:
+        """How far plain decoding can run from here without an event:
+        ``(quiet, claim, skips, deferrals, until)``.
+
+        ``quiet`` and ``claim`` are :meth:`decode_window`'s, and every
+        iteration of the window must also start before ``until`` and adds
+        :meth:`quiet_pass`'s ``skips`` and ``deferrals`` for its admission
+        pass.  ``quiet`` is 0 when a ready request may be shed by the
+        clock.
+        """
+        quiet, claim = self.decode_window()
+        if quiet <= 0 or (self.ready and self.scheduling
+                          .free_tier_drop_after_s is not None):
+            return _NO_WINDOW
+        return (quiet, claim) + self.quiet_pass()
+
+    def ready_can_change(self) -> bool:
+        """Whether an admission pass now may take or shed a ready request.
+
+        Requests no admission can ever take do not count: their final
+        footprint exceeds the whole pool, so optimistic admission stamps
+        them no page demand (see :meth:`_make_ready`), and conservative
+        admission a demand above the pool size, which it can never meet
+        without a prefix cache.  With one, a demoted shared tier can hand
+        back fractional pages, so every request counts there.  Under
+        free-tier shedding any ready request counts, since a pass may drop
+        it.
+        """
+        ready = self.ready
+        if not ready or self.scheduling.free_tier_drop_after_s is not None:
+            return bool(ready)
+        limit = (math.inf if self.prefix_cache is not None
+                 else self.kv_manager.total_pages)
+        return any(r._page_demand is not None and r._page_demand <= limit
+                   for r in ready)
 
     # ------------------------------------------------------------------
     # Tier-aware admission (multi-tenant SLO tiers)
     # ------------------------------------------------------------------
-    def deferral_cut(self) -> float:
-        """Until when a pass only defers: an :meth:`admit` pass at ``now``
-        that :meth:`admission_skips` answers ``None`` for adds
-        ``len(ready)`` to ``tier_deferrals`` and admits nothing exactly when
-        ``now`` is before the returned instant.
-
-        That holds while tier admission is on, shedding is off, the replica
-        is under pressure and every ready request is free tier and younger
-        than :data:`TIER_AGING_S`; the instant is when the oldest one ages
-        (``-inf`` when a condition fails).  With the running batch fixed,
-        free pages only fall, so pressure persists and the answer stands
-        until ``ready`` changes.  The cut is kept across calls
-        (``_ready_cut``), so a call costs O(1) except the first after an
-        admission, which walks ``ready`` once, as the admitting pass did.
-        """
-        scheduling = self.scheduling
-        if (not scheduling.tier_admission
-                or scheduling.free_tier_drop_after_s is not None
-                or not self._tier_pressure()):
-            return -math.inf
-        if self._ready_cut is None:
-            self._ready_cut = self._aging_cut(self.ready)
-        return self._ready_cut
-
     @staticmethod
     def _aging_cut(requests: Sequence[Request]) -> float:
         """The first ``now`` at which one of ``requests`` ranks as paid:

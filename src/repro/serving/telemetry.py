@@ -55,6 +55,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.serving.metrics import RequestMetrics
+
 __all__ = [
     "TelemetryConfig",
     "CounterRegistry",
@@ -77,6 +79,25 @@ __all__ = [
 PHASES = ("queued", "prefill", "stall", "transfer", "decode")
 
 _US = 1e6  # seconds → Chrome trace-event microseconds
+
+#: Request event kind -> its Chrome instant marker: the marker's name and
+#: its args built from the event's two payload fields (``None``: no args).
+#: Kinds not listed draw no marker.
+_MARKERS = {
+    "first_token": ("first_token", None),
+    "preempted": ("preempted", lambda a, b: {"count": a}),
+    "exported": ("exported", None),
+    "dropped": ("dropped", lambda a, b: {"tier": a}),
+    "dequant": ("kv_dequant", lambda a, b: {"tokens": a, "seconds": b}),
+    "chunk": ("prefill_chunk", lambda a, b: {"tokens": a, "end_ts": b * _US}),
+}
+
+#: The closing ``req`` span event's args, named in the order of the
+#: ``finished`` event's payload (:meth:`Tracer.request_finished`).
+_FINISH_ARGS = ("arrival_time_s", "first_token_time_s", "finish_time_s",
+                "output_len", "prompt_len", "preemptions", "migrations",
+                "transfer_delay_s", "precision_floor_bits",
+                "served_precision_bits")
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +395,10 @@ class Tracer:
     def request_finished(self, request, now: float) -> None:
         """Final token committed; capture the exact latency timestamps.
 
-        The payload tuple carries the raw second-resolution times the
-        metrics layer uses, so a trace consumer reconstructs TTFT/TPOT
-        bitwise-identically to :class:`~repro.serving.metrics.RequestMetrics`.
+        The payload tuple carries the raw second-resolution times and the
+        precision fields the metrics layer uses, so a trace consumer
+        reconstructs TTFT/TPOT and the SLO verdict bitwise-identically to
+        :class:`~repro.serving.metrics.RequestMetrics`.
         """
         if self._spans:
             self.events.append((now, "finished", request.request_id,
@@ -387,7 +409,9 @@ class Tracer:
                                  request.prompt_len,
                                  request.preemptions,
                                  request.migrations,
-                                 request.transfer_delay_s), 0))
+                                 request.transfer_delay_s,
+                                 request.precision_floor_bits,
+                                 request.served_precision_bits), 0))
 
     # -- iteration + time-series hook -----------------------------------
     def iteration(self, t0: float, t1: float, prefill_tokens: int,
@@ -489,9 +513,8 @@ class Tracer:
             {"ph": "M", "pid": pid, "tid": 1, "ts": 0, "cat": "__metadata",
              "name": "thread_name", "args": {"name": "iterations"}},
         ]
-        for it in self.iterations:
-            (t0, t1, prefill_tokens, num_chunks, decode_batch, committed,
-             free_pages, kv_util, queue_depth) = it
+        for (t0, t1, prefill_tokens, num_chunks, decode_batch, committed,
+             free_pages, kv_util, queue_depth) in self.iterations:
             events.append({
                 "ph": "X", "pid": pid, "tid": 1, "ts": t0 * _US,
                 "dur": (t1 - t0) * _US, "cat": "iteration", "name": "iter",
@@ -524,85 +547,40 @@ class Tracer:
         phase_spans = self.phase_spans(end_time=horizon)
         for rid in sorted(by_request):
             req_events = by_request[rid]
-            rid_str = str(rid)
+            span = {"pid": pid, "tid": 0, "cat": "request", "id": str(rid)}
             name = f"req {rid}"
-            first_ts = req_events[0][0]
-            finish_payload = None
-            last_ts = first_ts
-            for event in req_events:
-                ts, kind = event[0], event[1]
-                last_ts = max(last_ts, ts)
-                if kind == "finished":
-                    finish_payload = event[3]
-                elif kind == "transfer":
-                    last_ts = max(last_ts, event[3])
-            end_ts = last_ts
-            open_ended = finish_payload is None and not any(
-                e[1] in ("exported", "dropped") for e in req_events)
-            if open_ended:
-                end_ts = max(last_ts, horizon)
-            events.append({"ph": "b", "pid": pid, "tid": 0, "cat": "request",
-                           "id": rid_str, "ts": first_ts * _US, "name": name,
-                           "args": {"prompt_len": req_events[0][3]
-                                    if req_events[0][1] == "queued" else 0}})
-            for phase, t0, t1 in phase_spans[rid]:
-                events.append({"ph": "b", "pid": pid, "tid": 0,
-                               "cat": "request", "id": rid_str,
-                               "ts": t0 * _US, "name": phase})
-                events.append({"ph": "e", "pid": pid, "tid": 0,
-                               "cat": "request", "id": rid_str,
-                               "ts": t1 * _US, "name": phase})
-            for event in req_events:
-                ts, kind = event[0], event[1]
-                if kind == "first_token":
-                    events.append({"ph": "n", "pid": pid, "tid": 0,
-                                   "cat": "request", "id": rid_str,
-                                   "ts": ts * _US, "name": "first_token"})
-                elif kind == "preempted":
-                    events.append({"ph": "n", "pid": pid, "tid": 0,
-                                   "cat": "request", "id": rid_str,
-                                   "ts": ts * _US, "name": "preempted",
-                                   "args": {"count": event[3]}})
-                elif kind == "exported":
-                    events.append({"ph": "n", "pid": pid, "tid": 0,
-                                   "cat": "request", "id": rid_str,
-                                   "ts": ts * _US, "name": "exported"})
-                elif kind == "dropped":
-                    events.append({"ph": "n", "pid": pid, "tid": 0,
-                                   "cat": "request", "id": rid_str,
-                                   "ts": ts * _US, "name": "dropped",
-                                   "args": {"tier": event[3]}})
-                elif kind == "dequant":
-                    events.append({"ph": "n", "pid": pid, "tid": 0,
-                                   "cat": "request", "id": rid_str,
-                                   "ts": ts * _US, "name": "kv_dequant",
-                                   "args": {"tokens": event[3],
-                                            "seconds": event[4]}})
-                elif kind == "chunk":
-                    events.append({"ph": "n", "pid": pid, "tid": 0,
-                                   "cat": "request", "id": rid_str,
-                                   "ts": ts * _US, "name": "prefill_chunk",
-                                   "args": {"tokens": event[3],
-                                            "end_ts": event[4] * _US}})
-            end_args: Dict[str, object] = {}
-            if finish_payload is not None:
-                (arrival, first, finish, output_len, prompt_len, preempts,
-                 migrations, transfer_delay) = finish_payload
-                end_args = {"arrival_time_s": arrival,
-                            "first_token_time_s": first,
-                            "finish_time_s": finish,
-                            "output_len": output_len,
-                            "prompt_len": prompt_len,
-                            "preemptions": preempts,
-                            "migrations": migrations,
-                            "transfer_delay_s": transfer_delay}
-            elif open_ended:
-                end_args = {"unfinished": True}
-            elif any(e[1] == "dropped" for e in req_events):
+            kinds = [e[1] for e in req_events]
+            end_ts = max([e[0] for e in req_events]
+                         + [e[3] for e in req_events if e[1] == "transfer"])
+            finish = [e[3] for e in req_events if e[1] == "finished"]
+            if finish:
+                end_args = dict(zip(_FINISH_ARGS, finish[-1]))
+            elif "dropped" in kinds:
                 end_args = {"dropped": True}
-            events.append({"ph": "e", "pid": pid, "tid": 0, "cat": "request",
-                           "id": rid_str, "ts": end_ts * _US, "name": name,
-                           "args": end_args})
+            elif "exported" in kinds:
+                end_args = {}
+            else:  # still in flight: the span stays open to the horizon
+                end_args = {"unfinished": True}
+                end_ts = max(end_ts, horizon)
+            events.append({"ph": "b", **span, "ts": req_events[0][0] * _US,
+                           "name": name,
+                           "args": {"prompt_len": req_events[0][3]
+                                    if kinds[0] == "queued" else 0}})
+            for phase, t0, t1 in phase_spans[rid]:
+                events.append({"ph": "b", **span, "ts": t0 * _US,
+                               "name": phase})
+                events.append({"ph": "e", **span, "ts": t1 * _US,
+                               "name": phase})
+            for ts, kind, _, a, b in req_events:
+                marker = _MARKERS.get(kind)
+                if marker is not None:
+                    event = {"ph": "n", **span, "ts": ts * _US,
+                             "name": marker[0]}
+                    if marker[1] is not None:
+                        event["args"] = marker[1](a, b)
+                    events.append(event)
+            events.append({"ph": "e", **span, "ts": end_ts * _US,
+                           "name": name, "args": end_args})
         return events
 
     def chrome_trace(self) -> Dict:
@@ -683,47 +661,23 @@ def write_chrome_trace(path_or_file: Union[str, IO[str]],
 # ----------------------------------------------------------------------
 # Trace consumption: phase records + SLO attribution
 # ----------------------------------------------------------------------
-@dataclass
-class PhaseRecord:
+@dataclass(frozen=True)
+class PhaseRecord(RequestMetrics):
     """One finished request reconstructed from a Chrome trace.
 
-    ``ttft``/``tpot``/``e2e`` are computed from the raw second-resolution
-    timestamps the closing span event carries, with the same expressions as
-    :class:`~repro.serving.metrics.RequestMetrics` — bitwise-identical to
-    the live metrics.  ``phase_s`` attributes the TTFT window
-    ``[arrival, first_token]`` to the :data:`PHASES` it overlapped.
+    Its fields come from the raw second-resolution timestamps and the
+    precision fields the closing span event carries, so the latencies and
+    the SLO rule (precision floor included) are
+    :class:`~repro.serving.metrics.RequestMetrics`' own, bitwise-identical
+    to the live metrics.  A trace whose closing events predate the
+    precision fields reads as served at any precision.  ``replica`` is the
+    trace process that closed the request, and ``phase_s`` attributes the
+    TTFT window ``[arrival, first_token]`` to the :data:`PHASES` it
+    overlapped.
     """
 
-    request_id: int
-    replica: int
-    arrival_time: float
-    first_token_time: float
-    finish_time: float
-    prompt_len: int
-    output_len: int
-    preemptions: int
-    migrations: int
-    transfer_delay_s: float
+    replica: int = 0
     phase_s: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ttft(self) -> float:
-        return self.first_token_time - self.arrival_time
-
-    @property
-    def tpot(self) -> float:
-        if self.output_len <= 1:
-            return 0.0
-        return (self.finish_time - self.first_token_time) / (self.output_len - 1)
-
-    @property
-    def e2e_latency(self) -> float:
-        return self.finish_time - self.arrival_time
-
-    def meets_slo(self, ttft_slo_s: float, tpot_slo_s: float) -> bool:
-        if self.ttft > ttft_slo_s:
-            return False
-        return self.output_len <= 1 or self.tpot <= tpot_slo_s
 
 
 def trace_phase_records(trace: Dict) -> List[PhaseRecord]:
@@ -762,24 +716,24 @@ def trace_phase_records(trace: Dict) -> List[PhaseRecord]:
     records: List[PhaseRecord] = []
     for rid, (pid, args) in sorted(finish_args.items(),
                                    key=lambda kv: int(kv[0])):
-        record = PhaseRecord(
-            request_id=int(rid), replica=pid,
-            arrival_time=args["arrival_time_s"],
-            first_token_time=args["first_token_time_s"],
-            finish_time=args["finish_time_s"],
-            prompt_len=args.get("prompt_len", 0),
-            output_len=args.get("output_len", 0),
-            preemptions=args.get("preemptions", 0),
-            migrations=args.get("migrations", 0),
-            transfer_delay_s=args.get("transfer_delay_s", 0.0))
-        window0, window1 = record.arrival_time, record.first_token_time
+        window0, window1 = args["arrival_time_s"], args["first_token_time_s"]
         phase_s = {phase: 0.0 for phase in PHASES}
         for phase, t0, t1, _pid in spans.get(rid, []):
             overlap = min(t1, window1) - max(t0, window0)
             if overlap > 0:
                 phase_s[phase] += overlap
-        record.phase_s = phase_s
-        records.append(record)
+        records.append(PhaseRecord(
+            request_id=int(rid), replica=pid,
+            arrival_time=window0, first_token_time=window1,
+            finish_time=args["finish_time_s"],
+            prompt_len=args.get("prompt_len", 0),
+            output_len=args.get("output_len", 0),
+            preemptions=args.get("preemptions", 0),
+            migrations=args.get("migrations", 0),
+            transfer_delay_s=args.get("transfer_delay_s", 0.0),
+            precision_floor_bits=args.get("precision_floor_bits", 0.0),
+            served_precision_bits=args.get("served_precision_bits", 0.0),
+            phase_s=phase_s))
     return records
 
 

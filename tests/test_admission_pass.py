@@ -3,7 +3,7 @@
 ``ContinuousBatchingScheduler.admit`` splits the ready queue into
 paid-rank and young free-tier requests in one walk, stops at the first
 young request that pressure defers, and answers a pass that would defer
-every ready request in O(1) (``deferral_cut``).  ``_sorted_admit`` below is
+every ready request in O(1) (``quiet_pass``).  ``_sorted_admit`` below is
 the pass as it was before: a stable sort of the whole queue by tier rank,
 then the rank and the pressure test again for every request.  Both run on
 twin schedulers over ``hypothesis``-generated tiered queues (FCFS,
@@ -57,8 +57,8 @@ def _sorted_admit(self, now: float) -> List[Request]:
     if (tier_admission and scheduling.free_tier_drop_after_s is not None
             and ready):
         self._shed_free_tier(now)
-    skips = self.admission_skips()
-    if skips is not None:
+    skips, deferrals, until = self.quiet_pass()
+    if now < until and not deferrals:  # a skip, not a deferral
         self.admission_fast_skips += skips
         return []
     admitted: List[Request] = []
@@ -316,7 +316,7 @@ def test_deferral_cut_follows_the_ready_queue():
     scheduler.submit([free(10, late), free(11, 2.5), free(12, 3.0)])
     assert scheduler.admit(3.0) == []
     assert scheduler.tier_deferrals == 3
-    cut = scheduler.deferral_cut()
+    cut = scheduler.quiet_pass()[2]
     assert _aging_edge_holds(scheduler, cut)
     assert cut < late + TIER_AGING_S
 
@@ -331,12 +331,15 @@ def test_deferral_cut_follows_the_ready_queue():
     assert scheduler.admit(before) == []      # one ulp short of aging
     assert scheduler.admission_scanned_requests == scanned
     assert [r.request_id for r in scheduler.admit(cut)] == [10]
+    # That filled the last seat, so a pass would stop at the cap before
+    # reading the cut; one more seat keeps the replica under pressure.
+    scheduler.max_num_seqs += 1
     # Admission dropped the kept cut: the next oldest request sets it.
-    assert _aging_edge_holds(scheduler, scheduler.deferral_cut())
+    assert _aging_edge_holds(scheduler, scheduler.quiet_pass()[2])
 
     # So does emptying the queues.
     scheduler.take_waiting()
     scheduler.submit([free(30, 20.0)])
     scheduler.admit(20.0)
     assert scheduler.ready and _aging_edge_holds(scheduler,
-                                                 scheduler.deferral_cut())
+                                                 scheduler.quiet_pass()[2])

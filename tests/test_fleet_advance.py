@@ -10,8 +10,9 @@ runs every live host to every event — and asserts the two runs agree bit
 for bit: the ``tools/serving_fingerprint.py`` encoding of the result (hex
 floats), the counter registry and the Chrome trace.  The scenarios cover
 every router a plain-host fleet uses, autoscaling with drains, tiered
-shedding, speculative steppers and a tight KV pool whose quiet windows end
-at claim passes short of pages.
+shedding, tiered deferral whose quiet windows end where a waiting request
+ages, speculative steppers and a tight KV pool whose quiet windows end at
+claim passes short of pages.
 
 The bound is also checked directly: in every scenario it is never after
 the clock of the stepper's next ``step``, a speculating stepper's bound is
@@ -35,6 +36,7 @@ from repro.serving import (
     AutoscalerConfig,
     ClusterEngine,
     EngineStepper,
+    MultiplexConfig,
     Request,
     SCHEDULING_PRESETS,
     SYSTEM_PRESETS,
@@ -45,6 +47,7 @@ from repro.serving import (
     make_chat_workload,
     make_flash_crowd_workload,
     make_mixed_precision_workload,
+    make_multi_model_workload,
     make_router_study_workload,
 )
 from repro.serving.cluster import _Fleet
@@ -52,6 +55,7 @@ from repro.serving.metrics import fold_sum
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL = get_config("llama-2-7b")
+MODEL13 = get_config("llama-2-13b")
 QSERVE = SYSTEM_PRESETS["qserve-w4a8kv4-chn"]
 
 
@@ -174,6 +178,36 @@ def _tiered_shed(telemetry):
     return result
 
 
+def _tiered(telemetry):
+    """Young free-tier requests wait under seat pressure, deferred pass
+    after pass, so quiet windows end where the oldest of them ages; the
+    lazy advance leaves hosts behind in such windows, bounded by that
+    aging cut."""
+    aging_cut_bounds = []
+    route = _Fleet.route
+
+    def spy(self, request):
+        aging_cut_bounds.extend(
+            host for host in self.followers
+            if host.now < request.arrival_time
+            and host.stable_until() == host.scheduler._ready_cut)
+        return route(self, request)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Fleet, "route", spy)
+        result = _cluster(3).serve(
+            make_flash_crowd_workload(200, base_rate=1.0,
+                                      spikes=((2.0, 6.0, 10.0),),
+                                      prompt_len=256, output_len=2048,
+                                      tenants=4, free_fraction=0.6, seed=3),
+            max_num_seqs=8, scheduling=SCHEDULING_PRESETS["tiered"],
+            telemetry=telemetry)
+    assert result.counters().get("scheduler_tier_deferrals_total") > 0
+    # The eager reference leaves no host behind.
+    assert aging_cut_bounds or _Fleet.advance is _eager_advance
+    return result
+
+
 def _speculative(telemetry):
     return _cluster(3).serve(
         make_router_study_workload(150, seed=4), max_num_seqs=16,
@@ -204,6 +238,7 @@ SCENARIOS = {
     "precision-aware": _precision_aware,
     "autoscaled": _autoscaled,
     "tiered-shed": _tiered_shed,
+    "tiered": _tiered,
     "speculative": _speculative,
     "tight-pool": _tight_pool,
 }
@@ -329,6 +364,20 @@ def test_speculative_bound_is_the_clock():
     assert stepper.stable_until() == stepper.now
 
 
+def test_a_step_drops_the_recorded_bound():
+    """A coast that the caller's time cuts records a bound past the clock;
+    a ``step`` taken directly afterwards leaves none behind."""
+    stepper = EngineStepper(
+        ServingEngine(MODEL, A100, QSERVE, max_seq_len=4096),
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"])
+    stepper.submit([Request(request_id=i, prompt_len=64, output_len=400)
+                    for i in range(4)])
+    stepper.run_until(0.5)
+    assert stepper.stable_until() > stepper.now
+    stepper.step()
+    assert stepper.stable_until() == stepper.now
+
+
 # ----------------------------------------------------------------------
 # The bound's premise
 # ----------------------------------------------------------------------
@@ -363,18 +412,50 @@ def _autoscaled_flash_crowd(telemetry):
     return result
 
 
-@pytest.mark.parametrize("scenario", [_fleet_static, _autoscaled_flash_crowd])
+def _multiplexed(telemetry):
+    """Two models on replicas that hold one model's weights at a time, so
+    each physical replica serializes two steppers and their swap-ins."""
+    result = _cluster(2).serve(
+        make_multi_model_workload(120, models=(MODEL.name, MODEL13.name),
+                                  weights=(0.7, 0.3), arrival_rate=8.0,
+                                  seed=3),
+        router="model-aware", max_num_seqs=16,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        telemetry=telemetry)
+    assert result.multiplex.swap_outs > 0
+    return result
+
+
+@pytest.mark.parametrize("scenario", [_fleet_static, _autoscaled_flash_crowd,
+                                      _multiplexed])
 def test_replicas_conserve_work(scenario):
-    """Each replica's busy time is the sum of the iteration spans it traced,
-    the spans never overlap, there is one per counted iteration, and none
-    ends after the replica's final clock."""
+    """Each physical replica's busy time is the sum of the iteration spans
+    and weight swap-ins its steppers traced, the spans never overlap, each
+    stepper traced one per counted iteration, and none ends after the
+    replica's final clock."""
     result = scenario(telemetry=True)
     assert result.num_unserved == 0
-    for replica in result.replica_results:
-        spans = replica.telemetry.iterations
-        assert len(spans) == replica.num_iterations > 0
-        busy = fold_sum(t1 - t0 for t0, t1, *_ in spans)
-        assert math.isclose(replica.busy_time_s, busy, rel_tol=1e-9)
+    replicas = {}
+    for stepper in result.replica_results:  # replica<i> or replica<i>/<model>
+        name = stepper.telemetry.replica_name.split("/")[0]
+        replicas.setdefault(name, []).append(stepper)
+    assert len(replicas) == result.physical_replicas
+    for steppers in replicas.values():
+        spans = []
+        for stepper in steppers:
+            own = stepper.telemetry.iterations
+            assert len(own) == stepper.num_iterations
+            assert all(a[1] <= b[0] for a, b in zip(own, own[1:]))
+            spans += [span[:2] for span in own]
+            spans += [span[:2] for span in stepper.telemetry.swaps]
+        spans.sort()
+        assert spans
+        busy = fold_sum(t1 - t0 for t0, t1 in spans)
+        busy_s = fold_sum(stepper.busy_time_s for stepper in steppers)
+        assert math.isclose(busy_s, busy, rel_tol=1e-9)
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-        assert replica.busy_time_s <= replica.total_time_s
-        assert spans[-1][1] <= replica.total_time_s
+        clock = max(stepper.total_time_s for stepper in steppers)
+        assert busy_s <= clock
+        assert spans[-1][1] <= clock

@@ -23,6 +23,7 @@ from repro.serving import (
     collect_counters,
     make_bursty_workload,
     make_chat_workload,
+    make_mixed_precision_workload,
     make_uniform_workload,
     trace_phase_records,
     write_chrome_trace,
@@ -233,6 +234,24 @@ def test_attainment_matches_serving_metrics(llama7b):
     # live metrics (no precision floors in this workload).
     assert att.attainment == pytest.approx(
         result.metrics.slo_attainment(0.05, 0.02))
+    # With precision floors, a request served below its floor fails the
+    # SLO however fast it was, in the trace as in the live metrics.
+    floored = _engine(llama7b, max_seq_len=4096).serve(
+        make_mixed_precision_workload(120, seed=3), max_num_seqs=32,
+        scheduling=SCHEDULING_PRESETS["chunked"], telemetry=True)
+    below = sum(not m.precision_ok for m in floored.metrics.requests)
+    assert below > 0
+    att = attribute_slo(_load_trace(floored), 10.0, 1.0)
+    assert att.attainment == floored.metrics.slo_attainment(10.0, 1.0) < 1.0
+    assert len(att.violators) == below
+    # A closing event without the precision args (an older trace) reads
+    # as served at any precision.
+    trace = _load_trace(floored)
+    for event in trace["traceEvents"]:
+        if event["ph"] == "e" and event["name"].startswith("req "):
+            event["args"].pop("precision_floor_bits", None)
+            event["args"].pop("served_precision_bits", None)
+    assert attribute_slo(trace, 10.0, 1.0).attainment == 1.0
 
 
 def test_preemption_stall_phase_is_attributed(llama7b, monkeypatch):
