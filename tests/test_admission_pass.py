@@ -343,3 +343,22 @@ def test_deferral_cut_follows_the_ready_queue():
     scheduler.admit(20.0)
     assert scheduler.ready and _aging_edge_holds(scheduler,
                                                  scheduler.quiet_pass()[2])
+
+
+def test_ready_requests_no_admission_can_take_wait_only_for_shedding():
+    """A ready request whose final footprint exceeds the whole pool gives a
+    turn nothing to do (``next_ready_time`` skips it), unless free-tier
+    shedding may drop it."""
+    for shed_after, waits in ((None, False), (1.0, True)):
+        kv = PagedKVCacheManager(
+            model=MODEL, system=SYSTEM, page_size=PAGE, max_seq_len=4096,
+            capacity_bytes=50 * PAGE * SYSTEM.kv_bytes_per_token(MODEL))
+        scheduler = ContinuousBatchingScheduler(
+            kv_manager=kv, max_num_seqs=8, scheduling=SchedulingConfig(
+                preemption=True, tier_admission=True,
+                free_tier_drop_after_s=shed_after))
+        scheduler.submit([Request(request_id=0, prompt_len=64,
+                                  output_len=4000, tier="free")])
+        assert scheduler.admit(0.0) == []
+        assert scheduler.ready and scheduler.ready[0]._page_demand is None
+        assert scheduler.ready_can_change() is waits
