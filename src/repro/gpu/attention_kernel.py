@@ -17,7 +17,7 @@ ops to 0.5 ops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator, List, Tuple
 
 from repro.gpu.specs import GPUSpec
 
@@ -25,6 +25,7 @@ __all__ = [
     "AttentionKernelConfig",
     "AttentionLatency",
     "attention_decode_latency",
+    "attention_decode_row",
     "KV_KERNELS",
     "KERNEL_LAUNCH_OVERHEAD_S",
 ]
@@ -106,6 +107,62 @@ class AttentionLatency:
         return self.compute > self.memory
 
 
+def _decode_roofline(spec: GPUSpec, kernel: AttentionKernelConfig,
+                     batch: int, first_context: int, count: int,
+                     num_heads: int, num_kv_heads: int, head_dim: int
+                     ) -> Iterator[Tuple[float, float, float]]:
+    """``(total, memory, compute)`` of one layer's decode attention at each
+    of the ``count`` contexts from ``first_context`` on.
+
+    Both sides of the roofline are linear in the context: the per-token
+    element and byte counts below are exact integers, so scaling them by
+    the context gives the same floats as counting the whole history at once.
+    """
+    if batch <= 0 or first_context <= 0:
+        raise ValueError("batch and seq_len must be positive")
+    per_token = 2.0 * batch * num_kv_heads * head_dim  # K and V elements
+
+    # Memory traffic: quantized KV payload plus (for dynamic quantization) one
+    # FP16 scale and zero point per head per token per tensor.
+    bytes_per_token = per_token * kernel.kv_bits / 8.0
+    if kernel.dynamic_params:
+        bytes_per_token += 2.0 * batch * num_kv_heads * 2 * 2
+    bandwidth = spec.effective_bandwidth_gbps * 1e9
+
+    # Compute: every query head runs a MAC against every cached KV element of
+    # its KV head (QK^T and SV), i.e. the KV elements are each used
+    # `gqa_ratio` times, plus per-element dequantization and control overhead.
+    macs_per_element = 2.0 * (num_heads / num_kv_heads)
+    overhead_per_element = (kernel.dequant_ops_per_element
+                            + kernel.control_ops_per_element)
+    cuda_peak = spec.cuda_core_tops(kernel.compute_dtype) * 1e12
+    throughput = cuda_peak * spec.compute_efficiency
+
+    for context in range(first_context, first_context + count):
+        elements = per_token * context
+        memory = bytes_per_token * context / bandwidth
+        compute = (elements * macs_per_element
+                   + overhead_per_element * elements) / throughput
+        yield (max(memory, compute) + KERNEL_LAUNCH_OVERHEAD_S,
+               memory, compute)
+
+
+def attention_decode_row(spec: GPUSpec, kernel: AttentionKernelConfig,
+                         batch: int, first_context: int, count: int,
+                         num_heads: int, num_kv_heads: int, head_dim: int
+                         ) -> List[float]:
+    """Total latency of one layer's decode attention at each of the
+    ``count`` contexts from ``first_context`` on: the roofline in row form,
+    for pricing a decode batch whose context grows by one per iteration.
+
+    Slot ``i`` equals ``attention_decode_latency(..., first_context + i,
+    ...).total`` bit for bit: both read the one formula.
+    """
+    return [total for total, _, _ in _decode_roofline(
+        spec, kernel, batch, first_context, count,
+        num_heads, num_kv_heads, head_dim)]
+
+
 def attention_decode_latency(
     spec: GPUSpec,
     kernel: AttentionKernelConfig,
@@ -119,28 +176,8 @@ def attention_decode_latency(
 
     ``batch`` sequences each attend over ``seq_len`` cached tokens with
     ``num_heads`` query heads sharing ``num_kv_heads`` KV heads of width
-    ``head_dim``.
+    ``head_dim``.  A row of one (see :func:`attention_decode_row`).
     """
-    if batch <= 0 or seq_len <= 0:
-        raise ValueError("batch and seq_len must be positive")
-    kv_elements = 2.0 * batch * seq_len * num_kv_heads * head_dim  # K and V
-
-    # Memory traffic: quantized KV payload plus (for dynamic quantization) one
-    # FP16 scale and zero point per head per token per tensor.
-    kv_bytes = kv_elements * kernel.kv_bits / 8.0
-    if kernel.dynamic_params:
-        kv_bytes += 2.0 * batch * seq_len * num_kv_heads * 2 * 2
-    mem_time = kv_bytes / (spec.effective_bandwidth_gbps * 1e9)
-
-    # Compute: every query head runs a MAC against every cached KV element of
-    # its KV head (QK^T and SV), i.e. the KV elements are each used
-    # `gqa_ratio` times, plus per-element dequantization and control overhead.
-    gqa_ratio = num_heads / num_kv_heads
-    mac_ops = 2.0 * kv_elements * gqa_ratio
-    overhead_ops = (kernel.dequant_ops_per_element
-                    + kernel.control_ops_per_element) * kv_elements
-    cuda_peak = spec.cuda_core_tops(kernel.compute_dtype) * 1e12
-    compute_time = (mac_ops + overhead_ops) / (cuda_peak * spec.compute_efficiency)
-
-    total = max(mem_time, compute_time) + KERNEL_LAUNCH_OVERHEAD_S
-    return AttentionLatency(total=total, memory=mem_time, compute=compute_time)
+    total, memory, compute = next(_decode_roofline(
+        spec, kernel, batch, seq_len, 1, num_heads, num_kv_heads, head_dim))
+    return AttentionLatency(total=total, memory=memory, compute=compute)

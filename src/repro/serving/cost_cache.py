@@ -21,21 +21,25 @@ Code that mutates an engine's model/GPU/system in place (no in-tree code
 does) must call :meth:`CostModelCache.clear`, which drops the latency rows
 below as well.
 
-*Latency rows* serve the engine's coast through quiet decode iterations,
-where a batch of ``B`` decoders prices ``mixed_step((), B, c)`` at a context
-``c`` that grows by exactly one per iteration.  :meth:`CostModelCache.row`
-keeps one ``array('d')`` per batch size under the key ``("row", B)``: slot
-``i`` holds the latency at context ``start + i``, NaN until the engine
-prices it through ``mixed_step`` (so the pricing rule stays in one place).
-A row spans only the contexts its batch reached, from ``start``, not from
-context 0, so it costs 8 bytes per slot; a dict entry per ``(B, c)`` costs
-an order of magnitude more.  Row reads count as neither hits nor misses.
+*Latency rows* price every plain decode iteration (a batch of ``B``
+decoders and no prefill, whose context ``c`` grows by exactly one per
+iteration), stepped or coasted.  :meth:`CostModelCache.row` keeps one
+``array('d')`` per batch size under the key ``("row", B)``: slot ``i``
+holds the latency at context ``start + i``, NaN until the engine prices a
+run of slots in one call to :meth:`ServingEngine.decode_row`.  That call
+is ``mixed_step((), B, c).total``'s formula in row form, not a replay of
+it: one formula in two shapes, which ``tests/test_decode_row.py`` pins
+together as float hex.  A row spans only the contexts its batch reached,
+from ``start``, not from context 0, so it costs 8 bytes per slot; a dict
+entry per ``(B, c)`` costs an order of magnitude more.  Row reads count
+as neither hits nor misses.
 
 :func:`memoised` and :meth:`CostModelCache.row` are the only code that
 reads or writes a cache.  On CPython 3.11 (2-core Xeon host, best of 15
 in-process rounds) a hit through the decorator costs 0.21 µs, against
-0.18 µs for the dictionary probe hand-inlined into each method; a steady
-decode iteration priced through ``mixed_step`` makes three hits.
+0.18 µs for the dictionary probe hand-inlined into each method; a
+``mixed_step`` with decodes makes three lookups, and a ``decode_row`` call
+two, once per run of slots (one more each under tensor parallelism).
 The key is one flat tuple built as ``(kind,) + args``: a nested
 ``(kind, args)`` key measured 0.26 µs and holds a second tuple per entry,
 and unpacking, ``(kind, *args)``, measured 0.32 µs.
@@ -92,7 +96,7 @@ class CostModelCache:
         """Decode batch ``batch``'s latency row and the context of its slot
         0, grown so that ``context``'s slot exists or is the next append.
 
-        Slot ``i`` holds ``mixed_step((), batch, start + i).total``, or NaN
+        Slot ``i`` holds ``decode_row(batch, start + i, 1)[0]``, or NaN
         while unpriced; the caller prices and stores missing slots.
         Growing down to an earlier context replaces the row, so a caller
         holds the returned pair for one window only.

@@ -8,7 +8,10 @@ It answers two kinds of questions:
   :meth:`ServingEngine.mixed_step`, prices every shape (a decode step and a
   batched prefill are its special cases) from the GPU cost model
   (:mod:`repro.gpu.gemm`, :mod:`repro.gpu.attention_kernel`); it drives
-  Figures 2a, 17 and the throughput tables.
+  Figures 2a, 17 and the throughput tables.  The serving loop prices a
+  plain decode iteration from its batch's latency row instead, which
+  :meth:`ServingEngine.decode_row` fills a run of contexts at a time with
+  the same formula in row form.
 * *system-level*: given a workload, a memory budget and a
   :class:`repro.serving.policies.SchedulingConfig`, run the continuous
   batching loop on a simulated clock and report generation throughput (the
@@ -55,6 +58,7 @@ bitwise-identical.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,6 +66,7 @@ from repro.gpu.attention_kernel import (
     KERNEL_LAUNCH_OVERHEAD_S,
     KV_KERNELS,
     attention_decode_latency,
+    attention_decode_row,
 )
 from repro.gpu.gemm import GEMM_PRECISIONS, gemm_latency
 from repro.gpu.specs import GPUSpec
@@ -524,6 +529,42 @@ class ServingEngine:
             comm=(self._comm_latency(tokens) if self.parallel.is_parallel
                   else 0.0))
 
+    def decode_row(self, batch: int, first_context: int,
+                   count: int) -> List[float]:
+        """``decode_step(batch, c).total`` for each of the ``count`` contexts
+        ``c`` from ``first_context`` on, bit for bit, in one pass.
+
+        A plain decode step's total is ``((G + A(c)) + O) + C`` in
+        :meth:`mixed_step`'s float order, and only the attention term
+        ``A(c)`` depends on the context: the GEMM and LM-head term ``G``,
+        the fixed overhead ``O`` and the all-reduce ``C`` are read once per
+        call, and ``A`` comes from the attention roofline's row form
+        (:func:`~repro.gpu.attention_kernel.attention_decode_row`).
+        """
+        model, tp = self.model, self.parallel.tp_degree
+        layers, eff = model.num_layers, self.system.runtime_efficiency
+        gemm = (self._block_gemm_latency(batch) * layers
+                + self._lm_head_latency(batch)) / eff
+        other = _STEP_OVERHEAD_S / eff
+        comm = self._comm_latency(batch) if self.parallel.is_parallel else 0.0
+        first = max(1, first_context)  # context 0 prices as context 1
+        attn = attention_decode_row(
+            self.gpu, self.attention_kernel, batch, first, count,
+            model.num_heads // tp, model.num_kv_heads // tp, model.head_dim)
+        if first > first_context:
+            attn = (attn[:1] * (first - first_context) + attn)[:count]
+        return [((gemm + a * layers / eff) + other) + comm for a in attn]
+
+    def _decode_latency(self, batch: int, context: int) -> float:
+        """``decode_step(batch, context).total``, read from ``batch``'s
+        latency row (:meth:`CostModelCache.row`) and priced into it by
+        :meth:`decode_row` if missing."""
+        row, start = self.cost_cache.row(batch, context)
+        slot = context - start
+        if slot == len(row) or row[slot] != row[slot]:  # NaN: unpriced
+            row[slot:slot + 1] = array("d", self.decode_row(batch, context, 1))
+        return row[slot]
+
     def speculative_verify_step(self, verify_chunks: List[Tuple[int, int]],
                                 prefill_chunks: List[Tuple[int, int]] = (),
                                 decode_batch: int = 0,
@@ -556,6 +597,10 @@ class ServingEngine:
     def _plan_latency(self, plan: IterationPlan) -> float:
         """Cost-model latency of executing one iteration plan.
 
+        A plan with no prefill chunks is a plain decode iteration: its
+        latency is its slot of the batch's latency row, the row the coast
+        reads (:meth:`_decode_latency`).
+
         Prefix-cache hits shrink the work: only a request's cold suffix is
         prefilled, but its queries still attend across the cached prefix, so
         cached tokens enter the attention context (the ``done`` offset of
@@ -564,15 +609,15 @@ class ServingEngine:
         one (a batched prefill) unless a cache hit gives some prompt an
         offset, in which case it prices the exact chunks like any plan.
         """
-        chunks: Sequence[Tuple[int, int]] = ()
         prefills = plan.prefill_chunks
-        if prefills:
-            if plan.stalled_prefill and not any(
-                    r.cached_tokens for r, _ in prefills):
-                prompt_len = max(r.prefill_target for r, _ in prefills)
-                chunks = [(prompt_len, 0)] * len(prefills)
-            else:
-                chunks = plan.chunk_pairs()
+        if not prefills:
+            return self._decode_latency(len(plan.decode), plan.decode_context)
+        if plan.stalled_prefill and not any(
+                r.cached_tokens for r, _ in prefills):
+            prompt_len = max(r.prefill_target for r, _ in prefills)
+            chunks = [(prompt_len, 0)] * len(prefills)
+        else:
+            chunks = plan.chunk_pairs()
         return self.mixed_step(chunks, len(plan.decode),
                                plan.decode_context).total
 
@@ -1007,11 +1052,14 @@ class EngineStepper:
         Inside the window the batch is fixed and the mean context grows by
         exactly one per iteration, so iteration ``k`` costs slot ``k`` of
         the batch's latency row from the window's first context
-        (:meth:`CostModelCache.row`); an unpriced slot is priced by the
-        same ``mixed_step`` call :meth:`step` makes.  Latencies are added
-        to the clock one at a time, in order, so it is bitwise that of
-        stepping; the counters are written once, at the end.  A page
-        crossing is claimed in the window
+        (:meth:`CostModelCache.row`, the row :meth:`step` reads).  A
+        missing slot is priced in one :meth:`ServingEngine.decode_row` call
+        with the slots after it that fit before ``t`` at the previous slot's
+        latency, as a row does not fall along context, or alone if no
+        previous slot is priced.
+        Latencies are added to the clock one at a time, in order, so it is
+        bitwise that of stepping; the counters are written once, at the
+        end.  A page crossing is claimed in the window
         (:meth:`~ContinuousBatchingScheduler.claim_crossings`) while at
         least one page per decoder is free — a plain crossing claims one
         page, so the pass cannot evict or preempt — and otherwise ends the
@@ -1020,13 +1068,8 @@ class EngineStepper:
         stepper never coasts, since its commits vary per request.
 
         The call records the bound :meth:`stable_until` reads: the clock,
-        unless ``t`` rather than an event ends the window.  Then it is the
-        clock after the window's remaining iterations (those before the
-        next claim pass, if pages may run short there: a decoder claims at
-        most one page per ``page_size`` iterations), each priced as the
-        next, since a latency row does not decrease along context; less a
-        relative 1e-9 plus two ulps of the window's end per iteration, for
-        the rounding of the clock's sequential sum; and capped at ``until``.
+        unless ``t`` rather than an event ends the window (then see
+        :meth:`_cut_bound`).
         """
         scheduler = self.scheduler
         self._quiet_bound = now = self.now
@@ -1059,9 +1102,15 @@ class EngineStepper:
                 free -= scheduler.claim_crossings()
                 due = d + scheduler.decode_window()[1]
             latency = row[slot] if slot < size else nan
-            if latency != latency:  # NaN: not yet priced
-                latency = self._price_slot(row, start, slot, batch)
-                size = len(row)
+            if latency != latency:  # NaN: price the slots ``t`` lets run
+                n, prev = end - d, row[slot - 1] if slot else nan
+                if prev != prev:
+                    n = 1
+                elif t - now < n * prev:  # rows do not fall along context
+                    n = int((t - now) / prev) + 1
+                row[slot:slot + n] = array("d", self.engine.decode_row(
+                    batch, start + slot, n))
+                latency, size = row[slot], len(row)
             slot += 1
             t0 = now
             now += latency
@@ -1083,27 +1132,29 @@ class EngineStepper:
             self.kv_utilization_peak = max(self.kv_utilization_peak,
                                            kv.utilization())
         if cut and d < end and now >= t:
-            left = end - d
-            if due - d < left and kv.free_pages < batch * (
-                    left // kv.page_size + 1) + floor:
-                left = due - d
-            latency = row[slot] if slot < size else nan
-            if latency != latency:
-                latency = self._price_slot(row, start, slot, batch)
-            stop = now + left * latency
-            self._quiet_bound = min(until, stop - left * (
-                latency * 1e-9 + 2 * math.ulp(stop)))
+            self._quiet_bound = self._cut_bound(
+                batch, start + slot, end - d, due - d, floor, until)
 
-    def _price_slot(self, row, start: int, slot: int, batch: int) -> float:
-        """Price slot ``slot`` of ``batch``'s latency row from context
-        ``start`` — a NaN placeholder or the next append — by the same
-        ``mixed_step`` call :meth:`step` makes, and store it."""
-        latency = self.engine.mixed_step((), batch, start + slot).total
-        if slot < len(row):
-            row[slot] = latency
-        else:
-            row.append(latency)
-        return latency
+    def _cut_bound(self, batch: int, context: int, left: int, due: int,
+                   floor: int, until: float) -> float:
+        """The bound :meth:`stable_until` reads after a quiet window that
+        the caller's ``t`` cut, ``left`` iterations short of its end, at
+        ``context``: the clock after the remaining iterations (those before
+        the claim pass due in ``due`` iterations, if pages may run short
+        there: a decoder claims at most one page per ``page_size``
+        iterations, and a claim needs ``floor`` free pages), each priced as
+        the next, since a latency row does not decrease along context; less
+        a relative 1e-9 plus two ulps of the window's end per iteration, for
+        the rounding of the clock's sequential sum; and capped at
+        ``until``."""
+        kv = self.scheduler.kv_manager
+        if due < left and kv.free_pages < batch * (
+                left // kv.page_size + 1) + floor:
+            left = due
+        latency = self.engine._decode_latency(batch, context)
+        stop = self.now + left * latency
+        return min(until, stop - left * (
+            latency * 1e-9 + 2 * math.ulp(stop)))
 
     # ------------------------------------------------------------------
     def result(self, workload: Workload) -> ServingResult:

@@ -383,12 +383,15 @@ def test_a_step_drops_the_recorded_bound():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("system", list(SYSTEM_PRESETS))
 def test_decode_rows_do_not_decrease_along_context(system):
-    """``stable_until`` prices a whole quiet window at its first slot: a
-    batch's decode latency must not fall as its context grows."""
+    """``stable_until`` prices a whole quiet window at its first slot, and
+    the coast prices a window's slots from the time left at the last one: a
+    batch's decode latency must not fall as its context grows.  The rows
+    are read from ``decode_row``, the pricer the engine uses, which
+    ``tests/test_decode_row.py`` pins to ``mixed_step`` bit for bit."""
     engine = ServingEngine(MODEL, A100, SYSTEM_PRESETS[system],
                            max_seq_len=4096)
     for batch in range(1, 65):
-        row = [engine.mixed_step((), batch, c).total for c in range(1, 4097)]
+        row = engine.decode_row(batch, 1, 4096)
         drops = [c + 1 for c in range(1, 4096) if row[c] < row[c - 1]]
         assert not drops, (system, batch, drops[:5])
 

@@ -165,11 +165,12 @@ def test_cost_cache_kernel_latencies_identical():
 def test_cost_cache_hit_rate_steady_decode(monkeypatch):
     """A steady decode loop repeats its shapes: two waves of 24 requests
     price the same ``(batch, context)`` decode shapes.  What the memo and
-    the coast's latency rows save is evaluations: the cost model runs for
-    about half the iterations (131 of 258), and ``mixed_step`` runs once
-    per distinct decode shape plus once per ``step``, never per coasted
-    iteration.  (The hit rate is no longer the gauge: rows answer the
-    repeats before the memo sees them, so it reads 261/392.)"""
+    the latency rows save is evaluations: every plain decode iteration,
+    stepped or coasted, reads its price from its batch's row, so
+    ``mixed_step`` runs only for the steps that prefill (2 of 258
+    iterations), never per decode iteration.  (The hit rate is no longer
+    the gauge: rows answer the repeats before the memo sees them, so the
+    memo sees 8 lookups, 3 of them misses.)"""
     shapes, calls, steps = set(), [0], [0]
     mixed_step, step = ServingEngine.mixed_step, EngineStepper.step
 
@@ -582,10 +583,10 @@ def test_fleet_windows_resume_without_a_step(monkeypatch):
     ``stable_until`` bound is before it, plus the host it is routed to.  So
     it makes under half the ``run_until`` calls of the rule that ran every
     replica to every arrival, with exactly the same ``step`` calls.  Inside
-    quiet windows iterations read cached latency rows, so ``mixed_step``
-    runs for well under half of them.  (Before windows resumed and read
-    rows, every call opened with a ``step`` and every iteration ran
-    ``mixed_step``.)"""
+    quiet windows, and in steps that only decode, iterations read cached
+    latency rows, so ``mixed_step`` runs for well under half of them.
+    (Before windows resumed and read rows, every call opened with a
+    ``step`` and every iteration ran ``mixed_step``.)"""
     def serve(eager):
         calls = {"step": 0, "run_until": 0, "mixed_step": 0}
         with monkeypatch.context() as patch:
@@ -615,9 +616,10 @@ def test_fleet_windows_resume_without_a_step(monkeypatch):
     _, eager = serve(eager=True)
     iterations = sum(r.num_iterations for r in result.replica_results)
     assert result.num_finished == 800 and iterations > 20000
-    # Measured: 2738 steps for 2186 calls (6408 calls when every replica
-    # ran to every arrival), and 12696 prices for 37010 iterations (6936
-    # steps and 37010 prices before windows).
+    # Measured: 2738 steps for 2187 calls (6408 calls when every replica
+    # ran to every arrival), and 1234 ``mixed_step`` calls for 37010
+    # iterations (12696 while decode-only steps called it, and 37010
+    # before windows).
     assert calls["step"] == eager["step"]
     assert calls["run_until"] < 0.5 * eager["run_until"]
     assert calls["mixed_step"] < 0.5 * iterations
