@@ -630,7 +630,7 @@ class _MultiplexReplica:
         steppers[0].residency = residency
         #: Serialized GPU frontier: the time up to which the accelerator
         #: is committed (iterations and swap windows of *any* model).
-        self.clock = 0.0
+        self.now = 0.0
 
     # -- router-facing views -------------------------------------------
     @property
@@ -669,9 +669,17 @@ class _MultiplexReplica:
 
     def sync_clock(self, t: float) -> None:
         """Hold the whole replica idle until ``t`` (never backwards)."""
-        self.clock = max(self.clock, t)
+        self.now = max(self.now, t)
         for stepper in self.steppers:
             stepper.sync_clock(t)
+
+    def stable_until(self) -> float:
+        """The least of the steppers' :meth:`EngineStepper.stable_until`.
+
+        Until then every turn only coasts.  A stepper with ready or running
+        work bounds at its own clock, so no model that could take the GPU
+        before an event is left behind."""
+        return min(stepper.stable_until() for stepper in self.steppers)
 
     def submit(self, request: Request) -> None:
         """Queue ``request`` on its model's stepper, swapping in if cold.
@@ -685,9 +693,9 @@ class _MultiplexReplica:
         stepper = self.stepper_for(request)
         cost = self.residency.ensure_resident(stepper.model_name)
         if cost > 0.0:
-            stepper.sync_clock(max(self.clock, request.available_time))
+            stepper.sync_clock(max(self.now, request.available_time))
             t0 = stepper.charge_busy(cost)
-            self.clock = stepper.now
+            self.now = stepper.now
             if stepper.tracer is not None:
                 stepper.tracer.model_swap(stepper.model_name, t0, stepper.now)
         stepper.submit(request)
@@ -712,7 +720,7 @@ class _MultiplexReplica:
             for j, stepper in enumerate(self.steppers):
                 ready = None if j in stuck else stepper.next_ready_time()
                 if ready is not None:
-                    starts.append((max(self.clock, ready), j))
+                    starts.append((max(self.now, ready), j))
             if not starts or min(starts)[0] >= t:
                 return progressed
             start, j = min(starts)
@@ -721,7 +729,7 @@ class _MultiplexReplica:
             stepper = self.steppers[j]
             stepper.sync_clock(start)
             if stepper.run_until(until, horizon):
-                self.clock = max(self.clock, stepper.now)
+                self.now = max(self.now, stepper.now)
                 progressed = True
             else:
                 # No admissible work on this model before the horizon (or
@@ -912,8 +920,8 @@ class ClusterEngine:
         among the active prefill-capable slots) and autoscaler ticks.  Each
         turn advances the hosts toward the next arrival or tick ``t`` —
         prefill-role hosts to ``t``, every other host no further than the
-        earliest pending handoff, and on a role-free fleet of plain hosts
-        an arrival other than the last only the hosts it can observe (see
+        earliest pending handoff, and for an arrival other than the last
+        (or a handoff before it) only the hosts it can observe (see
         :meth:`_Fleet.advance`) — and handles one event.  A tick with no
         arrival left, no slot starting and no host stepped ends the ticking;
         the loop stops once no event is left, after every host has run as
@@ -1056,10 +1064,6 @@ class _Fleet:
         self.assigned: Dict[EngineStepper, List[Request]] = defaultdict(list)
         self.migrations_in: Dict[EngineStepper, int] = defaultdict(int)
         self.seen_finished: Dict[EngineStepper, int] = defaultdict(int)
-        #: Whether arrivals advance hosts lazily (see :meth:`advance`): not
-        #: on multiplexed replicas, whose turns have no bound, nor with
-        #: prefill roles, whose handoffs may land work at any time.
-        self.lazy = self.multiplex is None and not self.cluster.disaggregated
         for slot in range(pool if self.scaler is None
                           else self.scaler.config.min_replicas):
             self.provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
@@ -1191,13 +1195,16 @@ class _Fleet:
         their handoffs are collected first; every other host then stops at
         the earliest handoff still to route, which may land work on it.
 
-        ``lazy`` runs only the hosts an arrival can observe: those whose
-        :meth:`EngineStepper.stable_until` is before ``t``, a bound each
-        host's last coast recorded.  Any other host would only coast, which
-        changes none of the views a router reads, so it stays behind and
-        coasts the same iterations when a later event runs it (:meth:`route`
-        runs the chosen one first).  Starting slots whose cold start has
-        ended still become active.
+        ``lazy`` runs only the hosts an arrival or a handoff can observe:
+        those whose ``stable_until()`` is before ``t``, a bound each
+        stepper's last coast recorded (a multiplexed replica's is the least
+        of its steppers').  Any other host would only coast, which changes
+        none of the views a router reads, so it stays behind and coasts the
+        same iterations when a later event runs it (:meth:`route` and
+        :meth:`hand_off` run the chosen one first).  Prefill-role hosts
+        never decode, so their bound is their clock or ``inf``; they run
+        to ``t`` either way.  Starting slots whose cold start has ended
+        still become active.
         """
         progressed, handoffs, tiebreak = False, self.handoffs, self.tiebreak
         for host in self.exporters:
@@ -1226,29 +1233,36 @@ class _Fleet:
         host = self.arrival_hosts[self.router.route(request,
                                                     self.arrival_hosts)]
         arrival = request.arrival_time
-        if self.lazy and host.now < arrival <= host.stable_until():
+        if host.now < arrival <= host.stable_until():
             host.run_until(arrival)
         self.assigned[host.stepper_for(request)].append(request)
         host.submit(request)
 
     def hand_off(self) -> None:
-        """Migrate the earliest finished prefill to a decode host."""
+        """Migrate the earliest finished prefill to a decode host.
+
+        Like :meth:`route`, it first coasts a host a lazy :meth:`advance`
+        left behind to the prefill's completion."""
         done_time, _, source, request = heapq.heappop(self.handoffs)
         target = self.decode_hosts[self.decode_router.route_decode(
             request, self.decode_hosts)]
+        if target.now < done_time <= target.stable_until():
+            target.run_until(done_time)
         self.migrations_in[self.cluster._migrate(request, source, target,
                                                  done_time)] += 1
 
     def run(self, requests: Iterable[Request]) -> None:
         """The event loop: one event per turn, handoff < arrival < tick.
 
-        Each turn first advances the hosts toward the event (lazily for
-        every arrival but the last, when :attr:`lazy`)."""
+        Each turn first advances the hosts toward the event: lazily for an
+        arrival other than the last, or a handoff before it, on every fleet
+        shape; every host for a tick, the last arrival and the final drain.
+        """
         arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
         # Arrivals before ``lazy_end`` advance lazily.  The last one does
         # not: after it the stop rule reads ``progressed``, so from there on
         # every host runs to every event.
-        pos, lazy_end = 0, len(arrivals) - 1 if self.lazy else 0
+        pos, lazy_end = 0, len(arrivals) - 1
         next_tick = interval = (math.inf if self.scaler is None
                                 else self.scaler.config.interval_s)
         while True:

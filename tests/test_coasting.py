@@ -448,7 +448,7 @@ def _stepwise_run_until(self, t):
             ready = stepper.next_ready_time()
             if ready is None:
                 continue
-            start = max(self.clock, ready)
+            start = max(self.now, ready)
             if best is None or start < best[0]:
                 best = (start, j, stepper)
         if best is None or best[0] >= t:
@@ -456,7 +456,7 @@ def _stepwise_run_until(self, t):
         start, _, stepper = best
         stepper.sync_clock(start)
         if stepper.step(horizon=t):
-            self.clock = max(self.clock, stepper.now)
+            self.now = max(self.now, stepper.now)
             stepped = True
         else:
             stuck.add(best[1])

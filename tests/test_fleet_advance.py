@@ -1,27 +1,35 @@
 """Lazy ≡ eager oracle for the cluster's advance rule, and the premises
 the lazy rule rests on.
 
-An arrival runs only the fleet hosts whose ``EngineStepper.stable_until``
-bound is before it, plus the host it is routed to; every other host would
-only coast up to the arrival, which no router, drain or autoscaler reads.
-Each scenario below runs twice — as shipped, and with ``_Fleet.advance``
-replaced by the rule it had before, kept here as ``_eager_advance``, which
-runs every live host to every event — and asserts the two runs agree bit
-for bit: the ``tools/serving_fingerprint.py`` encoding of the result (hex
-floats), the counter registry and the Chrome trace.  The scenarios cover
-every router a plain-host fleet uses, autoscaling with drains, tiered
-shedding, tiered deferral whose quiet windows end where a waiting request
-ages, speculative steppers and a tight KV pool whose quiet windows end at
-claim passes short of pages.
+An arrival, or a handoff before the last arrival, runs only the fleet
+hosts whose ``stable_until`` bound is before it, plus the host it is
+routed to; every other host would only coast up to the event, which no
+router, drain or autoscaler reads.  A multiplexed replica's bound is the
+least of its steppers'.  Each scenario below runs twice — as shipped, and
+with ``_Fleet.advance`` replaced by the rule it had before, kept here as
+``_eager_advance``, which runs every live host to every event — and
+asserts the two runs agree bit for bit: the
+``tools/serving_fingerprint.py`` encoding of the result (hex floats), the
+counter registry and the Chrome trace.  The scenarios cover every router
+a plain-host fleet uses, autoscaling with drains, tiered shedding, tiered
+deferral whose quiet windows end where a waiting request ages,
+speculative steppers, a tight KV pool whose quiet windows end at claim
+passes short of pages, multiplexed replicas that swap (alone, with
+prefill roles and autoscaled), and prefill→decode handoffs, one of them
+onto decode hosts whose prefix caches the handoff pins.
 
 The bound is also checked directly: in every scenario it is never after
 the clock of the stepper's next ``step``, a speculating stepper's bound is
 its clock, and the last arrival leaves no busy host behind.  Two oracles
 check what the bound assumes and what the lazy rule must keep: a decode
 latency row never decreases along context, and every replica's busy time
-is the sum of the iterations it traced — none lost, none run twice.
+is the sum of the iterations it traced — none lost, none run twice.  Two
+timeline oracles close the file: no iteration starts before its slot's
+cold start ends, and (a strict xfail until the multiplexed turn charges
+it) none runs for a model whose weights are not resident.
 """
 
+import bisect
 import heapq
 import importlib.util
 import json
@@ -230,6 +238,100 @@ def _tight_pool(telemetry):
     return result
 
 
+def _multiplexed(telemetry):
+    """Two models on replicas that hold one model's weights at a time, so
+    each physical replica serializes two steppers and their swap-ins."""
+    result = _cluster(2).serve(
+        make_multi_model_workload(120, models=(MODEL.name, MODEL13.name),
+                                  weights=(0.7, 0.3), arrival_rate=8.0,
+                                  seed=3),
+        router="model-aware", max_num_seqs=16,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        telemetry=telemetry)
+    assert result.multiplex.swap_outs > 0
+    return result
+
+
+def _disaggregated(telemetry):
+    """Two prefill and two decode replicas: every request is handed off,
+    and a decode host a lazy turn left behind coasts to the prefill's
+    completion before it receives the request."""
+    result = _cluster(4, roles=["prefill", "prefill", "decode", "decode"]
+                      ).serve(
+        make_router_study_workload(160, seed=6), router="disaggregated",
+        max_num_seqs=16, scheduling=SCHEDULING_PRESETS["chunked"],
+        telemetry=telemetry)
+    assert result.num_migrations == 160
+    return result
+
+
+def _disaggregated_prefix(telemetry):
+    """One prefill and two decode replicas with prefix caches on tight
+    pools: a handoff pins the prefix its decode host already holds, so the
+    catch-up must land before that match."""
+    pinned = []
+    pin = EngineStepper.pin_for_import
+
+    def spy(self, request):
+        tokens = pin(self, request)
+        pinned.append(tokens)
+        return tokens
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EngineStepper, "pin_for_import", spy)
+        result = _cluster(3, pages=128, roles=["prefill", "decode", "decode"]
+                          ).serve(
+            make_chat_workload(num_sessions=12, turns_per_session=4,
+                               system_prompt_len=192, user_len=32,
+                               assistant_len=64, think_time_s=2.0, seed=23),
+            router="disaggregated", max_num_seqs=8,
+            scheduling=SCHEDULING_PRESETS["prefix-aware"],
+            telemetry=telemetry)
+    assert any(pinned)
+    return result
+
+
+def _multiplexed_roles(telemetry):
+    """A two-model 1 prefill + 2 decode fleet holding one model's weights
+    at a time: handoffs land on multiplexed decode replicas."""
+    result = _cluster(3, roles=["prefill", "decode", "decode"]).serve(
+        make_multi_model_workload(120, models=(MODEL.name, MODEL13.name),
+                                  weights=(0.7, 0.3), arrival_rate=16.0,
+                                  seed=1),
+        router="disaggregated", max_num_seqs=16,
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        telemetry=telemetry)
+    assert result.num_migrations == 120 and result.multiplex.swap_ins > 0
+    return result
+
+
+def _multiplexed_autoscaled(telemetry):
+    """Scale-ups swap models onto cold multiplexed replicas, and drains
+    migrate decodes into the surviving replicas' per-model steppers."""
+    workload = make_flash_crowd_workload(160, base_rate=2.0,
+                                         spikes=((3.0, 25.0, 4.0),),
+                                         prompt_len=256, output_len=200,
+                                         seed=17)
+    for request in workload.requests:
+        if request.request_id % 3 == 2:
+            request.model = MODEL13.name
+    result = _cluster(3).serve(
+        workload, router="model-aware", max_num_seqs=8,
+        scheduling=SCHEDULING_PRESETS["chunked-preempt"],
+        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
+                                  max_resident_models=1),
+        autoscaler=AutoscalerConfig(
+            min_replicas=1, max_replicas=3, interval_s=1.0,
+            scale_up_queue_depth=2.0, up_cooldown_s=1.0,
+            down_cooldown_s=2.0, scale_down_outstanding=12.0),
+        telemetry=telemetry)
+    assert any(e.action == "down" for e in result.autoscale.events)
+    return result
+
+
 SCENARIOS = {
     "least-outstanding": _fleet_static,
     "round-robin": _round_robin,
@@ -241,6 +343,11 @@ SCENARIOS = {
     "tiered": _tiered,
     "speculative": _speculative,
     "tight-pool": _tight_pool,
+    "multiplexed": _multiplexed,
+    "disaggregated": _disaggregated,
+    "disaggregated-prefix": _disaggregated_prefix,
+    "multiplexed-roles": _multiplexed_roles,
+    "multiplexed-autoscaled": _multiplexed_autoscaled,
 }
 
 
@@ -415,22 +522,6 @@ def _autoscaled_flash_crowd(telemetry):
     return result
 
 
-def _multiplexed(telemetry):
-    """Two models on replicas that hold one model's weights at a time, so
-    each physical replica serializes two steppers and their swap-ins."""
-    result = _cluster(2).serve(
-        make_multi_model_workload(120, models=(MODEL.name, MODEL13.name),
-                                  weights=(0.7, 0.3), arrival_rate=8.0,
-                                  seed=3),
-        router="model-aware", max_num_seqs=16,
-        scheduling=SCHEDULING_PRESETS["chunked-preempt"],
-        multiplex=MultiplexConfig(models=(MODEL, MODEL13),
-                                  max_resident_models=1),
-        telemetry=telemetry)
-    assert result.multiplex.swap_outs > 0
-    return result
-
-
 @pytest.mark.parametrize("scenario", [_fleet_static, _autoscaled_flash_crowd,
                                       _multiplexed])
 def test_replicas_conserve_work(scenario):
@@ -462,3 +553,65 @@ def test_replicas_conserve_work(scenario):
         clock = max(stepper.total_time_s for stepper in steppers)
         assert busy_s <= clock
         assert spans[-1][1] <= clock
+
+
+# ----------------------------------------------------------------------
+# Timeline oracles
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scenario", [_autoscaled, _autoscaled_flash_crowd])
+def test_no_iteration_runs_before_its_cold_start_ends(scenario):
+    """Every provisioned window opens at its slot's ``up`` event (or at 0,
+    pre-warmed), and no traced iteration on a slot starts before the
+    window it starts in has loaded its weights: the window's start plus
+    the cold start, or the start alone for a pre-warmed window."""
+    result = scenario(telemetry=True)
+    report = result.autoscale
+    ups = [(e.time_s, e.replica) for e in report.events if e.action == "up"]
+    prewarmed = {(0.0, s) for s, windows in enumerate(report.windows)
+                 if windows[0][0] == 0.0}
+    opened = {(w[0], s) for s, windows in enumerate(report.windows)
+              for w in windows}
+    assert len(set(ups)) == len(ups) and ups
+    assert opened == set(ups) | prewarmed
+    assert len(result.replica_results) == len(report.windows)
+    checked, early = 0, []
+    for s, (stepper, windows) in enumerate(zip(result.replica_results,
+                                               report.windows)):
+        assert stepper.telemetry.replica_name == f"replica{s}"
+        starts = [w[0] for w in windows]
+        for span in stepper.telemetry.iterations:
+            k = bisect.bisect_right(starts, span[0])
+            assert k > 0, (s, span[0], starts)
+            start = starts[k - 1]
+            cold = 0.0 if (start, s) in prewarmed else report.cold_start_s
+            checked += 1
+            if span[0] < start + cold:
+                early.append((s, start, span[0]))
+    assert checked > 0
+    assert not early, early[:3]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP I")
+def test_no_iteration_runs_for_a_model_that_is_not_resident():
+    """On replicas that hold one model's weights at a time, each traced
+    iteration starts while its own model is resident: the model whose
+    swap-in last ended before it, or the preloaded first model before any
+    swap.  A model a sibling's swap-in evicted keeps decoding its running
+    batch without swapping back in, so this fails until that turn charges
+    the swap-in."""
+    result = _multiplexed(telemetry=True)
+    replicas = {}
+    for stepper in result.replica_results:  # replica<i>/<model>
+        name, model = stepper.telemetry.replica_name.split("/")
+        replicas.setdefault(name, []).append((model, stepper.telemetry))
+    checked, stale = 0, 0
+    for slices in replicas.values():
+        swaps = sorted(swap for _, tracer in slices for swap in tracer.swaps)
+        ends = [t1 for _, t1, _ in swaps]
+        for model, tracer in slices:
+            for span in tracer.iterations:
+                k = bisect.bisect_right(ends, span[0])
+                checked += 1
+                stale += (swaps[k - 1][2] if k else MODEL.name) != model
+    assert checked > 0
+    assert stale == 0, f"{stale} of {checked} iterations ran evicted"
