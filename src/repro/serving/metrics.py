@@ -19,9 +19,7 @@ travels on :class:`repro.serving.engine.ServingResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence
 
 from repro.serving.request import Request
 
@@ -155,6 +153,43 @@ class RequestMetrics:
         )
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """NumPy's float64 pairwise sum of ``values``, bit for bit: a plain fold
+    below 8 values, eight strided accumulators up to 128, and above that a
+    split at ``n // 2`` rounded down to a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return fold_sum(values)
+    if n <= 128:
+        whole = n - n % 8
+        r = []
+        for lane in range(8):
+            acc = values[lane]
+            for value in values[lane + 8:whole:8]:
+                acc += value
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[whole:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """NumPy's linear-method percentile of sorted ``ordered``, bit for bit."""
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:  # NumPy takes the last value as is
+        return ordered[-1]
+    lo = int(index)
+    g = index - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g
+
+
 @dataclass(frozen=True)
 class LatencySummary:
     """Mean and p50/p95/p99 of one latency distribution (seconds)."""
@@ -167,12 +202,19 @@ class LatencySummary:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "LatencySummary":
+        """Summarize ``values`` in plain Python.  Every field equals NumPy's
+        (``np.mean``, ``np.percentile``'s linear method, ``np.max``) bit for
+        bit, so this is the one summary rule the live metrics, the trace
+        report and the tests share.  (Where ``0.0`` and ``-0.0`` tie, NumPy's
+        partition may return either sign of zero.)"""
         if len(values) == 0:
             return cls(0.0, 0.0, 0.0, 0.0, 0.0)
-        arr = np.asarray(values, dtype=np.float64)
-        p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
-        return cls(mean=float(arr.mean()), p50=float(p50), p95=float(p95),
-                   p99=float(p99), maximum=float(arr.max()))
+        ordered = sorted(values)
+        total = 0.0 + _pairwise_sum(values)  # NumPy's reduction starts at 0.0
+        return cls(mean=total / len(values),
+                   p50=_percentile(ordered, 50.0),
+                   p95=_percentile(ordered, 95.0),
+                   p99=_percentile(ordered, 99.0), maximum=ordered[-1])
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (f"mean {self.mean * 1e3:.1f} ms / p50 {self.p50 * 1e3:.1f} / "
@@ -184,74 +226,16 @@ class LatencySummary:
                 "p99": self.p99, "max": self.maximum}
 
 
-@dataclass(frozen=True)
-class _MetricColumns:
-    """Column-major float64 views of one run's finished-request records.
-
-    Built in one pass so every summary property reads a ready array instead
-    of re-walking the request list through Python-level property calls.  The
-    derived columns are elementwise IEEE-754 double operations on the same
-    values the scalar properties use, so every percentile/mean computed from
-    them is bitwise-identical to the per-request path.
-    """
-
-    ttft: np.ndarray
-    tpot: np.ndarray
-    e2e: np.ndarray
-    output_len: np.ndarray
-    #: Queue delays of the requests whose admission time is known (others
-    #: are excluded, matching :attr:`RequestMetrics.queue_delay`).
-    queue_delay: np.ndarray
-    #: Exposed KV-transfer delays of the migrated requests only.
-    transfer_delay: np.ndarray
-    #: Per-request quality verdict (see :attr:`RequestMetrics.precision_ok`);
-    #: all-True whenever no request carried a precision floor.
-    precision_ok: np.ndarray
-
-
-def _build_columns(requests: Sequence[RequestMetrics]) -> _MetricColumns:
-    n = len(requests)
-    arrival = np.fromiter((r.arrival_time for r in requests), np.float64, n)
-    first = np.fromiter((r.first_token_time for r in requests), np.float64, n)
-    finish = np.fromiter((r.finish_time for r in requests), np.float64, n)
-    out_len = np.fromiter((r.output_len for r in requests), np.float64, n)
-    admitted = np.fromiter(
-        (np.nan if r.admitted_time is None else r.admitted_time
-         for r in requests), np.float64, n)
-    migrations = np.fromiter((r.migrations for r in requests), np.int64, n)
-    transfer = np.fromiter((r.transfer_delay_s for r in requests),
-                           np.float64, n)
-    floor = np.fromiter((r.precision_floor_bits for r in requests),
-                        np.float64, n)
-    served = np.fromiter((r.served_precision_bits for r in requests),
-                         np.float64, n)
-    single = out_len <= 1.0
-    # Guard the denominator so the masked-out single-token rows never divide
-    # by zero; their quotient is discarded by the mask anyway.
-    gaps = np.maximum(out_len - 1.0, 1.0)
-    known = ~np.isnan(admitted)
-    return _MetricColumns(
-        ttft=first - arrival,
-        tpot=np.where(single, 0.0, (finish - first) / gaps),
-        e2e=finish - arrival,
-        output_len=out_len,
-        queue_delay=admitted[known] - arrival[known],
-        transfer_delay=transfer[migrations > 0],
-        precision_ok=(floor <= 0.0) | (served >= floor),
-    )
-
-
 @dataclass
 class ServingMetrics:
-    """Latency metrics over all finished requests of one serving run."""
+    """Latency metrics over all finished requests of one serving run.
+
+    Every summary reads :class:`RequestMetrics`' own per-request properties,
+    so the per-request rules (TPOT of a 1-token output, excluded unknown
+    queue delays, the SLO and precision verdicts) are written once.
+    """
 
     requests: List[RequestMetrics] = field(default_factory=list)
-    #: Lazily built column arrays, keyed on the request count so a metrics
-    #: object extended after a summary was read rebuilds them (no in-tree
-    #: code mutates ``requests`` post-construction, but correctness must not
-    #: depend on that).
-    _columns_cache: Optional[Tuple[int, _MetricColumns]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_requests(cls, requests: Sequence[Request]) -> "ServingMetrics":
@@ -263,31 +247,26 @@ class ServingMetrics:
     def __len__(self) -> int:
         return len(self.requests)
 
-    def _columns(self) -> _MetricColumns:
-        cached = self._columns_cache
-        if cached is not None and cached[0] == len(self.requests):
-            return cached[1]
-        columns = _build_columns(self.requests)
-        self._columns_cache = (len(self.requests), columns)
-        return columns
-
     # ------------------------------------------------------------------
     @property
     def ttft(self) -> LatencySummary:
-        return LatencySummary.from_values(self._columns().ttft)
+        return LatencySummary.from_values([r.ttft for r in self.requests])
 
     @property
     def tpot(self) -> LatencySummary:
-        return LatencySummary.from_values(self._columns().tpot)
+        return LatencySummary.from_values([r.tpot for r in self.requests])
 
     @property
     def e2e(self) -> LatencySummary:
-        return LatencySummary.from_values(self._columns().e2e)
+        return LatencySummary.from_values(
+            [r.e2e_latency for r in self.requests])
 
     @property
     def queue_delay(self) -> LatencySummary:
         """Queue-delay percentiles over requests whose admission time is known."""
-        return LatencySummary.from_values(self._columns().queue_delay)
+        return LatencySummary.from_values(
+            [r.queue_delay for r in self.requests
+             if r.admitted_time is not None])
 
     @property
     def total_preemptions(self) -> int:
@@ -321,9 +300,7 @@ class ServingMetrics:
     @property
     def precision_violations(self) -> int:
         """Finished requests served below their demanded precision floor."""
-        if not self.requests:
-            return 0
-        return int(np.count_nonzero(~self._columns().precision_ok))
+        return sum(not r.precision_ok for r in self.requests)
 
     @property
     def transfer_delay(self) -> LatencySummary:
@@ -333,7 +310,8 @@ class ServingMetrics:
         in a mixed cluster they would otherwise drown out the delay the
         handoffs actually paid.  All-zero when nothing migrated.
         """
-        return LatencySummary.from_values(self._columns().transfer_delay)
+        return LatencySummary.from_values(
+            [r.transfer_delay_s for r in self.requests if r.migrations > 0])
 
     # ------------------------------------------------------------------
     # Multi-tenant breakouts
@@ -382,11 +360,7 @@ class ServingMetrics:
         """
         if not self.requests:
             return 0.0
-        cols = self._columns()
-        good = int(np.count_nonzero(
-            (cols.ttft <= ttft_slo_s)
-            & ((cols.output_len <= 1.0) | (cols.tpot <= tpot_slo_s))
-            & cols.precision_ok))
+        good = sum(r.meets_slo(ttft_slo_s, tpot_slo_s) for r in self.requests)
         return good / len(self.requests)
 
     def slo_goodput(self, ttft_slo_s: float, tpot_slo_s: float,

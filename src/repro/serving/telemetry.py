@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.serving.metrics import RequestMetrics
+from repro.serving.metrics import RequestMetrics, ServingMetrics
 
 __all__ = [
     "TelemetryConfig",
@@ -748,9 +748,10 @@ class SLOAttribution:
 
     @property
     def attainment(self) -> float:
-        if not self.records:
-            return 0.0
-        return 1.0 - len(self.violators) / len(self.records)
+        """The live metrics' :meth:`ServingMetrics.slo_attainment` over the
+        reconstructed records, so both read the same bits."""
+        return ServingMetrics(requests=self.records).slo_attainment(
+            self.ttft_slo_s, self.tpot_slo_s)
 
     @staticmethod
     def _mean_phases(records: Sequence[PhaseRecord]) -> Dict[str, float]:

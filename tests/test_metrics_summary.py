@@ -3,8 +3,16 @@ on: ``ServingResult.summary_text()``, ``LatencySummary`` percentile math,
 ``ServingMetrics`` summaries and the SLO attainment/goodput helpers — all of
 which were previously exercised only through end-to-end runs."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.serving import (
     LatencySummary,
@@ -15,6 +23,8 @@ from repro.serving import (
     SpeculationStats,
 )
 from repro.serving.prefix_cache import PrefixCacheStats
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _metric(request_id=0, output_len=10, arrival=0.0, first=1.0, finish=2.0,
@@ -27,14 +37,72 @@ def _metric(request_id=0, output_len=10, arrival=0.0, first=1.0, finish=2.0,
 # ----------------------------------------------------------------------
 # LatencySummary
 # ----------------------------------------------------------------------
-def test_latency_summary_percentiles_match_numpy():
-    values = [0.1 * i for i in range(1, 101)]
-    summary = LatencySummary.from_values(values)
-    assert summary.mean == pytest.approx(np.mean(values))
-    assert summary.p50 == pytest.approx(np.percentile(values, 50))
-    assert summary.p95 == pytest.approx(np.percentile(values, 95))
-    assert summary.p99 == pytest.approx(np.percentile(values, 99))
-    assert summary.maximum == pytest.approx(10.0)
+def _summary_hex(summary):
+    return [x.hex() for x in (summary.mean, summary.p50, summary.p95,
+                              summary.p99, summary.maximum)]
+
+
+def _numpy_hex(values):
+    arr = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):  # huge finite values may overflow
+        p50, p95, p99 = np.percentile(arr, [50, 95, 99])
+        return [float(x).hex()
+                for x in (np.mean(arr), p50, p95, p99, np.max(arr))]
+
+
+# Any finite float but -0.0 (mapped to 0.0): where +0.0 and -0.0 tie,
+# np.percentile returns whichever sign its partition left in place.
+# Latencies are differences of non-negative clocks and never -0.0.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda x: x + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, min_size=1, max_size=300))
+@example([0.1 * i for i in range(1, 101)])
+def test_latency_summary_percentiles_match_numpy(values):
+    """``from_values`` is NumPy's mean, linear percentile and max, bit for
+    bit."""
+    assert _summary_hex(LatencySummary.from_values(values)) == \
+        _numpy_hex(values)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 7, 8, 9, 127, 128, 129, 136, 257, 2_500, 100_000])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_latency_summary_matches_numpy_at_block_edges(n, seed):
+    """Lengths at the edges of NumPy's pairwise-sum blocks (8 lanes, 128
+    per leaf, splits at multiples of 8)."""
+    rng = random.Random(seed)
+    values = [rng.lognormvariate(-3.0, 2.0) for _ in range(n)]
+    assert _summary_hex(LatencySummary.from_values(values)) == \
+        _numpy_hex(values)
+
+
+def test_summary_read_imports_no_numpy_ma():
+    """A fresh interpreter serves, reads every summary and never imports
+    ``numpy.ma`` (which ``np.percentile`` pulls in on first use)."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.gpu import A100
+        from repro.model import get_config
+        from repro.serving import (SYSTEM_PRESETS, ServingEngine,
+                                   make_uniform_workload)
+        engine = ServingEngine(get_config("llama-2-7b"), A100,
+                               SYSTEM_PRESETS["qserve-w4a8kv4-chn"],
+                               max_seq_len=512)
+        result = engine.serve(make_uniform_workload(8, prompt_len=64,
+                                                    output_len=8),
+                              max_num_seqs=4)
+        assert result.to_json()["metrics"]["num_requests"] == 8
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_latency_summary_empty_and_singleton():

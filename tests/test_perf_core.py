@@ -1,8 +1,8 @@
-"""Regression tests for the vectorized/memoized simulator core.
+"""Regression tests for the memoized simulator core.
 
 The perf refactor's contract is *bitwise identity*: memoized cost models,
-early-exit admission, O(1) KV accounting and vectorized metrics aggregation
-must leave every ServingResult exactly as the naive code produced it.  These
+early-exit admission and O(1) KV accounting must leave every ServingResult
+exactly as the naive code produced it.  These
 tests pin that down by running identical workloads with the cost cache on and
 off and comparing every float with ``float.hex()`` (no tolerance), and they
 lock in the perf properties themselves: cache hit rates on steady decode

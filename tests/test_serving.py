@@ -685,10 +685,10 @@ def test_workload_copy_fresh_is_independent():
 def test_latency_summary_percentiles():
     values = list(range(1, 101))  # 1..100
     summary = LatencySummary.from_values(values)
-    assert summary.mean == pytest.approx(50.5)
-    assert summary.p50 == pytest.approx(np.percentile(values, 50))
-    assert summary.p95 == pytest.approx(np.percentile(values, 95))
-    assert summary.p99 == pytest.approx(np.percentile(values, 99))
+    assert summary.mean == 50.5
+    assert summary.p50 == np.percentile(values, 50)
+    assert summary.p95 == np.percentile(values, 95)
+    assert summary.p99 == np.percentile(values, 99)
     assert summary.maximum == 100
     empty = LatencySummary.from_values([])
     assert empty.mean == empty.p99 == 0.0

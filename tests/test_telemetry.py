@@ -17,6 +17,7 @@ from repro.serving import (
     SCHEDULING_PRESETS,
     SYSTEM_PRESETS,
     ServingEngine,
+    ServingMetrics,
     TelemetryConfig,
     Tracer,
     attribute_slo,
@@ -227,13 +228,20 @@ def test_attribute_slo_flags_violators(llama7b):
                                       key=lambda r: -r.ttft)[:3]]
 
 
+def _closing_event(request_id: int, ttft: float) -> dict:
+    """A request span's closing event, as ``trace_phase_records`` reads it."""
+    return {"cat": "request", "ph": "e", "name": f"req {request_id}",
+            "id": str(request_id), "pid": 0, "ts": 0.0,
+            "args": {"arrival_time_s": 0.0, "first_token_time_s": ttft,
+                     "finish_time_s": ttft + 1.0, "output_len": 11}}
+
+
 def test_attainment_matches_serving_metrics(llama7b):
     result = _traced_run(llama7b)
     att = attribute_slo(_load_trace(result), 0.05, 0.02)
     # Same per-request rule, exact timestamps -> same attainment as the
     # live metrics (no precision floors in this workload).
-    assert att.attainment == pytest.approx(
-        result.metrics.slo_attainment(0.05, 0.02))
+    assert att.attainment == result.metrics.slo_attainment(0.05, 0.02)
     # With precision floors, a request served below its floor fails the
     # SLO however fast it was, in the trace as in the live metrics.
     floored = _engine(llama7b, max_seq_len=4096).serve(
@@ -252,6 +260,14 @@ def test_attainment_matches_serving_metrics(llama7b):
             event["args"].pop("precision_floor_bits", None)
             event["args"].pop("served_precision_bits", None)
     assert attribute_slo(trace, 10.0, 1.0).attainment == 1.0
+    # Attainment is good / n, as in the live metrics: with 1 violator in
+    # 3 records, 1 - 1/3 would end one bit above 2/3.
+    trace = {"traceEvents": [_closing_event(i, ttft)
+                             for i, ttft in enumerate((0.01, 0.02, 0.5))]}
+    att = attribute_slo(trace, 0.1, 0.2)
+    assert len(att.violators) == 1
+    assert att.attainment == 2 / 3 == \
+        ServingMetrics(requests=att.records).slo_attainment(0.1, 0.2)
 
 
 def test_preemption_stall_phase_is_attributed(llama7b, monkeypatch):

@@ -6,9 +6,10 @@ TTFT violations*.  The input is a trace written by
 ``repro.serving.telemetry.write_chrome_trace`` (single engine or merged
 cluster); every finished request is reconstructed from its span events —
 TTFT/TPOT come out bitwise-identical to the live ``ServingMetrics`` values,
-because the closing span event carries the raw timestamps — and each
-request's TTFT window is attributed to the lifecycle phases it overlapped
-(queued / prefill / stall / transfer / decode).
+because the closing span event carries the raw timestamps, and the TTFT
+percentiles and attainment are computed by ``ServingMetrics`` itself — and
+each request's TTFT window is attributed to the lifecycle phases it
+overlapped (queued / prefill / stall / transfer / decode).
 
 Usage::
 
@@ -27,21 +28,8 @@ import json
 import sys
 from typing import List
 
+from repro.serving.metrics import ServingMetrics
 from repro.serving.telemetry import PHASES, SLOAttribution, attribute_slo
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank-free linear-interpolation percentile (numpy-compatible)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = (len(ordered) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _ms(seconds: float) -> str:
@@ -61,11 +49,9 @@ def render_text(att: SLOAttribution, top: int) -> str:
         f"SLO attainment: {att.attainment * 100:.1f}% "
         f"({len(att.violators)} violators)",
     ]
-    ttfts = [r.ttft for r in records]
-    lines.append(
-        f"TTFT: p50 {_ms(_percentile(ttfts, 50))} / "
-        f"p95 {_ms(_percentile(ttfts, 95))} / "
-        f"p99 {_ms(_percentile(ttfts, 99))}")
+    ttft = ServingMetrics(requests=records).ttft
+    lines.append(f"TTFT: p50 {_ms(ttft.p50)} / p95 {_ms(ttft.p95)} / "
+                 f"p99 {_ms(ttft.p99)}")
     lines.append("mean TTFT phase breakdown (all requests):")
     lines.append("  " + _phase_line(att.mean_phase_seconds()))
     if att.violators:
@@ -103,7 +89,7 @@ def render_json(att: SLOAttribution, top: int) -> dict:
         "violator_mean_phase_seconds":
             att.mean_phase_seconds(violators_only=True),
         "dominant_violator_phase": att.dominant_phase(),
-        "ttft_p99_s": _percentile([r.ttft for r in att.records], 99),
+        "ttft_p99_s": ServingMetrics(requests=att.records).ttft.p99,
         "worst": [
             {"request_id": r.request_id, "replica": r.replica,
              "ttft_s": r.ttft, "tpot_s": r.tpot,
